@@ -24,6 +24,28 @@ from .identify import (
 )
 
 
+class InputError(ValueError):
+    """An input file that is not UTF-8 text."""
+
+
+def _read_text(path: str) -> str:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"{path}: not UTF-8 text (byte 0x{raw[exc.start]:02x} at offset {exc.start})"
+        ) from None
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse exits 2 by default; usage errors are 1
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -49,7 +71,9 @@ def _build_parser() -> _Parser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if models:
-            p.add_argument("--models", type=int, default=20, help="random models per check")
+            p.add_argument(
+                "--models", type=_positive_int, default=20, help="random models per check"
+            )
         return p
 
     add("close", "close a PDAG plus background knowledge into an MPDAG")
@@ -67,12 +91,10 @@ def _build_parser() -> _Parser:
 
 
 def _load_graph(args) -> Pdag:
-    with open(args.graph, encoding="utf-8") as fh:
-        g = parse_graph(fh.read())
+    g = parse_graph(_read_text(args.graph))
     bk = frozenset()
     if getattr(args, "bk", None):
-        with open(args.bk, encoding="utf-8") as fh:
-            bk = meek.parse_background_knowledge(fh.read())
+        bk = meek.parse_background_knowledge(_read_text(args.bk))
     # Analysis commands operate on the closure; closing an MPDAG with no
     # extra knowledge is the identity.
     return meek.close(g, bk)
@@ -190,8 +212,7 @@ def _cmd_estimate(args) -> int:
         print("not identifiable")
         print("witness:", _render_path(g, res.witness), file=sys.stderr)
         return 2
-    with open(args.data, encoding="utf-8") as fh:
-        data = estimate.Dataset.from_csv(fh.read())
+    data = estimate.Dataset.from_csv(_read_text(args.data))
     effect = estimate.gaussian_effect(res.formula, data, xs_order, ys)
     payload = {
         "response": sorted(ys)[0],
@@ -216,10 +237,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"mpdagid: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 1
-    except (GraphError, estimate.EstimationError, oracle.DegenerateConditioningError) as exc:
+    except (
+        InputError,
+        GraphError,
+        estimate.EstimationError,
+        oracle.DegenerateConditioningError,
+    ) as exc:
         print(f"mpdagid: {exc}", file=sys.stderr)
         return 1
 

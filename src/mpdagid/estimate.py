@@ -32,10 +32,14 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "columns", list(self.columns))
-        rows = np.asarray(self.rows, dtype=float)
+        shape_error = EstimationError("rows must be an n x p matrix matching the header")
+        try:
+            rows = np.asarray(self.rows, dtype=float)
+        except ValueError:  # ragged rows
+            raise shape_error from None
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2 or rows.shape[1] != len(self.columns):
-            raise EstimationError("rows must be an n x p matrix matching the header")
+            raise shape_error
         if len(set(self.columns)) != len(self.columns):
             raise EstimationError("duplicate column names")
         if rows.shape[0] <= rows.shape[1]:
@@ -58,10 +62,18 @@ class Dataset:
         except StopIteration:
             raise EstimationError("empty CSV") from None
         header = [h.strip() for h in header]
-        try:
-            body = [[float(cell) for cell in row] for row in reader if row]
-        except ValueError as exc:
-            raise EstimationError(f"non-numeric cell: {exc}") from exc
+        body = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise EstimationError(
+                    f"line {reader.line_num}: {len(row)} cells, header has {len(header)}"
+                )
+            try:
+                body.append([float(cell) for cell in row])
+            except ValueError as exc:
+                raise EstimationError(f"non-numeric cell: {exc}") from exc
         return cls(columns=header, rows=np.array(body, dtype=float))
 
     def to_csv(self) -> str:

@@ -104,17 +104,28 @@ class Pdag:
         children: dict[str, set[str]] = {n: set() for n in node_list}
         und: dict[str, set[str]] = {n: set() for n in node_list}
 
-        pairs: set[frozenset[str]] = set()
+        # One edge per pair: every pair is keyed as (min, max).
+        pairs: set[tuple[str, str]] = set()
         d_edges: set[tuple[str, str]] = set()
         for a, b in directed:
-            self._check_endpoints(seen, a, b, pairs)
+            if a not in seen or b not in seen or a == b:
+                self._reject_endpoints(seen, a, b)
+            key = (a, b) if a < b else (b, a)
+            if key in pairs:
+                raise GraphError(f"more than one edge between {a} and {b}")
+            pairs.add(key)
             d_edges.add((a, b))
             parents[b].add(a)
             children[a].add(b)
         u_edges: set[tuple[str, str]] = set()
         for a, b in undirected:
-            self._check_endpoints(seen, a, b, pairs)
-            u_edges.add((min(a, b), max(a, b)))
+            if a not in seen or b not in seen or a == b:
+                self._reject_endpoints(seen, a, b)
+            key = (a, b) if a < b else (b, a)
+            if key in pairs:
+                raise GraphError(f"more than one edge between {a} and {b}")
+            pairs.add(key)
+            u_edges.add(key)
             und[a].add(b)
             und[b].add(a)
 
@@ -129,7 +140,7 @@ class Pdag:
             raise GraphError(f"unknown class tag: {class_tag!r}")
         object.__setattr__(self, "class_tag", class_tag)
 
-        if self._has_directed_cycle():
+        if d_edges and self._has_directed_cycle():
             raise GraphError("graph contains a directed cycle")
         if class_tag == "dag" and u_edges:
             raise GraphError("dag tag forbids undirected edges")
@@ -142,16 +153,11 @@ class Pdag:
                 )
 
     @staticmethod
-    def _check_endpoints(known, a, b, pairs) -> None:
+    def _reject_endpoints(known, a, b) -> None:
         for n in (a, b):
             if n not in known:
                 raise UnknownNodeError(f"unknown node: {n}")
-        if a == b:
-            raise GraphError(f"self-loop at {a}")
-        pair = frozenset((a, b))
-        if pair in pairs:
-            raise GraphError(f"more than one edge between {a} and {b}")
-        pairs.add(pair)
+        raise GraphError(f"self-loop at {a}")
 
     # -- basic queries ---------------------------------------------------
 
@@ -310,13 +316,14 @@ class Pdag:
 
     def to_edgelist(self) -> str:
         """Render in the edge-list text format (parse round-trips)."""
-        lines = []
-        linked = {e.a for e in self.edges()} | {e.b for e in self.edges()}
-        for n in sorted(set(self.nodes) - linked):
-            lines.append(f"node {n}")
-        for e in self.edges():
-            mark = "->" if e.kind == "directed" else "--"
-            lines.append(f"{e.a} {mark} {e.b}")
+        # Sorted as edges(): a pair has one edge, so (a, b) decides the order.
+        edges = sorted(
+            [(a, b, "->") for a, b in self.directed]
+            + [(a, b, "--") for a, b in self.undirected]
+        )
+        linked = {n for a, b, _ in edges for n in (a, b)}
+        lines = [f"node {n}" for n in sorted(set(self.nodes) - linked)]
+        lines += [f"{a} {mark} {b}" for a, b, mark in edges]
         return "\n".join(lines) + ("\n" if lines else "")
 
     # -- internals ---------------------------------------------------------

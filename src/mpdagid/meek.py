@@ -10,6 +10,13 @@ orientation, so a graph is maximally oriented exactly when no rule fires:
   c, d nonadjacent                                    =>  ``a -> b``
 * rule 4: ``a - b``, ``a - c``, ``a - d``, ``c -> d``, ``d -> b``,
   c, b nonadjacent                                    =>  ``a -> b``
+
+The closure is a worklist over parent, child and undirected-neighbour
+sets.  It keeps the map of every fireable orientation and, after each
+orientation, re-evaluates only the edges whose rule inputs it changed
+(Meek 1995, "Causal inference and causal explanation with background
+knowledge").  The consistent-extension check is Dor-Tarsi sink
+elimination over the same sets.
 """
 
 from __future__ import annotations
@@ -21,146 +28,181 @@ from .graphs import GraphError, GraphParseError, Pdag, parse_graph
 
 BackgroundKnowledge = frozenset[tuple[str, str]]
 
-# (rule index, tail, head): orient tail -> head
-RuleApplication = tuple[int, str, str]
+NodeSets = dict[str, set[str]]
 
 
 class InconsistentKnowledgeError(GraphError):
     """Background knowledge conflicts with the graph or with itself."""
 
 
+class _Adjacency(dict):
+    """Closed neighbourhoods ``N(n) | {n}``, computed on first lookup.
+
+    Orienting an edge never changes adjacency, so an entry stays valid
+    while the closure mutates ``pa``, ``ch`` and ``und``.
+    """
+
+    __slots__ = ("pa", "ch", "und")
+
+    def __init__(self, pa: NodeSets, ch: NodeSets, und: NodeSets):
+        super().__init__()
+        self.pa, self.ch, self.und = pa, ch, und
+
+    def __missing__(self, n: str) -> set[str]:
+        out = self[n] = self.pa[n] | self.ch[n] | self.und[n]
+        out.add(n)
+        return out
+
+
+def _which_rule(
+    pa: NodeSets, ch: NodeSets, und: NodeSets, adj: _Adjacency, a: str, b: str
+) -> Optional[int]:
+    """Lowest rule index demanding ``a -> b``.
+
+    Reads only ``pa/ch/und[a]``, ``pa[b]``, adjacency and ``pa[d]`` for
+    ``d`` in ``und[a]``; ``close`` relies on this to re-evaluate only the
+    edges an orientation can affect.
+    """
+    # rule 1: c -> a, c != b, c and b nonadjacent
+    if not pa[a] <= adj[b]:
+        return 1
+    pa_b = pa[b]
+    # rule 2: a -> c -> b
+    if not pa_b.isdisjoint(ch[a]):
+        return 2
+    cands = und[a] & pa_b
+    if cands:
+        # rule 3: a - c -> b, a - d -> b, c and d nonadjacent
+        if len(cands) > 1 and any(not cands <= adj[c] for c in cands):
+            return 3
+        # rule 4: a - c, c -> d, a - d, d -> b, c and b nonadjacent
+        und_a, adj_b = und[a], adj[b]
+        for d in cands:
+            if not (und_a & pa[d]) <= adj_b:
+                return 4
+    return None
+
+
 class _Scratch:
-    """Mutable edge sets used during closure; tolerates directed cycles."""
+    """Mutable adjacency sets used during closure; tolerates directed cycles."""
+
+    __slots__ = ("nodes", "pa", "ch", "und", "adj")
 
     def __init__(self, g: Pdag):
         self.nodes = g.nodes
-        self.directed: set[tuple[str, str]] = set(g.directed)
-        self.undirected: set[tuple[str, str]] = set(g.undirected)
+        self.pa: NodeSets = {n: set(s) for n, s in g._parents.items()}
+        self.ch: NodeSets = {n: set(s) for n, s in g._children.items()}
+        self.und: NodeSets = {n: set(s) for n, s in g._und.items()}
+        self.adj = _Adjacency(self.pa, self.ch, self.und)
 
     def has_dir(self, a: str, b: str) -> bool:
-        return (a, b) in self.directed
-
-    def has_und(self, a: str, b: str) -> bool:
-        return (min(a, b), max(a, b)) in self.undirected
+        return b in self.ch[a]
 
     def adjacent(self, a: str, b: str) -> bool:
-        return self.has_dir(a, b) or self.has_dir(b, a) or self.has_und(a, b)
-
-    def und_neighbors(self, n: str) -> list[str]:
-        return sorted(
-            b if a == n else a for a, b in self.undirected if n in (a, b)
-        )
-
-    def parents(self, n: str) -> list[str]:
-        return sorted(a for a, b in self.directed if b == n)
+        return a in self.pa and a != b and b in self.adj[a]
 
     def orient(self, tail: str, head: str) -> None:
-        self.undirected.discard((min(tail, head), max(tail, head)))
-        self.directed.add((tail, head))
+        self.und[tail].discard(head)
+        self.und[head].discard(tail)
+        self.ch[tail].add(head)
+        self.pa[head].add(tail)
 
-    def rule_applications(self) -> list[RuleApplication]:
-        """All currently fireable orientations, sorted for determinism."""
-        apps: set[RuleApplication] = set()
-        for a, b in sorted(self.undirected):
-            for tail, head in ((a, b), (b, a)):
-                rule = self._which_rule(tail, head)
-                if rule is not None:
-                    apps.add((rule, tail, head))
-        return sorted(apps)
+    def update(self, pending: dict[tuple[str, str], int], around: Iterable[str]) -> None:
+        """Re-evaluate into ``pending`` (``(tail, head) -> rule``) every
+        orientation of an undirected edge with its tail in ``around``."""
+        pa, ch, und, adj = self.pa, self.ch, self.und, self.adj
+        for a in around:
+            for b in und[a]:
+                rule = _which_rule(pa, ch, und, adj, a, b)
+                if rule is None:
+                    pending.pop((a, b), None)
+                else:
+                    pending[(a, b)] = rule
 
-    def _which_rule(self, a: str, b: str) -> Optional[int]:
-        """Lowest rule index demanding ``a -> b`` (``a - b`` undirected)."""
-        # rule 1: c -> a, a - b, c and b nonadjacent
-        for c in self.parents(a):
-            if c != b and not self.adjacent(c, b):
-                return 1
-        # rule 2: a -> c -> b
-        for c in self.parents(b):
-            if self.has_dir(a, c):
-                return 2
-        und_a = self.und_neighbors(a)
-        pa_b = self.parents(b)
-        # rule 3: a - c -> b, a - d -> b, c and d nonadjacent
-        cands3 = [c for c in und_a if c in pa_b]
-        for i, c in enumerate(cands3):
-            for d in cands3[i + 1 :]:
-                if not self.adjacent(c, d):
-                    return 3
-        # rule 4: a - c, c -> d, a - d, d -> b, c and b nonadjacent
-        for d in und_a:
-            if not self.has_dir(d, b):
-                continue
-            for c in und_a:
-                if c != d and self.has_dir(c, d) and not self.adjacent(c, b):
-                    return 4
-        return None
+    def affected(self, oriented: Iterable[tuple[str, str]]) -> set[str]:
+        """Tails whose rule verdicts may have changed by orienting the
+        given ``t -> h`` edges.
 
-    def has_consistent_extension(self) -> bool:
-        """True when some DAG orients the undirected edges without adding
-        a directed cycle or a new unshielded collider.
-
-        Sink elimination: repeatedly find a node with no outgoing arrows
-        whose undirected neighbors are adjacent to all its other
-        neighbors, orient its undirected edges into it, and remove it.
+        Orienting ``t -> h`` changes only ``pa[h]``, ``ch[t]``, ``und[t]``
+        and ``und[h]``.  By what ``_which_rule`` reads, the verdict for
+        ``a -> b`` can then change only when ``a`` is ``t``, ``h`` or in
+        ``und[h]`` (rule 4 reads ``pa[d]`` for ``d`` in ``und[a]``), or
+        when ``b`` is ``h``, which again puts ``a`` in ``und[h]``.
         """
-        directed = set(self.directed)
-        undirected = set(self.undirected)
-        alive = set(self.nodes)
-
-        def neighbors(n):
-            out = set()
-            for a, b in directed:
-                if a == n:
-                    out.add(b)
-                elif b == n:
-                    out.add(a)
-            for a, b in undirected:
-                if a == n:
-                    out.add(b)
-                elif b == n:
-                    out.add(a)
-            return out
-
-        while alive:
-            for v in sorted(alive):
-                if any(a == v for a, b in directed):
-                    continue
-                und_nb = {b if a == v else a for a, b in undirected if v in (a, b)}
-                rest = neighbors(v) - und_nb
-                adj = {n: neighbors(n) for n in und_nb}
-                if all(rest <= adj[w] | {w} for w in und_nb) and all(
-                    u in adj[w] for u in und_nb for w in und_nb if u != w
-                ):
-                    directed = {(a, b) for a, b in directed if v not in (a, b)}
-                    undirected = {(a, b) for a, b in undirected if v not in (a, b)}
-                    alive.remove(v)
-                    break
-            else:
-                return False
-        return True
+        out: set[str] = set()
+        for t, h in oriented:
+            out.add(t)
+            out.add(h)
+            out |= self.und[h]
+        return out
 
     def has_directed_cycle(self) -> bool:
-        children: dict[str, list[str]] = {n: [] for n in self.nodes}
-        indeg = {n: 0 for n in self.nodes}
-        for a, b in self.directed:
-            children[a].append(b)
-            indeg[b] += 1
+        indeg = {n: len(self.pa[n]) for n in self.nodes}
         queue = [n for n in self.nodes if indeg[n] == 0]
         seen = 0
         while queue:
             n = queue.pop()
             seen += 1
-            for c in children[n]:
+            for c in self.ch[n]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     queue.append(c)
         return seen < len(self.nodes)
 
+    def has_consistent_extension(self) -> bool:
+        """True when some DAG orients the undirected edges without adding
+        a directed cycle or a new unshielded collider.
+
+        Dor-Tarsi sink elimination: repeatedly remove a node ``v`` with no
+        children whose neighbours other than ``w`` are all adjacent to
+        ``w``, for every undirected neighbour ``w``; orienting its
+        undirected edges into it adds no collider.  Any such choice works,
+        so the order of removal does not matter.  Assumes no directed
+        cycle (``close`` checks that first), so that a graph without
+        undirected edges is its own extension.
+        """
+        if not any(self.und.values()):
+            return True
+        pa, adj = self.pa, self.adj
+        und = {n: set(s) for n, s in self.und.items()}
+        n_children = {n: len(s) for n, s in self.ch.items()}
+        alive = set(self.nodes)
+        while alive:
+            for v in alive:
+                if n_children[v]:
+                    continue
+                # A removed node was a sink, so pa[v] holds live nodes only;
+                # adj is static, and nb holds live nodes, so nb <= adj[w]
+                # tests adjacency among live nodes.
+                nb = pa[v] | und[v]
+                if all(nb <= adj[w] for w in und[v]):
+                    break
+            else:
+                return False
+            alive.remove(v)
+            for p in pa[v]:
+                n_children[p] -= 1
+            for w in und[v]:
+                und[w].discard(v)
+        return True
+
+    def to_mpdag(self) -> Pdag:
+        directed = [(p, n) for n, ps in self.pa.items() for p in ps]
+        undirected = [(a, b) for a, bs in self.und.items() for b in bs if a < b]
+        return Pdag(self.nodes, directed, undirected, "mpdag")
+
 
 def is_mpdag(g: Pdag) -> bool:
     """True when no orientation rule fires, i.e. no forbidden induced
     subgraph occurs.  Assumes ``g`` is acyclic (enforced by ``Pdag``)."""
-    return not _Scratch(g).rule_applications()
+    pa, ch, und = g._parents, g._children, g._und
+    adj = _Adjacency(pa, ch, und)
+    for a, b in g.undirected:
+        if _which_rule(pa, ch, und, adj, a, b) is not None:
+            return False
+        if _which_rule(pa, ch, und, adj, b, a) is not None:
+            return False
+    return True
 
 
 def close(
@@ -189,7 +231,9 @@ def close(
         would represent no DAG at all (no consistent extension).
     """
     scratch = _Scratch(g)
-    oriented: list[tuple[str, str]] = []
+    # Orientations made here, in order; the position picks which demand
+    # is reported when several conflict at once.
+    oriented: dict[tuple[str, str], int] = {}
     pairs = sorted(frozenset(bk))
     for tail, head in pairs:
         if (head, tail) in pairs:
@@ -207,25 +251,34 @@ def close(
                 f"background knowledge {tail} -> {head} opposes existing edge"
             )
         scratch.orient(tail, head)
-        oriented.append((tail, head))
+        oriented[(tail, head)] = len(oriented)
 
-    while True:
+    _check_no_reverse_demand(scratch, list(oriented))
+    # A graph tagged dag, cpdag or mpdag was checked closed when it was
+    # built, so only the rules near the knowledge can fire.
+    pending: dict[tuple[str, str], int] = {}
+    around = scratch.nodes if g.class_tag == "pdag" else scratch.affected(oriented)
+    scratch.update(pending, around)
+    while pending:
+        if rng is None:
+            _, tail, head = min((r, t, h) for (t, h), r in pending.items())
+        else:
+            _, tail, head = rng.choice(sorted((r, t, h) for (t, h), r in pending.items()))
+        scratch.orient(tail, head)
+        oriented[(tail, head)] = len(oriented)
+        del pending[(tail, head)]
+        pending.pop((head, tail), None)
+
+        around = scratch.affected(((tail, head),))
         # A rule pattern demanding the reverse of an orientation made by
         # the knowledge or by an earlier rule means no DAG is compatible
         # with the input (input edges are exempt: an arrow into an
-        # existing v-structure is not a demand).
-        for tail, head in oriented:
-            rule = scratch._which_rule(head, tail)
-            if rule is not None:
-                raise InconsistentKnowledgeError(
-                    f"rule {rule} demands {head} -> {tail} against {tail} -> {head}"
-                )
-        apps = scratch.rule_applications()
-        if not apps:
-            break
-        _, tail, head = apps[0] if rng is None else rng.choice(apps)
-        scratch.orient(tail, head)
-        oriented.append((tail, head))
+        # existing v-structure is not a demand).  Only the verdicts for
+        # edges into the affected nodes, or out of the head, can change.
+        suspects = [(u, v) for v in around for u in scratch.pa[v] if (u, v) in oriented]
+        suspects += [(head, v) for v in scratch.ch[head] if (head, v) in oriented]
+        _check_no_reverse_demand(scratch, sorted(suspects, key=oriented.__getitem__))
+        scratch.update(pending, around)
 
     if scratch.has_directed_cycle():
         raise InconsistentKnowledgeError(
@@ -235,7 +288,19 @@ def close(
         raise InconsistentKnowledgeError(
             "closure represents no DAG (no consistent extension exists)"
         )
-    return Pdag(g.nodes, scratch.directed, scratch.undirected, "mpdag")
+    return scratch.to_mpdag()
+
+
+def _check_no_reverse_demand(scratch: _Scratch, edges: list[tuple[str, str]]) -> None:
+    """Raise for the first ``tail -> head`` in ``edges`` that a rule
+    demands to be ``head -> tail``."""
+    pa, ch, und, adj = scratch.pa, scratch.ch, scratch.und, scratch.adj
+    for tail, head in edges:
+        rule = _which_rule(pa, ch, und, adj, head, tail)
+        if rule is not None:
+            raise InconsistentKnowledgeError(
+                f"rule {rule} demands {head} -> {tail} against {tail} -> {head}"
+            )
 
 
 def parse_background_knowledge(text: str) -> BackgroundKnowledge:

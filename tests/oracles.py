@@ -2,8 +2,10 @@
 
 Deliberately dumb implementations: path predicates follow the raw
 definitions over exhaustively enumerated node sequences, equivalence
-classes come from filtering all edge orientations, discrete evaluation
-walks python dicts, and Gaussian covariances come from a matrix solve.
+classes come from filtering all edge orientations, the Meek closure
+re-derives every rule application from the edge sets after each
+orientation, discrete evaluation walks python dicts, and Gaussian
+covariances come from a matrix solve.
 None of this shares code with the package under test.
 """
 
@@ -109,6 +111,153 @@ def to_networkx(dag: Pdag) -> nx.DiGraph:
 
 def dag_d_separated(dag: Pdag, X, Y, Z) -> bool:
     return nx.is_d_separator(to_networkx(dag), set(X), set(Y), set(Z))
+
+
+# --------------------------------------------------------------------------
+# Closure by full rescan
+# --------------------------------------------------------------------------
+
+
+class EdgeSets:
+    """Directed and undirected edge sets; every query scans them."""
+
+    def __init__(self, g: Pdag):
+        self.nodes = g.nodes
+        self.directed = set(g.directed)
+        self.undirected = set(g.undirected)
+
+    def has_dir(self, a, b) -> bool:
+        return (a, b) in self.directed
+
+    def has_und(self, a, b) -> bool:
+        return (min(a, b), max(a, b)) in self.undirected
+
+    def adjacent(self, a, b) -> bool:
+        return self.has_dir(a, b) or self.has_dir(b, a) or self.has_und(a, b)
+
+    def und_neighbors(self, n) -> list:
+        return sorted(b if a == n else a for a, b in self.undirected if n in (a, b))
+
+    def parents(self, n) -> list:
+        return sorted(a for a, b in self.directed if b == n)
+
+    def orient(self, tail, head) -> None:
+        self.undirected.discard((min(tail, head), max(tail, head)))
+        self.directed.add((tail, head))
+
+    def rule_applications(self) -> list:
+        apps = set()
+        for a, b in sorted(self.undirected):
+            for tail, head in ((a, b), (b, a)):
+                rule = self.which_rule(tail, head)
+                if rule is not None:
+                    apps.add((rule, tail, head))
+        return sorted(apps)
+
+    def which_rule(self, a, b):
+        """Lowest Meek rule demanding ``a -> b``, by the raw patterns."""
+        for c in self.parents(a):
+            if c != b and not self.adjacent(c, b):
+                return 1
+        for c in self.parents(b):
+            if self.has_dir(a, c):
+                return 2
+        und_a = self.und_neighbors(a)
+        pa_b = self.parents(b)
+        cands3 = [c for c in und_a if c in pa_b]
+        for i, c in enumerate(cands3):
+            for d in cands3[i + 1 :]:
+                if not self.adjacent(c, d):
+                    return 3
+        for d in und_a:
+            if not self.has_dir(d, b):
+                continue
+            for c in und_a:
+                if c != d and self.has_dir(c, d) and not self.adjacent(c, b):
+                    return 4
+        return None
+
+    def has_consistent_extension(self) -> bool:
+        directed = set(self.directed)
+        undirected = set(self.undirected)
+        alive = set(self.nodes)
+
+        def neighbors(n):
+            return {b if a == n else a for a, b in directed | undirected if n in (a, b)}
+
+        while alive:
+            for v in sorted(alive):
+                if any(a == v for a, b in directed):
+                    continue
+                und_nb = {b if a == v else a for a, b in undirected if v in (a, b)}
+                rest = neighbors(v) - und_nb
+                adj = {n: neighbors(n) for n in und_nb}
+                if all(rest <= adj[w] | {w} for w in und_nb) and all(
+                    u in adj[w] for u in und_nb for w in und_nb if u != w
+                ):
+                    directed = {(a, b) for a, b in directed if v not in (a, b)}
+                    undirected = {(a, b) for a, b in undirected if v not in (a, b)}
+                    alive.remove(v)
+                    break
+            else:
+                return False
+        return True
+
+    def has_directed_cycle(self) -> bool:
+        return not nx.is_directed_acyclic_graph(nx.DiGraph(list(self.directed)))
+
+
+def reference_close(g: Pdag, bk=(), *, rng: random.Random | None = None):
+    """Closure that re-derives every rule application from scratch after
+    each orientation; returns ``(directed, undirected)`` frozensets.
+
+    Raises ``InconsistentKnowledgeError`` in the same cases and with the
+    same messages as ``mpdagid.close``, and consumes ``rng`` the same way.
+    """
+    scratch = EdgeSets(g)
+    oriented = []
+    pairs = sorted(frozenset(bk))
+    for tail, head in pairs:
+        if (head, tail) in pairs:
+            raise InconsistentKnowledgeError(
+                f"background knowledge orients {tail} and {head} both ways"
+            )
+        if not scratch.adjacent(tail, head):
+            raise InconsistentKnowledgeError(
+                f"background knowledge pair {tail} -> {head} is not an adjacency"
+            )
+        if scratch.has_dir(tail, head):
+            continue
+        if scratch.has_dir(head, tail):
+            raise InconsistentKnowledgeError(
+                f"background knowledge {tail} -> {head} opposes existing edge"
+            )
+        scratch.orient(tail, head)
+        oriented.append((tail, head))
+
+    while True:
+        for tail, head in oriented:
+            rule = scratch.which_rule(head, tail)
+            if rule is not None:
+                raise InconsistentKnowledgeError(
+                    f"rule {rule} demands {head} -> {tail} against {tail} -> {head}"
+                )
+        apps = scratch.rule_applications()
+        if not apps:
+            break
+        _, tail, head = apps[0] if rng is None else rng.choice(apps)
+        scratch.orient(tail, head)
+        oriented.append((tail, head))
+
+    if scratch.has_directed_cycle():
+        raise InconsistentKnowledgeError(
+            "closure creates a directed cycle; knowledge is inconsistent"
+        )
+    if not scratch.has_consistent_extension():
+        raise InconsistentKnowledgeError(
+            "closure represents no DAG (no consistent extension exists)"
+        )
+    return frozenset(scratch.directed), frozenset(scratch.undirected)
 
 
 # --------------------------------------------------------------------------

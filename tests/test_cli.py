@@ -184,3 +184,43 @@ def test_stdout_deterministic(files, capsys):
     main(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("mpdagid: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_non_utf8_graph_exit_1(tmp_path, capsys):
+    bad = tmp_path / "latin1.g"
+    bad.write_bytes("Ä -> B\n".encode("latin-1"))
+    assert main(["close", "-g", str(bad)]) == 1
+    assert "not UTF-8" in _one_error_line(capsys)
+
+
+def test_directory_as_graph_exit_1(tmp_path, capsys):
+    assert main(["identify", "-g", str(tmp_path), "-X", "A", "-Y", "B"]) == 1
+    assert str(tmp_path) in _one_error_line(capsys)
+
+
+def test_ragged_csv_exit_1(files, capsys, tmp_path):
+    csv = tmp_path / "ragged.csv"
+    rows = np.random.default_rng(0).standard_normal((20, 8))
+    lines = [",".join(f"{v:.6f}" for v in row) for row in rows]
+    lines[4] = lines[4].rsplit(",", 1)[0]  # line 6 loses a cell
+    csv.write_text("X1,X2,V1,V2,V3,V4,Y,extra\n" + "\n".join(lines) + "\n")
+    code = main(["estimate", "-g", files["twotreat7.g"], "-X", "X1,X2", "-Y", "Y",
+                 "--data", str(csv)])
+    assert code == 1
+    assert "line 6" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("models", ["0", "-3"])
+def test_verify_models_below_one_is_usage_error(files, capsys, models):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-g", files["mpdag4.g"], "-X", "X", "-Y", "Y1,Y2", "--models", models])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--models: must be at least 1" in captured.err

@@ -136,6 +136,8 @@ def test_dataset_validation():
         Dataset(columns=["A", "B"], rows=np.zeros((2, 2)))  # n <= p
     with pytest.raises(EstimationError):
         Dataset(columns=["A", "A"], rows=np.zeros((5, 2)))
+    with pytest.raises(EstimationError):
+        Dataset(columns=["A", "B"], rows=[[1.0, 2.0], [3.0]])  # ragged
     bad = np.zeros((5, 2))
     bad[0, 0] = np.nan
     with pytest.raises(EstimationError):

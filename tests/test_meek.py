@@ -5,12 +5,12 @@ import pytest
 from mpdagid import (
     GraphParseError,
     InconsistentKnowledgeError,
+    Pdag,
     close,
     is_mpdag,
     parse_background_knowledge,
     parse_graph,
 )
-from mpdagid.meek import _Scratch
 
 import oracles
 
@@ -122,10 +122,81 @@ def test_closure_confluent_under_random_rule_orders():
 
 def test_no_rule_fires_after_closure_random():
     for g in oracles.random_mpdags(seed=33, count=40):
-        assert not _Scratch(g).rule_applications()
+        assert not oracles.EdgeSets(g).rule_applications()
 
 
 def test_parse_background_knowledge_directed_only():
     assert parse_background_knowledge("A -> B\nC -> D") == {("A", "B"), ("C", "D")}
     with pytest.raises(GraphParseError):
         parse_background_knowledge("A -- B")
+
+
+def _outcome(closer, g, bk, **kw):
+    """``(directed, undirected)`` of a closure, or the error message."""
+    try:
+        res = closer(g, bk, **kw)
+    except InconsistentKnowledgeError as exc:
+        return str(exc)
+    return res if isinstance(res, tuple) else (res.directed, res.undirected)
+
+
+def _random_knowledge(rng, g):
+    """0-2 pairs, mostly adjacencies, each in a random direction."""
+    adjacent = sorted(g.directed | g.undirected)
+    others = [(a, b) for i, a in enumerate(g.nodes) for b in g.nodes[i + 1 :]]
+    bk = []
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.choice(adjacent if adjacent and rng.random() < 0.9 else others)
+        bk.append((a, b) if rng.random() < 0.5 else (b, a))
+    return bk
+
+
+def test_close_matches_full_rescan_on_random_pdags():
+    rng = random.Random(41)
+    failures = 0
+    for trial in range(1500):
+        g = oracles.random_pdag(rng, rng.randint(3, 8), rng.choice((0.3, 0.5, 0.7)))
+        bk = _random_knowledge(rng, g)
+        expected = _outcome(oracles.reference_close, g, bk)
+        assert _outcome(close, g, bk) == expected, (g.to_edgelist(), bk)
+        # Same random rule order: both must consume the rng identically.
+        assert _outcome(close, g, bk, rng=random.Random(trial)) == _outcome(
+            oracles.reference_close, g, bk, rng=random.Random(trial)
+        )
+        failures += isinstance(expected, str)
+    assert 200 < failures < 1300  # both outcomes are exercised
+
+
+def _random_cpdag(rng, n_nodes):
+    """CPDAG of a random DAG: arrows into unshielded colliders, then closed."""
+    order = [f"N{i}" for i in range(n_nodes)]
+    rng.shuffle(order)
+    edges = [(a, b) for i, a in enumerate(order) for b in order[i + 1 :] if rng.random() < 0.6]
+    colliders = oracles.unshielded_colliders(Pdag(order, edges, (), "dag"))
+    arrows = {(a, b) for a, b, _ in colliders} | {(c, b) for _, b, c in colliders}
+    return close(Pdag(order, arrows, [e for e in edges if e not in arrows]))
+
+
+def test_close_matches_full_rescan_when_orienting_one_edge_of_an_mpdag():
+    # The enumeration step: a closed graph plus one orientation, at every
+    # graph of the branching that enumerate_dags walks.
+    cases = 0
+
+    def walk(g):
+        nonlocal cases
+        for a, b in sorted(g.undirected):
+            for pair in ((a, b), (b, a)):
+                expected = _outcome(oracles.reference_close, g, (pair,))
+                assert _outcome(close, g, (pair,)) == expected, (g.to_edgelist(), pair)
+                cases += 1
+        if g.undirected:
+            a, b = min(g.undirected)
+            for pair in ((a, b), (b, a)):
+                walk(close(g, (pair,)))
+
+    rng = random.Random(5)
+    for _ in range(60):
+        walk(_random_cpdag(rng, rng.randint(5, 8)))
+    for g in oracles.random_mpdags(seed=5, count=100, n_nodes=(5, 6, 7, 8), p_edge=0.6):
+        walk(g)
+    assert cases > 3000
