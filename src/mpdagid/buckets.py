@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .graphs import GraphError, Pdag
-from .meek import is_mpdag
+from .meek import require_mpdag
 
 Bucket = frozenset[str]
 Buckets = tuple[Bucket, ...]
@@ -44,11 +44,6 @@ def bucket_decomposition(g: Pdag, D: Iterable[str]) -> Buckets:
     return tuple(sorted(parts, key=min))
 
 
-def _require_mpdag(g: Pdag) -> None:
-    if g.class_tag == "pdag" and not is_mpdag(g):
-        raise GraphError("graph is not maximally oriented")
-
-
 def pco(g: Pdag, D: Iterable[str]) -> Buckets:
     """Partial causal ordering of D in the MPDAG ``g``.
 
@@ -59,7 +54,7 @@ def pco(g: Pdag, D: Iterable[str]) -> Buckets:
     are removable at once, the one whose smallest member is largest is
     taken, which fixes the emitted order.
     """
-    _require_mpdag(g)
+    g = require_mpdag(g)
     dset = g.require(D)
     concomp = _components(g)
     ordered: list[Bucket] = []

@@ -9,6 +9,7 @@ adjustment set).  Output is deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -51,7 +52,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """Built on the first ``main`` call and reused: parsing does not change
+    a parser, and each ``parse_args`` returns a fresh namespace."""
     top = _Parser(prog="mpdagid", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -17,7 +17,7 @@ from . import paths
 from .buckets import pco
 from .formula import Factor, IdFormula
 from .graphs import GraphError, Pdag
-from .meek import is_mpdag
+from .meek import require_mpdag
 
 
 class NotTruncatableError(GraphError):
@@ -47,11 +47,6 @@ class AdjustmentResult:
     reason: Optional[Literal["not_amenable", "blocked_path_unachievable"]] = None
 
 
-def _require_mpdag(g: Pdag) -> None:
-    if g.class_tag == "pdag" and not is_mpdag(g):
-        raise GraphError("graph is not maximally oriented; close it first")
-
-
 def _bucket_factors(g: Pdag, buckets) -> tuple[Factor, ...]:
     return tuple(Factor(targets=b, given=g.set_parents(b)) for b in buckets)
 
@@ -67,7 +62,7 @@ def identify(g: Pdag, X: Iterable[str], Y: Iterable[str]) -> IdentifyResult:
     of the marginal of Y.  When X is nonempty and no possibly causal path
     from X to Y exists at all, the simplified formula f(y) is returned.
     """
-    _require_mpdag(g)
+    g = require_mpdag(g)
     xs = g.require(X)
     ys = g.require(Y)
     if not ys:
@@ -100,7 +95,7 @@ def identify_long_form(g: Pdag, X: Iterable[str], Y: Iterable[str]) -> IdFormula
     Used by verification to confirm that the f(y) shortcut agrees with the
     full product after marginalization.  Requires an identifiable query.
     """
-    _require_mpdag(g)
+    g = require_mpdag(g)
     xs, ys = g.require(X), g.require(Y)
     if xs and paths.amenability_witness(g, xs, ys) is not None:
         raise GraphError("effect is not identifiable")
@@ -119,7 +114,7 @@ def truncated_factorization(g: Pdag, X: Iterable[str]) -> IdFormula:
     is not identifiable.  With X empty this is the observational
     factorization f(v).
     """
-    _require_mpdag(g)
+    g = require_mpdag(g)
     xs = g.require(X)
     rest = frozenset(g.nodes) - xs
     if not rest:
@@ -143,7 +138,7 @@ def check_adjustment(g: Pdag, X, Y, Z) -> bool:
     with an undirected edge, (2) Z avoids the forbidden set, and (3) Z
     blocks every proper non-causal definite-status path from X to Y.
     """
-    _require_mpdag(g)
+    g = require_mpdag(g)
     xs, ys = g.require(X), g.require(Y)
     zs = g.require(Z)
     if xs & ys or zs & (xs | ys) or not xs or not ys:
@@ -173,7 +168,7 @@ def find_adjustment_set(g: Pdag, X, Y) -> AdjustmentResult:
     over subsets of the nodes outside X, Y, and the forbidden set, which
     is intended for small graphs only.
     """
-    _require_mpdag(g)
+    g = require_mpdag(g)
     xs, ys = g.require(X), g.require(Y)
     if not xs or not ys or xs & ys:
         raise GraphError("X and Y must be nonempty and disjoint")

@@ -205,6 +205,17 @@ def is_mpdag(g: Pdag) -> bool:
     return True
 
 
+def require_mpdag(g: Pdag) -> Pdag:
+    """``g`` itself when its tag vouches for closure, else ``g`` checked
+    and re-tagged ``"mpdag"``; raises :class:`GraphError` if a rule still
+    fires."""
+    if g.class_tag != "pdag":
+        return g
+    if not is_mpdag(g):
+        raise GraphError("graph is not maximally oriented; close it first")
+    return g.validate_as("mpdag")
+
+
 def close(
     g: Pdag,
     bk: Iterable[tuple[str, str]] = (),

@@ -4,12 +4,21 @@ Everything here favors being obviously correct over being fast: discrete
 evaluation enumerates the full joint (capped at 2**20 configurations),
 the equivalence class is enumerated DAG by DAG, and linear-Gaussian
 covariances come from explicit path sums.
+
+A :class:`DiscreteModel` is immutable (it keeps read-only copies of its
+tables), so what is derived from it is computed once per model and
+memoised on it: each node's factor laid out over the joint's axes, the
+joint itself, the joint's marginals by node set and the conditionals
+formula factors take from them.  The tables built from the memo are
+bit-identical to building them afresh, since every product and sum keeps
+its operands and their order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -18,21 +27,13 @@ from . import paths
 from .estimate import Dataset
 from .formula import IdFormula
 from .graphs import GraphError, Pdag, possibly_causal_extension_ok
-from .meek import InconsistentKnowledgeError, close, is_mpdag
+from .meek import InconsistentKnowledgeError, close, require_mpdag
 
 CONFIG_CAP = 2**20
 
 
 class DegenerateConditioningError(ValueError):
     """A formula factor conditions on a zero-probability event."""
-
-
-def _require_mpdag(g: Pdag) -> Pdag:
-    if g.class_tag == "pdag":
-        if not is_mpdag(g):
-            raise GraphError("graph is not maximally oriented")
-        return g.validate_as("mpdag")
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +63,7 @@ def enumerate_dags(g: Pdag) -> list[Pdag]:
             except InconsistentKnowledgeError:
                 continue
 
-    rec(_require_mpdag(g))
+    rec(require_mpdag(g))
     skeleton = sorted(
         {(min(a, b), max(a, b)) for a, b in g.directed} | set(g.undirected)
     )
@@ -74,9 +75,53 @@ def enumerate_dags(g: Pdag) -> list[Pdag]:
     return out
 
 
+def _first_dag(h: Pdag) -> Pdag:
+    """``enumerate_dags(h)[0]`` for a closed ``h``, by a depth-first descent
+    that stops at its first leaf.
+
+    It branches as ``enumerate_dags`` does, ``a -> b`` before ``b -> a`` on
+    the least undirected edge ``(a, b)``.  Every skeleton edge below that
+    one is already directed, so leaves come in orientation-bitstring order.
+    A branch whose closure fails, there or further down, holds no leaf.
+    """
+    if not h.undirected:
+        return h.validate_as("dag")
+    a, b = min(h.undirected)
+    try:
+        return _first_dag(close(h, ((a, b),)))
+    except InconsistentKnowledgeError:
+        return _first_dag(close(h, ((b, a),)))
+
+
 # ---------------------------------------------------------------------------
 # Discrete models and g-formula evaluation
 # ---------------------------------------------------------------------------
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _Memo:
+    """Tables derived from one model, each built on first use.
+
+    ``factors[v]`` is ``cpts[v]`` laid out to broadcast over the axes of
+    ``dag.nodes``; ``joint`` is their product; ``marginals[keep]`` is the
+    joint summed over the nodes outside ``keep``, with every axis kept;
+    ``conditionals[(targets, given)]`` is the marginal of ``targets | given``
+    over its sum over ``targets``, or None when that sum has a zero.  Every
+    array is read-only.  The memo holds no reference to its model, so no
+    reference cycle outlives the model.
+    """
+
+    __slots__ = ("factors", "joint", "marginals", "conditionals")
+
+    def __init__(self):
+        self.factors: Optional[dict[str, np.ndarray]] = None
+        self.joint: Optional[np.ndarray] = None
+        self.marginals: dict[frozenset[str], np.ndarray] = {}
+        self.conditionals: dict[tuple[frozenset[str], frozenset[str]], Optional[np.ndarray]] = {}
 
 
 @dataclass(frozen=True)
@@ -84,27 +129,77 @@ class DiscreteModel:
     """Per-node conditional probability tables for a DAG.
 
     ``cpts[v]`` has axes ``(v, *sorted(parents))``; every column (fixed
-    parent configuration) sums to one.
+    parent configuration) sums to one within 1e-12.  The model keeps
+    read-only copies of ``cards`` and ``cpts``, so a caller's later change
+    to its own arrays cannot make the memoised tables stale.
     """
 
     dag: Pdag
     cards: Mapping[str, int]
     cpts: Mapping[str, np.ndarray]
+    _memo: _Memo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dag.undirected:
             raise GraphError("discrete models require a DAG")
+        cards = MappingProxyType(dict(self.cards))
+        cpts: dict[str, np.ndarray] = {}
         for v in self.dag.nodes:
-            if self.cards.get(v, 0) < 2:
+            if cards.get(v, 0) < 2:
                 raise GraphError(f"cardinality of {v} must be >= 2")
-            cpt = self.cpts[v]
-            expected = (self.cards[v],) + tuple(
-                self.cards[p] for p in sorted(self.dag.parents_of(v))
-            )
+            cpt = np.array(self.cpts[v])
+            expected = (cards[v],) + tuple(cards[p] for p in sorted(self.dag.parents_of(v)))
             if cpt.shape != expected:
                 raise GraphError(f"cpt shape mismatch at {v}: {cpt.shape} != {expected}")
-            if np.any(cpt < 0) or not np.allclose(cpt.sum(axis=0), 1.0, atol=1e-12):
+            # A NaN anywhere fails both comparisons.
+            if not (cpt.min() >= 0 and np.abs(cpt.sum(axis=0) - 1.0).max() <= 1e-12):
                 raise GraphError(f"cpt columns at {v} must be distributions")
+            cpts[v] = _read_only(cpt)
+        object.__setattr__(self, "cards", cards)
+        object.__setattr__(self, "cpts", MappingProxyType(cpts))
+        object.__setattr__(self, "_memo", _Memo())
+
+    def _factors(self) -> dict[str, np.ndarray]:
+        memo = self._memo
+        if memo.factors is None:
+            nodes = self.dag.nodes
+            _check_cap(self.cards, nodes)
+            memo.factors = {
+                v: _read_only(_expand(nodes, self.cpts[v], [v] + sorted(self.dag.parents_of(v))))
+                for v in nodes
+            }
+        return memo.factors
+
+    def _joint(self) -> np.ndarray:
+        memo = self._memo
+        if memo.joint is None:
+            nodes = self.dag.nodes
+            factors = self._factors()
+            full = np.ones([self.cards[n] for n in nodes])
+            for v in nodes:
+                full = full * factors[v]
+            memo.joint = _read_only(full)
+        return memo.joint
+
+    def _marginal(self, keep: frozenset[str]) -> np.ndarray:
+        marginals = self._memo.marginals
+        table = marginals.get(keep)
+        if table is None:
+            drop = tuple(i for i, n in enumerate(self.dag.nodes) if n not in keep)
+            table = marginals[keep] = _read_only(self._joint().sum(axis=drop, keepdims=True))
+        return table
+
+    def _conditional(self, targets: frozenset[str], given: frozenset[str]) -> Optional[np.ndarray]:
+        """f(targets | given) laid out over the joint's axes; None when a
+        configuration of ``given`` has probability zero."""
+        conditionals = self._memo.conditionals
+        key = (targets, given)
+        if key not in conditionals:
+            num = self._marginal(targets | given)
+            nodes = self.dag.nodes
+            den = num.sum(axis=tuple(i for i, n in enumerate(nodes) if n in targets), keepdims=True)
+            conditionals[key] = None if (den == 0).any() else _read_only(num / den)
+        return conditionals[key]
 
 
 @dataclass(frozen=True)
@@ -151,7 +246,7 @@ class InterventionalTable:
         diff = np.abs(self.table - other.table)
         y_axes = tuple(range(diff.ndim - len(self.y_nodes), diff.ndim))
         tv = 0.5 * diff.sum(axis=y_axes) if y_axes else 0.5 * diff
-        return float(np.max(tv))
+        return float(tv.max())
 
 
 def random_model(dag: Pdag, cardinalities: Mapping[str, int], seed: int) -> DiscreteModel:
@@ -182,22 +277,16 @@ def _expand(nodes: Sequence[str], table: np.ndarray, table_axes: Sequence[str]) 
     """Reshape ``table`` so it broadcasts over the full ``nodes`` space."""
     pos = {n: i for i, n in enumerate(nodes)}
     order = sorted(range(len(table_axes)), key=lambda i: pos[table_axes[i]])
-    t = np.transpose(table, order)
     shape = [1] * len(nodes)
     for i in order:
         shape[pos[table_axes[i]]] = table.shape[i]
-    return t.reshape(shape)
+    return table.transpose(order).reshape(shape)
 
 
 def joint_table(m: DiscreteModel) -> np.ndarray:
-    """The observational joint, axes following ``m.dag.nodes``."""
-    nodes = m.dag.nodes
-    _check_cap(m.cards, nodes)
-    full = np.ones([m.cards[n] for n in nodes])
-    for v in nodes:
-        axes = [v] + sorted(m.dag.parents_of(v))
-        full = full * _expand(nodes, m.cpts[v], axes)
-    return full
+    """The observational joint, axes following ``m.dag.nodes``; the
+    model's memoised, read-only array."""
+    return m._joint()
 
 
 def model_from_joint(
@@ -229,20 +318,18 @@ def gformula_table(m: DiscreteModel, X: Iterable[str], Y: Iterable[str]) -> Inte
     ys = m.dag.require(Y)
     if xs & ys:
         raise GraphError("X and Y must be disjoint")
+    factors = m._factors()
     nodes = m.dag.nodes
-    _check_cap(m.cards, nodes)
     full = np.ones([m.cards[n] for n in nodes])
     for v in nodes:
-        if v in xs:
-            continue
-        axes = [v] + sorted(m.dag.parents_of(v))
-        full = full * _expand(nodes, m.cpts[v], axes)
-    drop = tuple(i for i, n in enumerate(nodes) if n not in xs | ys)
-    table = full.sum(axis=drop)
-    kept = [n for n in nodes if n in xs | ys]
-    target = sorted(xs) + sorted(ys)
-    table = np.transpose(table, [kept.index(n) for n in target])
-    return InterventionalTable(tuple(sorted(xs)), tuple(sorted(ys)), table)
+        if v not in xs:
+            full = full * factors[v]
+    xy = xs | ys
+    drop = tuple(i for i, n in enumerate(nodes) if n not in xy)
+    kept = [n for n in nodes if n in xy]
+    x_nodes, y_nodes = tuple(sorted(xs)), tuple(sorted(ys))
+    table = full.sum(axis=drop).transpose([kept.index(n) for n in x_nodes + y_nodes])
+    return InterventionalTable(x_nodes, y_nodes, table)
 
 
 def gformula_eval(m: DiscreteModel, x_assign: Mapping[str, int], Y: Iterable[str]) -> MarginalTable:
@@ -253,8 +340,8 @@ def gformula_eval(m: DiscreteModel, x_assign: Mapping[str, int], Y: Iterable[str
 def id_formula_table(f: IdFormula, m: DiscreteModel) -> InterventionalTable:
     """Evaluate a formula against the observational joint of ``m``.
 
-    Every factor is computed by marginalizing the joint; the product is
-    then summed over the formula's integration set.  Raises
+    Every factor is a conditional of the joint, memoised on ``m``; the
+    product is then summed over the formula's integration set.  Raises
     :class:`DegenerateConditioningError` when any needed conditional has a
     zero-probability conditioning configuration.
     """
@@ -266,21 +353,14 @@ def id_formula_table(f: IdFormula, m: DiscreteModel) -> InterventionalTable:
         if n not in m.dag:
             raise GraphError(f"formula node {n} missing from the model")
 
-    joint = joint_table(m)
-    pos = {n: i for i, n in enumerate(nodes)}
     prod = np.ones([1] * len(nodes))
-    degenerate = False
     for factor in f.factors:
-        keep = factor.targets | factor.given
-        drop = tuple(i for i, n in enumerate(nodes) if n not in keep)
-        num = joint.sum(axis=drop, keepdims=True)
-        den = num.sum(axis=tuple(pos[t] for t in factor.targets), keepdims=True)
-        bad = den == 0
-        degenerate = degenerate or bool(bad.any())
-        prod = prod * np.divide(num, den, out=np.zeros_like(num), where=~bad)
-    if degenerate:
-        raise DegenerateConditioningError("conditioning on a zero-probability event")
+        conditional = m._conditional(factor.targets, factor.given)
+        if conditional is None:
+            raise DegenerateConditioningError("conditioning on a zero-probability event")
+        prod = prod * conditional
 
+    pos = {n: i for i, n in enumerate(nodes)}
     io_axes = tuple(pos[n] for n in f.integrate_over)
     table = prod.sum(axis=io_axes, keepdims=True) if io_axes else prod
     keep_nodes = f.intervened | f.response
@@ -289,9 +369,9 @@ def id_formula_table(f: IdFormula, m: DiscreteModel) -> InterventionalTable:
     if drop_axes:
         table = table.squeeze(axis=drop_axes)
     kept = [n for n in nodes if n in keep_nodes]
-    target = sorted(f.intervened) + sorted(f.response)
-    table = np.transpose(table, [kept.index(n) for n in target])
-    return InterventionalTable(tuple(sorted(f.intervened)), tuple(sorted(f.response)), table)
+    x_nodes, y_nodes = tuple(sorted(f.intervened)), tuple(sorted(f.response))
+    table = table.transpose([kept.index(n) for n in x_nodes + y_nodes])
+    return InterventionalTable(x_nodes, y_nodes, table)
 
 
 def eval_id_formula(f: IdFormula, m: DiscreteModel, x_assign: Mapping[str, int]) -> MarginalTable:
@@ -470,7 +550,7 @@ def nonid_witness(
     covariance while E[Y | do(x)] differs by the product of the path
     coefficients (returned as ``delta``).
     """
-    g = _require_mpdag(g)
+    g = require_mpdag(g)
     xs = g.require(X)
     ys = g.require(Y)
     candidates = _witness_paths(g, xs, ys)
@@ -482,8 +562,8 @@ def nonid_witness(
         forward = list(zip(q, q[1:]))
         flipped = [(q[1], q[0])] + forward[1:]
         try:
-            d1 = enumerate_dags(close(g, forward))[0]
-            d2 = enumerate_dags(close(g, flipped))[0]
+            d1 = _first_dag(close(g, forward))
+            d2 = _first_dag(close(g, flipped))
         except InconsistentKnowledgeError:
             continue
         picked = (q, d1, d2)
@@ -552,7 +632,7 @@ def cross_dag_agreement(
     factorization is compared across DAGs and against the formula, over
     all intervention configurations at once.
     """
-    g = _require_mpdag(g)
+    g = require_mpdag(g)
     xs, ys = g.require(X), g.require(Y)
     if dags is None:
         dags = enumerate_dags(g)

@@ -1,6 +1,10 @@
+import itertools
+
 import pytest
 
-from mpdagid import parse_graph
+from mpdagid import enumerate_dags, parse_graph
+
+import oracles
 
 # A chordal 4-node CPDAG: every edge undirected, V1 and Y2 nonadjacent.
 CPDAG4_TEXT = """\
@@ -77,3 +81,22 @@ def covar5():
 @pytest.fixture
 def twotreat7():
     return parse_graph(TWOTREAT7_TEXT)
+
+
+@pytest.fixture(scope="session")
+def sweep():
+    """300 distinct small MPDAGs, each with its enumerated class."""
+    graphs = [(g, enumerate_dags(g)) for g in oracles.random_mpdags(seed=2024, count=300)]
+    assert len({(g.nodes, g.directed, g.undirected) for g, _ in graphs}) == 300
+    return graphs
+
+
+def query_pairs(nodes):
+    """Every (X, Y) of disjoint node sets with 1 or 2 members each."""
+    ns = sorted(nodes)
+    for kx in (1, 2):
+        for xs in itertools.combinations(ns, kx):
+            rest = [n for n in ns if n not in xs]
+            for ky in (1, 2):
+                for ys in itertools.combinations(rest, ky):
+                    yield frozenset(xs), frozenset(ys)

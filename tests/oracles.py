@@ -4,8 +4,9 @@ Deliberately dumb implementations: path predicates follow the raw
 definitions over exhaustively enumerated node sequences, equivalence
 classes come from filtering all edge orientations, the Meek closure
 re-derives every rule application from the edge sets after each
-orientation, discrete evaluation walks python dicts, and Gaussian
-covariances come from a matrix solve.
+orientation, discrete evaluation walks python dicts (or, for bit-exact
+comparison, rebuilds numpy tables from the CPTs on every call), and
+Gaussian covariances come from a matrix solve.
 None of this shares code with the package under test.
 """
 
@@ -292,6 +293,78 @@ def table_as_dict(marginal) -> dict:
     for idx in itertools.product(*[range(s) for s in marginal.table.shape]):
         out[idx] = float(marginal.table[idx])
     return out
+
+
+# --------------------------------------------------------------------------
+# Discrete tables rebuilt from the CPTs on every call
+# --------------------------------------------------------------------------
+# The package memoises factors, joints and marginals on each model.  These
+# rebuild every table from the CPTs with the same numpy operations in the
+# same order, so the memoised tables must equal them bit for bit.
+
+
+def _expand(nodes, table, table_axes):
+    pos = {n: i for i, n in enumerate(nodes)}
+    order = sorted(range(len(table_axes)), key=lambda i: pos[table_axes[i]])
+    t = np.transpose(table, order)
+    shape = [1] * len(nodes)
+    for i in order:
+        shape[pos[table_axes[i]]] = table.shape[i]
+    return t.reshape(shape)
+
+
+def reference_joint_table(m) -> np.ndarray:
+    """The observational joint, axes following ``m.dag.nodes``."""
+    nodes = m.dag.nodes
+    full = np.ones([m.cards[n] for n in nodes])
+    for v in nodes:
+        axes = [v] + sorted(m.dag.parents_of(v))
+        full = full * _expand(nodes, m.cpts[v], axes)
+    return full
+
+
+def reference_gformula_table(m, X, Y) -> np.ndarray:
+    """Truncated factorization, axes ``sorted(X) + sorted(Y)``."""
+    xs, ys = frozenset(X), frozenset(Y)
+    nodes = m.dag.nodes
+    full = np.ones([m.cards[n] for n in nodes])
+    for v in nodes:
+        if v in xs:
+            continue
+        axes = [v] + sorted(m.dag.parents_of(v))
+        full = full * _expand(nodes, m.cpts[v], axes)
+    drop = tuple(i for i, n in enumerate(nodes) if n not in xs | ys)
+    table = full.sum(axis=drop)
+    kept = [n for n in nodes if n in xs | ys]
+    target = sorted(xs) + sorted(ys)
+    return np.transpose(table, [kept.index(n) for n in target])
+
+
+def reference_id_formula_table(f, m) -> np.ndarray:
+    """A formula evaluated on the joint of ``m``, axes
+    ``sorted(intervened) + sorted(response)``."""
+    nodes = m.dag.nodes
+    joint = reference_joint_table(m)
+    pos = {n: i for i, n in enumerate(nodes)}
+    prod = np.ones([1] * len(nodes))
+    for factor in f.factors:
+        keep = factor.targets | factor.given
+        drop = tuple(i for i, n in enumerate(nodes) if n not in keep)
+        num = joint.sum(axis=drop, keepdims=True)
+        den = num.sum(axis=tuple(pos[t] for t in factor.targets), keepdims=True)
+        bad = den == 0
+        if bad.any():
+            raise ValueError("conditioning on a zero-probability event")
+        prod = prod * np.divide(num, den, out=np.zeros_like(num), where=~bad)
+    io_axes = tuple(pos[n] for n in f.integrate_over)
+    table = prod.sum(axis=io_axes, keepdims=True) if io_axes else prod
+    keep_nodes = f.intervened | f.response
+    drop_axes = tuple(i for i, n in enumerate(nodes) if n not in keep_nodes)
+    if drop_axes:
+        table = table.squeeze(axis=drop_axes)
+    kept = [n for n in nodes if n in keep_nodes]
+    target = sorted(f.intervened) + sorted(f.response)
+    return np.transpose(table, [kept.index(n) for n in target])
 
 
 # --------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Each test prints a PASS/FAIL line (run with ``pytest -s`` to see them all)
 and pins the tolerances stated in the package contract.  The shared sweep
-fixture holds 300 distinct small MPDAGs with their enumerated classes.
+fixture (``conftest.py``) holds 300 distinct small MPDAGs with their
+enumerated classes.
 """
 
 import itertools
@@ -38,7 +39,7 @@ from mpdagid import (
 )
 
 import oracles
-from conftest import CPDAG4_TEXT, MPDAG4_TEXT, COVAR5_TEXT, TWOTREAT7_TEXT
+from conftest import CPDAG4_TEXT, MPDAG4_TEXT, COVAR5_TEXT, TWOTREAT7_TEXT, query_pairs
 
 
 @contextmanager
@@ -59,23 +60,6 @@ def best_time(fn, repeats=5):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-@pytest.fixture(scope="module")
-def sweep():
-    graphs = [(g, enumerate_dags(g)) for g in oracles.random_mpdags(seed=2024, count=300)]
-    assert len({(g.nodes, g.directed, g.undirected) for g, _ in graphs}) == 300
-    return graphs
-
-
-def _pairs(nodes):
-    ns = sorted(nodes)
-    for kx in (1, 2):
-        for xs in itertools.combinations(ns, kx):
-            rest = [n for n in ns if n not in xs]
-            for ky in (1, 2):
-                for ys in itertools.combinations(rest, ky):
-                    yield frozenset(xs), frozenset(ys)
 
 
 def test_criterion_1_two_response_identification():
@@ -194,7 +178,7 @@ def test_criterion_6_oracle_completeness_sweep(sweep):
                 [model_from_joint(joint_table(m), g.nodes, cards, d) for d in dags]
                 for m in models
             ]
-            for xs, ys in _pairs(g.nodes):
+            for xs, ys in query_pairs(g.nodes):
                 res = identify(g, xs, ys)
                 if res.identifiable:
                     n_id += 1

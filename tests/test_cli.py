@@ -224,3 +224,36 @@ def test_verify_models_below_one_is_usage_error(files, capsys, models):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--models: must be at least 1" in captured.err
+
+
+def test_parser_reused_across_calls(files, capsys):
+    """One parser serves every call in a process: a usage error, then two
+    different subcommands, give the same output and exit code as on a
+    freshly built parser."""
+    from mpdagid import cli
+
+    calls = [
+        ["verify", "-g", files["mpdag4.g"], "-X", "X", "-Y", "Y1,Y2", "--models", "0"],
+        ["identify", "-g", files["mpdag4.g"], "-X", "X", "-Y", "Y1,Y2"],
+        ["verify", "-g", files["pair.g"], "-X", "X", "-Y", "Y"],
+        ["close", "-g", files["cpdag4.g"], "-b", files["bk.g"]],
+        ["frobnicate"],
+        ["identify", "-g", files["mpdag4.g"], "-X", "X", "-Y", "Y1,Y2", "--format", "latex"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    reused = [run(argv) for argv in calls]
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [1, 0, 0, 0, 1, 0]
+    assert cli._build_parser() is cli._build_parser()

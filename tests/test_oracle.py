@@ -1,5 +1,5 @@
+import dataclasses
 import itertools
-
 
 import numpy as np
 import pytest
@@ -29,6 +29,8 @@ from mpdagid import (
 )
 
 import oracles
+from conftest import query_pairs
+from mpdagid.oracle import _first_dag
 
 
 # -- enumeration ------------------------------------------------------------
@@ -108,6 +110,38 @@ def test_model_validation_rejects_bad_tables():
             cards={"A": 2, "B": 2},
             cpts={"A": np.array([0.7, 0.7]), "B": np.full((2, 2), 0.5)},
         )
+
+
+def test_column_sums_must_be_one_within_1e_12():
+    g = parse_graph("A -> B")
+    ok = {"A": np.array([0.5, 0.5]), "B": np.array([[0.25, 0.5], [0.75, 0.5]])}
+    DiscreteModel(dag=g, cards={"A": 2, "B": 2}, cpts=ok)
+    for column_sum in (1 + 1e-7, 1 - 1e-7, 1 + 1e-11, 1.000009):
+        bad = dict(ok, B=np.array([[0.25, 0.5], [column_sum - 0.25, 0.5]]))
+        with pytest.raises(GraphError, match="must be distributions"):
+            DiscreteModel(dag=g, cards={"A": 2, "B": 2}, cpts=bad)
+    for bad_a in (np.array([np.nan, 1.0]), np.array([1.5, -0.5])):
+        with pytest.raises(GraphError, match="must be distributions"):
+            DiscreteModel(dag=g, cards={"A": 2, "B": 2}, cpts=dict(ok, A=bad_a))
+
+
+def test_model_keeps_read_only_copies():
+    g = parse_graph("A -> B")
+    a = np.array([0.5, 0.5])
+    m = DiscreteModel(dag=g, cards={"A": 2, "B": 2}, cpts={"A": a, "B": np.full((2, 2), 0.5)})
+    before = joint_table(m).copy()
+    a[:] = [0.9, 0.1]  # the caller's array, not the model's
+    assert np.array_equal(m.cpts["A"], [0.5, 0.5])
+    assert np.array_equal(joint_table(m), before)
+    with pytest.raises(TypeError):
+        m.cpts["A"] = a
+    with pytest.raises(ValueError):
+        m.cpts["B"][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        joint_table(m)[0, 0] = 1.0
+    memo = [f for f in dataclasses.fields(DiscreteModel) if f.name == "_memo"]
+    assert memo and not memo[0].compare and not memo[0].repr
+    assert "_memo" not in repr(m)
 
 
 def test_gformula_single_edge_is_cpt_column():
@@ -193,6 +227,51 @@ def test_degenerate_conditioning_raises():
     f = IdFormula(factors=(Factor({"B"}, {"A"}),), intervened={"A"}, response={"B"})
     with pytest.raises(DegenerateConditioningError):
         eval_id_formula(f, m, {"A": 1})
+
+
+def test_memoised_tables_equal_uncached_reference(sweep):
+    """Joint, every DAG's refit and every identifiable pair's g-formula and
+    formula tables equal tables rebuilt from the CPTs, bit for bit, on
+    models of acceptance criterion 6 (one of its 20 seeds per graph, in
+    turn), and repeated calls give equal tables."""
+    checked = 0
+    for gi, (g, dags) in enumerate(sweep):
+        cards = {n: 2 for n in g.nodes}
+        k = gi % 20
+        m = random_model(dags[k % len(dags)], cards, seed=9000 + 37 * gi + k)
+        formulas = [
+            (xs, ys, res.formula)
+            for xs, ys in query_pairs(g.nodes)
+            if (res := identify(g, xs, ys)).identifiable
+        ]
+        joint = joint_table(m)
+        assert np.array_equal(joint, oracles.reference_joint_table(m))
+        assert not joint.flags.writeable and joint_table(m) is joint
+        for d in dags:
+            refit = model_from_joint(joint, g.nodes, cards, d)
+            assert np.array_equal(joint_table(refit), oracles.reference_joint_table(refit))
+            for xs, ys, _ in formulas:
+                got = gformula_table(refit, xs, ys)
+                assert got.x_nodes == tuple(sorted(xs)) and got.y_nodes == tuple(sorted(ys))
+                assert np.array_equal(got.table, oracles.reference_gformula_table(refit, xs, ys))
+                assert np.array_equal(got.table, gformula_table(refit, xs, ys).table)
+        for xs, ys, f in formulas:
+            want = oracles.reference_id_formula_table(f, m)
+            assert np.array_equal(id_formula_table(f, m).table, want)
+            assert np.array_equal(id_formula_table(f, m).table, want)
+            checked += 1
+    assert checked > 1000
+
+
+def test_sweep_models_pass_validation(sweep):
+    """The 1e-12 column-sum check accepts every model of acceptance
+    criterion 6: all 20 random models per graph and their refits."""
+    for gi, (g, dags) in enumerate(sweep):
+        cards = {n: 2 for n in g.nodes}
+        for k in range(20):
+            m = random_model(dags[k % len(dags)], cards, seed=9000 + 37 * gi + k)
+            for d in dags:
+                model_from_joint(joint_table(m), g.nodes, cards, d)
 
 
 def test_model_from_joint_round_trip(twotreat7):
@@ -283,6 +362,13 @@ def test_nonid_witness_two_edges_override():
 def test_nonid_witness_requires_witness(chain3):
     with pytest.raises(GraphError):
         nonid_witness(chain3, {"X1", "X2"}, {"Y"})
+
+
+def test_first_dag_is_first_enumerated(sweep):
+    graphs = [g for g, _ in sweep]
+    graphs += oracles.random_mpdags(seed=141, count=150, n_nodes=(6, 7, 8))
+    for g in graphs:
+        assert _first_dag(g) == enumerate_dags(g)[0]
 
 
 def test_nonid_witness_random_sweep():
