@@ -8,8 +8,9 @@ construction, so they hash, compare, and can be shared across threads.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import AbstractSet, Iterable, Literal, Optional
 
 NODE_NAME = re.compile(r"[A-Za-z0-9_.]+\Z")
 
@@ -21,6 +22,10 @@ Relation = Literal[
     "possible_ancestors",
     "possible_descendants",
 ]
+
+# A state of the possibly causal search: (previous node, current node).
+_State = tuple[Optional[str], str]
+
 
 class GraphError(ValueError):
     """Invalid graph structure, class tag, or graph query."""
@@ -276,43 +281,94 @@ class Pdag:
         return frozenset(out - xset)
 
     def possible_descendants(self, xs: Iterable[str]) -> frozenset[str]:
-        """Nodes at the far end of a possibly causal path from ``xs``.
+        """Nodes at the far end of a possibly causal path from ``xs``, plus ``xs``.
 
         A path is possibly causal when no edge in the graph points from a
         later path node back to an earlier one; the condition ranges over
-        all node pairs on the path, not just consecutive ones.  The search
-        enumerates simple paths exhaustively, which is exact on every PDAG
-        at the graph sizes this library targets.
+        all node pairs on the path, not just consecutive ones.  Requires
+        an MPDAG (an untagged graph is checked first): there, every
+        possibly causal path has an unshielded possibly causal subsequence
+        with the same end points (Perković, Kalisch & Maathuis 2017,
+        "Interpreting and using CPDAGs with background knowledge"), so the
+        polynomial search of :meth:`_possibly_causal_search` is exact.
         """
-        xset = self.require(xs)
-        reached: set[str] = set(xset)
+        from . import meek
 
-        def walk(path: list[str], on_path: set[str]) -> None:
-            u = path[-1]
-            for w in sorted(self._children[u] | self._und[u]):
-                if w in on_path or not possibly_causal_extension_ok(self, path, w):
-                    continue
-                reached.add(w)
-                path.append(w)
-                on_path.add(w)
-                walk(path, on_path)
-                path.pop()
-                on_path.remove(w)
-
-        for x in sorted(xset):
-            walk([x], {x})
-        return frozenset(reached)
+        g = meek.require_mpdag(self)
+        reached, _ = g._possibly_causal_search(g.require(xs))
+        return reached
 
     def possible_ancestors(self, xs: Iterable[str]) -> frozenset[str]:
-        """Nodes with a possibly causal path into ``xs``, plus ``xs``."""
-        xset = self.require(xs)
+        """Nodes with a possibly causal path into ``xs``, plus ``xs``; requires an MPDAG."""
+        from . import meek
+
+        g = meek.require_mpdag(self)
+        xset = g.require(xs)
         out = set(xset)
-        for w in self.nodes:
+        for w in g.nodes:
             if w in out:
                 continue
-            if self.possible_descendants([w]) & xset:
+            if g.possible_descendants([w]) & xset:
                 out.add(w)
         return frozenset(out)
+
+    def _possibly_causal_search(
+        self,
+        sources: Iterable[str],
+        avoid: AbstractSet[str] = frozenset(),
+        targets: AbstractSet[str] = frozenset(),
+    ) -> tuple[frozenset[str], Optional[tuple[str, ...]]]:
+        """Breadth-first search along possibly causal paths that never
+        enter ``avoid``.
+
+        A state is a (previous node, current node) pair.  From a source
+        the search takes any edge ``u -> w`` or ``u -- w`` with ``w``
+        outside ``avoid``; after that it steps from ``u`` to ``w`` only when
+        ``w`` is not adjacent to the previous node, so the walk is
+        unshielded past its first node.  Neighbours are expanded in
+        sorted order, sources too.
+
+        Returns the nodes reached, sources included, and the path to the
+        first target reached, where the search stops; with
+        breadth-first order and sorted expansion that path is the
+        lexicographically least shortest one.  The path is ``None`` when
+        no target is reachable.
+        """
+        pa, ch, und = self._parents, self._children, self._und
+        back: dict[_State, Optional[_State]] = {}
+        queue: deque[_State] = deque()
+        hit = None
+        for s in sorted(sources):
+            state = (None, s)
+            back[state] = None
+            queue.append(state)
+            if s in targets:
+                hit = state
+                break
+        while queue and hit is None:
+            state = queue.popleft()
+            prev, u = state
+            step = (ch[u] | und[u]) - avoid
+            if prev is not None:
+                step -= pa[prev] | ch[prev] | und[prev]
+                step.discard(prev)
+            for w in sorted(step):
+                nxt = (u, w)
+                if nxt in back:
+                    continue
+                back[nxt] = state
+                if w in targets:
+                    hit = nxt
+                    break
+                queue.append(nxt)
+        reached = frozenset(u for _, u in back)
+        if hit is None:
+            return reached, None
+        path = []
+        while hit is not None:
+            path.append(hit[1])
+            hit = back[hit]
+        return reached, tuple(reversed(path))
 
     def to_edgelist(self) -> str:
         """Render in the edge-list text format (parse round-trips)."""
@@ -340,19 +396,6 @@ class Pdag:
                 if indeg[c] == 0:
                     queue.append(c)
         return seen < len(self.nodes)
-
-
-def possibly_causal_extension_ok(g: Pdag, path: Sequence[str], w: str) -> bool:
-    """True when appending ``w`` keeps ``path`` possibly causal.
-
-    Requires the new edge to leave the current endpoint (``u -> w`` or
-    ``u - w``) and rejects any directed edge from ``w`` back into a node
-    already on the path.
-    """
-    u = path[-1]
-    if not (g.has_directed(u, w) or g.has_undirected(u, w)):
-        return False
-    return all(not g.has_directed(w, v) for v in path)
 
 
 def parse_graph(text: str) -> Pdag:

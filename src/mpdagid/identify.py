@@ -51,6 +51,14 @@ def _bucket_factors(g: Pdag, buckets) -> tuple[Factor, ...]:
     return tuple(Factor(targets=b, given=g.set_parents(b)) for b in buckets)
 
 
+def _ancestor_formula(g: Pdag, xs: frozenset[str], ys: frozenset[str]) -> IdFormula:
+    """f(b | pa(b)) over the PCO buckets of the ancestors of Y in G[V - X]."""
+    ancestors = g.induced_subgraph(frozenset(g.nodes) - xs).ancestors(ys)
+    return IdFormula(
+        factors=_bucket_factors(g, pco(g, ancestors)), intervened=xs, response=ys
+    )
+
+
 def identify(g: Pdag, X: Iterable[str], Y: Iterable[str]) -> IdentifyResult:
     """Decide identifiability of f(y | do(x)) in the MPDAG ``g``.
 
@@ -80,13 +88,7 @@ def identify(g: Pdag, X: Iterable[str], Y: Iterable[str]) -> IdentifyResult:
                     factors=(Factor(targets=ys),), intervened=xs, response=ys
                 )
             )
-    ancestors = g.induced_subgraph(frozenset(g.nodes) - xs).ancestors(ys)
-    buckets = pco(g, ancestors)
-    return IdentifyResult(
-        formula=IdFormula(
-            factors=_bucket_factors(g, buckets), intervened=xs, response=ys
-        )
-    )
+    return IdentifyResult(formula=_ancestor_formula(g, xs, ys))
 
 
 def identify_long_form(g: Pdag, X: Iterable[str], Y: Iterable[str]) -> IdFormula:
@@ -99,11 +101,7 @@ def identify_long_form(g: Pdag, X: Iterable[str], Y: Iterable[str]) -> IdFormula
     xs, ys = g.require(X), g.require(Y)
     if xs and paths.amenability_witness(g, xs, ys) is not None:
         raise GraphError("effect is not identifiable")
-    ancestors = g.induced_subgraph(frozenset(g.nodes) - xs).ancestors(ys)
-    buckets = pco(g, ancestors)
-    return IdFormula(
-        factors=_bucket_factors(g, buckets), intervened=xs, response=ys
-    )
+    return _ancestor_formula(g, xs, ys)
 
 
 def truncated_factorization(g: Pdag, X: Iterable[str]) -> IdFormula:

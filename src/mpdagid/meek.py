@@ -208,11 +208,13 @@ def is_mpdag(g: Pdag) -> bool:
 def require_mpdag(g: Pdag) -> Pdag:
     """``g`` itself when its tag vouches for closure, else ``g`` checked
     and re-tagged ``"mpdag"``; raises :class:`GraphError` if a rule still
-    fires."""
+    fires or if ``g`` represents no DAG (no consistent extension)."""
     if g.class_tag != "pdag":
         return g
     if not is_mpdag(g):
         raise GraphError("graph is not maximally oriented; close it first")
+    if not _Scratch(g).has_consistent_extension():
+        raise GraphError("closure represents no DAG (no consistent extension exists)")
     return g.validate_as("mpdag")
 
 

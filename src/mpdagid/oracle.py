@@ -26,7 +26,7 @@ import numpy as np
 from . import paths
 from .estimate import Dataset
 from .formula import IdFormula
-from .graphs import GraphError, Pdag, possibly_causal_extension_ok
+from .graphs import GraphError, Pdag
 from .meek import InconsistentKnowledgeError, close, require_mpdag
 
 CONFIG_CAP = 2**20
@@ -504,37 +504,6 @@ def simulate(m: GaussianModel, n: int, seed: int) -> Dataset:
     return Dataset(columns=list(m.dag.nodes), rows=np.column_stack([cols[v] for v in m.dag.nodes]))
 
 
-def _witness_paths(g: Pdag, xs: frozenset, ys: frozenset) -> list[paths.Path]:
-    """All proper possibly causal paths from X to Y starting with an
-    undirected edge, shortest first."""
-    found: list[paths.Path] = []
-
-    def walk(path: list[str]) -> None:
-        u = path[-1]
-        for w in sorted(g.neighbors(u)):
-            if w in path or w in xs:
-                continue
-            if not possibly_causal_extension_ok(g, path, w):
-                continue
-            path.append(w)
-            if w in ys:
-                found.append(tuple(path))
-            else:
-                walk(path)
-            path.pop()
-
-    for x in sorted(xs):
-        for w in sorted(g.und_neighbors(x)):
-            if w in xs:
-                continue
-            if w in ys:
-                found.append((x, w))
-            else:
-                walk([x, w])
-    found.sort(key=lambda p: (len(p), p))
-    return found
-
-
 def nonid_witness(
     g: Pdag,
     X: Iterable[str],
@@ -544,8 +513,9 @@ def nonid_witness(
     """Two unit-variance Gaussian models with identical observational law
     and different interventional means.
 
-    A witness path q = <X, V1, ..., Y> is realized as X -> V1 -> ... -> Y
-    in one represented DAG and as X <- V1 -> ... -> Y in another; edge
+    The amenability witness q = <X, V1, ..., Y> is realized as
+    X -> V1 -> ... -> Y in one represented DAG and as X <- V1 -> ... -> Y
+    in another (:class:`GraphError` when either closure fails); edge
     coefficients off the path are zero, so both models share the same
     covariance while E[Y | do(x)] differs by the product of the path
     coefficients (returned as ``delta``).
@@ -553,24 +523,16 @@ def nonid_witness(
     g = require_mpdag(g)
     xs = g.require(X)
     ys = g.require(Y)
-    candidates = _witness_paths(g, xs, ys)
-    if not candidates:
+    q = paths.amenability_witness(g, xs, ys)
+    if q is None:
         raise GraphError("effect is identifiable; no witness path exists")
-
-    picked = None
-    for q in candidates:
-        forward = list(zip(q, q[1:]))
-        flipped = [(q[1], q[0])] + forward[1:]
-        try:
-            d1 = _first_dag(close(g, forward))
-            d2 = _first_dag(close(g, flipped))
-        except InconsistentKnowledgeError:
-            continue
-        picked = (q, d1, d2)
-        break
-    if picked is None:
-        raise GraphError("no witness path is realizable in both orientations")
-    q, d1, d2 = picked
+    forward = list(zip(q, q[1:]))
+    flipped = [(q[1], q[0])] + forward[1:]
+    try:
+        d1 = _first_dag(close(g, forward))
+        d2 = _first_dag(close(g, flipped))
+    except InconsistentKnowledgeError:
+        raise GraphError("the witness path is not realizable in both orientations") from None
 
     k = len(q) - 1
     if isinstance(coeffs, (int, float)):

@@ -1,17 +1,20 @@
-"""Path classification, d-separation, and the forbidden set.
+"""Path classification, d-separation, the forbidden set and the witness.
 
-All searches here enumerate simple paths explicitly.  That is exponential
-in the worst case but exact for every PDAG, and the graphs this library
-targets are small enough that the explicit search stays auditable.
+The possibly causal questions (the amenability witness, whether any
+possibly causal path exists, the forbidden set) are answered by the one
+polynomial search behind :meth:`Pdag.possible_descendants`, and so
+require an MPDAG.  d-separation and the non-causal path search still
+enumerate simple paths explicitly: exponential in the worst case, exact
+for every PDAG.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graphs import GraphError, Pdag, possibly_causal_extension_ok
+from .graphs import GraphError, Pdag
+from .meek import require_mpdag
 
 Path = tuple[str, ...]
 
@@ -95,31 +98,22 @@ def amenability_witness(g: Pdag, X, Y) -> Optional[Path]:
     """A shortest proper possibly causal path from X to Y starting with an
     undirected edge, or ``None`` when no such path exists.
 
-    Breadth-first over simple paths with the exact pairwise back-edge
-    condition; no unshielded restriction, so shielded witnesses (for
-    example ``X - V -> Y`` alongside ``X -> Y``) are found too.
+    Of the shortest such paths the lexicographically least is returned.
+    For each ``x`` the search starts at the undirected neighbours of
+    ``x`` outside X and avoids X (the path stays proper) and pa(x) (a
+    parent of ``x`` on the path would point back at it).  The first step
+    out of a neighbour may be shielded, so witnesses such as
+    ``X - V -> Y`` alongside ``X -> Y`` are found too.
     """
+    g = require_mpdag(g)
     xs, ys = _validate_disjoint(g, X, Y)
-    queue: deque[Path] = deque()
+    found: list[Path] = []
     for x in sorted(xs):
-        for w in sorted(g.und_neighbors(x)):
-            if w in xs:
-                continue
-            if w in ys:
-                return (x, w)
-            queue.append((x, w))
-    while queue:
-        path = queue.popleft()
-        u = path[-1]
-        for w in sorted(g.neighbors(u)):
-            if w in path or w in xs:
-                continue
-            if not possibly_causal_extension_ok(g, path, w):
-                continue
-            if w in ys:
-                return path + (w,)
-            queue.append(path + (w,))
-    return None
+        avoid = xs | g.parents_of(x)
+        _, path = g._possibly_causal_search(g.und_neighbors(x) - xs, avoid, ys)
+        if path is not None:
+            found.append((x,) + path)
+    return min(found, key=lambda p: (len(p), p), default=None)
 
 
 def exists_proper_pcp_starting_undirected(g: Pdag, X, Y) -> bool:
@@ -127,54 +121,47 @@ def exists_proper_pcp_starting_undirected(g: Pdag, X, Y) -> bool:
 
 
 def exists_possibly_causal(g: Pdag, X, Y) -> bool:
-    """True when any possibly causal path runs from X to Y."""
+    """True when any possibly causal path runs from X to Y.
+
+    Any such path has a proper suffix, so the possible descendants of X
+    decide it.
+    """
+    g = require_mpdag(g)
     xs, ys = _validate_disjoint(g, X, Y)
-    queue: deque[Path] = deque((x,) for x in sorted(xs))
-    while queue:
-        path = queue.popleft()
-        u = path[-1]
-        for w in sorted(g.neighbors(u)):
-            if w in path or w in xs:
-                continue
-            if not possibly_causal_extension_ok(g, path, w):
-                continue
-            if w in ys:
-                return True
-            queue.append(path + (w,))
-    return False
-
-
-def _proper_pcp_nodes(g: Pdag, xs: frozenset, ys: frozenset) -> frozenset[str]:
-    """Non-X nodes lying on some proper possibly causal path from X to Y."""
-    marked: set[str] = set()
-
-    def walk(path: list[str]) -> None:
-        u = path[-1]
-        for w in sorted(g.neighbors(u)):
-            if w in path or w in xs:
-                continue
-            if not possibly_causal_extension_ok(g, path, w):
-                continue
-            path.append(w)
-            if w in ys:
-                marked.update(path[1:])
-            walk(path)
-            path.pop()
-
-    for x in sorted(xs):
-        walk([x])
-    return frozenset(marked)
+    return bool(g.possible_descendants(xs) & ys)
 
 
 def forbidden_set(g: Pdag, X, Y) -> frozenset[str]:
     """Possible descendants of non-X nodes on proper possibly causal paths
     from X to Y.  Members of X are excluded from the result; a candidate
-    adjustment set is disjoint from X anyway."""
+    adjustment set is disjoint from X anyway.
+
+    Every node of such a path is a possible descendant of the path's
+    second node, so the second nodes suffice: the children and undirected
+    neighbours ``v`` of an ``x`` that lie in Y or reach it avoiding X and
+    pa(x).  Defined for amenable (X, Y) only: a qualifying ``v`` joined to
+    ``x`` by an undirected edge starts a witness, and raises
+    :class:`GraphError`.
+    """
+    g = require_mpdag(g)
     xs, ys = _validate_disjoint(g, X, Y)
-    on_paths = _proper_pcp_nodes(g, xs, ys)
-    if not on_paths:
+    second: set[str] = set()
+    for x in sorted(xs):
+        avoid = xs | g.parents_of(x)
+        und_x = g.und_neighbors(x)
+        for v in sorted((g.children_of(x) | und_x) - xs):
+            _, path = g._possibly_causal_search((v,), avoid, ys)
+            if path is None:
+                continue
+            if v in und_x:
+                raise GraphError(
+                    f"forbidden set undefined: {x} -- {v} starts a proper "
+                    "possibly causal path to Y (not amenable)"
+                )
+            second.add(v)
+    if not second:
         return frozenset()
-    return g.possible_descendants(on_paths) - xs
+    return g.possible_descendants(second) - xs
 
 
 def _connecting_path_search(

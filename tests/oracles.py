@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 import networkx as nx
 import numpy as np
@@ -67,6 +68,120 @@ def possible_descendants(g: Pdag, xs) -> frozenset:
             if any(possibly_causal(g, p) for p in simple_paths(g, x, w)):
                 out.add(w)
     return frozenset(out)
+
+
+# --------------------------------------------------------------------------
+# Possibly causal searches over simple paths
+# --------------------------------------------------------------------------
+# The package once answered these questions with these exhaustive walkers;
+# they now check the polynomial search that replaced them.  A walk extends
+# a simple path along an adjacency only while the raw pairwise definition
+# (``possibly_causal``) still holds, so it is exact on every PDAG.
+
+
+def _steps(g: Pdag, path):
+    """Neighbours of the path's end that extend it to a possibly causal
+    simple path, in sorted order."""
+    for w in sorted(g.neighbors(path[-1])):
+        if w not in path and possibly_causal(g, (*path, w)):
+            yield w
+
+
+def reference_possible_descendants(g: Pdag, xs) -> frozenset:
+    """Depth-first over every possibly causal simple path from ``xs``."""
+    reached = set(xs)
+
+    def walk(path) -> None:
+        for w in _steps(g, path):
+            reached.add(w)
+            walk((*path, w))
+
+    for x in sorted(xs):
+        walk((x,))
+    return frozenset(reached)
+
+
+def reference_possible_ancestors(g: Pdag, xs) -> frozenset:
+    xs = frozenset(xs)
+    return xs | {w for w in g.nodes if reference_possible_descendants(g, {w}) & xs}
+
+
+def reference_witness(g: Pdag, X, Y):
+    """Breadth-first over simple paths: the first proper possibly causal
+    path from X to Y starting undirected, i.e. the lexicographically
+    least of the shortest; ``None`` when there is none."""
+    xs, ys = frozenset(X), frozenset(Y)
+    queue = deque()
+    for x in sorted(xs):
+        for w in sorted(g.und_neighbors(x) - xs):
+            if w in ys:
+                return (x, w)
+            queue.append((x, w))
+    while queue:
+        path = queue.popleft()
+        for w in _steps(g, path):
+            if w in xs:
+                continue
+            if w in ys:
+                return (*path, w)
+            queue.append((*path, w))
+    return None
+
+
+def reference_witness_paths(g: Pdag, X, Y) -> list:
+    """Every proper possibly causal path from X to Y that starts
+    undirected and meets Y only at its end, sorted by (length, path)."""
+    xs, ys = frozenset(X), frozenset(Y)
+    found = []
+
+    def walk(path) -> None:
+        if path[-1] in ys:
+            found.append(path)
+            return
+        for w in _steps(g, path):
+            if w not in xs:
+                walk((*path, w))
+
+    for x in sorted(xs):
+        for w in sorted(g.und_neighbors(x) - xs):
+            walk((x, w))
+    return sorted(found, key=lambda p: (len(p), p))
+
+
+def reference_exists_possibly_causal(g: Pdag, X, Y) -> bool:
+    xs, ys = frozenset(X), frozenset(Y)
+    queue = deque((x,) for x in sorted(xs))
+    while queue:
+        path = queue.popleft()
+        for w in _steps(g, path):
+            if w in xs:
+                continue
+            if w in ys:
+                return True
+            queue.append((*path, w))
+    return False
+
+
+def reference_forbidden_set(g: Pdag, X, Y) -> frozenset:
+    """Possible descendants of the non-X nodes on proper possibly causal
+    paths from X to Y, less X."""
+    xs, ys = frozenset(X), frozenset(Y)
+    on_paths = set()
+
+    def walk(path) -> None:
+        for w in _steps(g, path):
+            if w in xs:
+                continue
+            if w in ys:
+                on_paths.update(path[1:])
+                on_paths.add(w)
+            walk((*path, w))
+
+    for x in sorted(xs):
+        walk((x,))
+    if not on_paths:
+        return frozenset()
+    return reference_possible_descendants(g, on_paths) - xs
 
 
 # --------------------------------------------------------------------------

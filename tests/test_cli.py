@@ -204,6 +204,13 @@ def test_directory_as_graph_exit_1(tmp_path, capsys):
     assert str(tmp_path) in _one_error_line(capsys)
 
 
+def test_graph_without_consistent_extension_exit_1(tmp_path, capsys):
+    cycle = tmp_path / "cycle4.g"
+    cycle.write_text("A -- B\nB -- C\nC -- D\nD -- A\n")
+    assert main(["identify", "-g", str(cycle), "-X", "A", "-Y", "C"]) == 1
+    assert "no consistent extension" in _one_error_line(capsys)
+
+
 def test_ragged_csv_exit_1(files, capsys, tmp_path):
     csv = tmp_path / "ragged.csv"
     rows = np.random.default_rng(0).standard_normal((20, 8))

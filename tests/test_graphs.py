@@ -158,10 +158,25 @@ def test_directed_subsets_of_possible():
 
 def test_possible_descendants_match_brute_force():
     # Shielded configurations make naive forward reachability wrong; the
-    # raw pairwise definition is the referee.
+    # raw pairwise definition is the referee, and the exhaustive walk over
+    # possibly causal simple paths on 6-8 nodes.
     for g in oracles.random_mpdags(seed=5, count=60):
         for n in g.nodes:
             assert relatives(g, {n}, "possible_descendants") == oracles.possible_descendants(g, {n})
+    for g in oracles.random_mpdags(seed=6, count=100, n_nodes=(6, 7, 8)):
+        nodes = sorted(g.nodes)
+        for xs in [{n} for n in nodes] + [set(nodes[:2]), set(nodes[-3:])]:
+            assert g.possible_descendants(xs) == oracles.reference_possible_descendants(g, xs)
+            assert g.possible_ancestors(xs) == oracles.reference_possible_ancestors(g, xs)
+
+
+def test_possible_relations_require_an_mpdag():
+    # A -> B - C with A, C nonadjacent: rule 1 still orients B -> C.
+    g = parse_graph("A -> B\nB -- C")
+    with pytest.raises(GraphError, match="not maximally oriented"):
+        g.possible_descendants({"A"})
+    with pytest.raises(GraphError, match="not maximally oriented"):
+        relatives(g, {"C"}, "possible_ancestors")
 
 
 def test_possible_descendants_shielded_triangle():

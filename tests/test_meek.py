@@ -3,10 +3,12 @@ import random
 import pytest
 
 from mpdagid import (
+    GraphError,
     GraphParseError,
     InconsistentKnowledgeError,
     Pdag,
     close,
+    identify,
     is_mpdag,
     parse_background_knowledge,
     parse_graph,
@@ -123,6 +125,20 @@ def test_closure_confluent_under_random_rule_orders():
 def test_no_rule_fires_after_closure_random():
     for g in oracles.random_mpdags(seed=33, count=40):
         assert not oracles.EdgeSets(g).rule_applications()
+
+
+def test_graph_without_consistent_extension_is_refused_like_close():
+    # A chordless 4-cycle fires no rule, yet every orientation adds a
+    # directed cycle or a new collider: no DAG is represented.
+    g = parse_graph("A -- B\nB -- C\nC -- D\nD -- A\n")
+    assert is_mpdag(g)
+    message = "no consistent extension"
+    with pytest.raises(InconsistentKnowledgeError, match=message):
+        close(g)
+    with pytest.raises(GraphError, match=message):
+        identify(g, {"A"}, {"C"})
+    with pytest.raises(GraphError, match=message):
+        g.possible_descendants({"A"})
 
 
 def test_parse_background_knowledge_directed_only():

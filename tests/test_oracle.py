@@ -11,6 +11,7 @@ from mpdagid import (
     GaussianModel,
     GraphError,
     IdFormula,
+    amenability_witness,
     cross_dag_agreement,
     enumerate_dags,
     eval_id_formula,
@@ -372,13 +373,21 @@ def test_first_dag_is_first_enumerated(sweep):
 
 
 def test_nonid_witness_random_sweep():
+    # The models realize the amenability witness, which is also the first
+    # candidate of the exhaustive list the witness once was picked from.
     found = 0
     for g in oracles.random_mpdags(seed=131, count=60):
         nodes = sorted(g.nodes)
         for x, y in itertools.permutations(nodes, 2):
-            if identify(g, {x}, {y}).identifiable:
+            res = identify(g, {x}, {y})
+            if res.identifiable:
                 continue
+            q = res.witness
+            assert q == amenability_witness(g, {x}, {y})
+            assert q == oracles.reference_witness_paths(g, {x}, {y})[0]
             m1, m2, delta = nonid_witness(g, {x}, {y})
+            assert set(m1.coeffs) == set(zip(q, q[1:]))
+            assert set(m2.coeffs) == {(q[1], q[0])} | set(zip(q[1:], q[2:]))
             _, c1 = wright_cov(m1)
             _, c2 = wright_cov(m2)
             assert np.abs(c1 - c2).max() < 1e-12

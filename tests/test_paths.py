@@ -1,9 +1,15 @@
+import itertools
+import random
+import signal
+
 import pytest
 
 from mpdagid import (
     GraphError,
+    Pdag,
     amenability_witness,
     classify_path,
+    close,
     d_separated,
     enumerate_dags,
     exists_possibly_causal,
@@ -15,6 +21,7 @@ from mpdagid import (
 )
 
 import oracles
+from conftest import query_pairs
 
 
 def test_classify_blocked_by_back_edge(mpdag4):
@@ -78,15 +85,83 @@ def test_witness_found_through_shielded_path():
     assert w == ("X", "V", "Y")
 
 
-def test_witness_matches_brute_force_random():
-    for g in oracles.random_mpdags(seed=41, count=120):
-        nodes = sorted(g.nodes)
-        for x in nodes:
-            for y in nodes:
-                if x == y:
-                    continue
-                got = exists_proper_pcp_starting_undirected(g, {x}, {y})
-                assert got == oracles.witness_exists(g, {x}, {y})
+def test_witness_matches_brute_force_random(sweep):
+    # The search must return the very path the exhaustive breadth-first
+    # walk returns (the CLI prints it), on the sweep and on 6-8-node MPDAGs.
+    graphs = [g for g, _ in sweep]
+    graphs += oracles.random_mpdags(seed=41, count=120, n_nodes=(6, 7, 8))
+    for g in graphs:
+        for xs, ys in query_pairs(g.nodes):
+            w = amenability_witness(g, xs, ys)
+            assert w == oracles.reference_witness(g, xs, ys), (g.to_edgelist(), xs, ys)
+            if len(g.nodes) <= 5 and len(xs) == len(ys) == 1:
+                assert (w is not None) == oracles.witness_exists(g, xs, ys)
+            if w is not None:
+                st = classify_path(g, w, xs)
+                assert st.possibly_causal and st.proper and w[-1] in ys
+                assert g.has_undirected(w[0], w[1])
+
+
+def test_forbidden_set_and_possibly_causal_match_reference(sweep):
+    # forbidden_set equals the path definition on amenable pairs and
+    # refuses the others; exists_possibly_causal equals the walk.
+    graphs = [g for g, _ in sweep]
+    graphs += oracles.random_mpdags(seed=43, count=30, n_nodes=(6, 7, 8))
+    refused = 0
+    for g in graphs:
+        for xs, ys in query_pairs(g.nodes):
+            assert exists_possibly_causal(g, xs, ys) == oracles.reference_exists_possibly_causal(
+                g, xs, ys
+            )
+            if oracles.reference_witness(g, xs, ys) is None:
+                assert forbidden_set(g, xs, ys) == oracles.reference_forbidden_set(g, xs, ys)
+            else:
+                refused += 1
+                with pytest.raises(GraphError, match="not amenable"):
+                    forbidden_set(g, xs, ys)
+    assert refused > 0
+
+
+def test_queries_on_chordal_18_nodes_finish_within_5_seconds():
+    # Simple-path enumeration took minutes on this graph; the state search
+    # must stay polynomial.  The alarm stops a hang instead of waiting it out.
+    g = _chordal_mpdag(random.Random(5), 18)
+    assert len(g.undirected) >= 50
+
+    def timeout(signum, frame):
+        raise TimeoutError("possibly causal queries took over 5 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        for n in g.nodes:
+            assert relatives(g, {n}, "ancestors") <= relatives(g, {n}, "possible_ancestors")
+        for x, y in itertools.permutations(g.nodes, 2):
+            w = amenability_witness(g, {x}, {y})
+            if w is None:
+                forbidden_set(g, {x}, {y})
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _chordal_mpdag(rng, n):
+    """Each new node joins a clique of up to 4 earlier nodes, grown greedily
+    from a random node's neighbourhood; closed with the knowledge N0 -> v."""
+    names = [f"N{i}" for i in range(n)]
+    adj = {names[0]: set()}
+    for v in names[1:]:
+        start = rng.choice(sorted(adj))
+        clique = {start}
+        for u in rng.sample(sorted(adj[start]), len(adj[start])):
+            if len(clique) < 4 and all(u in adj[c] for c in clique):
+                clique.add(u)
+        adj[v] = set(clique)
+        for c in clique:
+            adj[c].add(v)
+    edges = {tuple(sorted((a, b))) for a in adj for b in adj[a]}
+    g = Pdag(names, undirected=edges)
+    return close(g, [("N0", min(adj["N0"]))])
 
 
 def test_witness_requires_nonempty_disjoint(pair):
@@ -139,8 +214,6 @@ def test_d_separation_overlap_rejected(mpdag4):
 
 
 def test_d_separation_sound_for_every_represented_dag():
-    import itertools
-
     for g in oracles.random_mpdags(seed=13, count=60):
         nodes = sorted(g.nodes)
         if len(nodes) < 3:

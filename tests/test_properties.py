@@ -1,0 +1,45 @@
+"""Property tests over MPDAGs built by closing random PDAGs."""
+
+import itertools
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from mpdagid import InconsistentKnowledgeError, Pdag, amenability_witness, close
+
+import oracles
+
+
+@st.composite
+def mpdags(draw, max_nodes=7):
+    """Close a PDAG whose arrows follow a drawn node order; a PDAG whose
+    closure is inconsistent is rejected."""
+    n = draw(st.integers(2, max_nodes))
+    names = [f"N{i}" for i in range(n)]
+    rank = {v: i for i, v in enumerate(draw(st.permutations(names)))}
+    directed, undirected = [], []
+    for a, b in itertools.combinations(names, 2):
+        kind = draw(st.sampled_from(("none", "directed", "undirected")))
+        if kind == "undirected":
+            undirected.append((a, b))
+        elif kind == "directed":
+            directed.append((a, b) if rank[a] < rank[b] else (b, a))
+    try:
+        return close(Pdag(names, directed, undirected))
+    except InconsistentKnowledgeError:
+        assume(False)
+
+
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(mpdags())
+def test_possibly_causal_search_matches_path_walks(g):
+    for n in g.nodes:
+        assert g.possible_descendants({n}) == oracles.reference_possible_descendants(g, {n})
+    for x, y in itertools.permutations(g.nodes, 2):
+        assert amenability_witness(g, {x}, {y}) == oracles.reference_witness(g, {x}, {y})
