@@ -7,7 +7,7 @@ criterion, verify everything against brute-force oracles over the
 represented equivalence class, and estimate effects from Gaussian data.
 """
 
-from .buckets import Bucket, Buckets, bucket_decomposition, pco
+from .buckets import Bucket, Buckets, pco
 from .estimate import Dataset, EstimationError, gaussian_effect
 from .formula import (
     Factor,
@@ -23,10 +23,8 @@ from .graphs import (
     GraphParseError,
     Pdag,
     UnknownNodeError,
-    induced_subgraph,
     parse_graph,
     relatives,
-    undirected_subgraph,
 )
 from .identify import (
     AdjustmentResult,
@@ -55,8 +53,6 @@ from .oracle import (
     MarginalTable,
     cross_dag_agreement,
     enumerate_dags,
-    eval_id_formula,
-    gformula_eval,
     gformula_table,
     id_formula_table,
     interventional_means,
@@ -73,7 +69,6 @@ from .paths import (
     classify_path,
     d_separated,
     exists_possibly_causal,
-    exists_proper_pcp_starting_undirected,
     forbidden_set,
     unblocked_proper_noncausal_path,
 )
@@ -107,25 +102,20 @@ __all__ = [
     "UnknownNodeError",
     "adjustment_formula",
     "amenability_witness",
-    "bucket_decomposition",
     "check_adjustment",
     "classify_path",
     "close",
     "cross_dag_agreement",
     "d_separated",
     "enumerate_dags",
-    "eval_id_formula",
     "exists_possibly_causal",
-    "exists_proper_pcp_starting_undirected",
     "find_adjustment_set",
     "forbidden_set",
     "gaussian_effect",
-    "gformula_eval",
     "gformula_table",
     "id_formula_table",
     "identify",
     "identify_long_form",
-    "induced_subgraph",
     "interventional_means",
     "is_mpdag",
     "joint_table",
@@ -142,6 +132,5 @@ __all__ = [
     "structurally_equal",
     "truncated_factorization",
     "unblocked_proper_noncausal_path",
-    "undirected_subgraph",
     "wright_cov",
 ]

@@ -37,13 +37,6 @@ def _components(g: Pdag) -> list[frozenset[str]]:
     return comps
 
 
-def bucket_decomposition(g: Pdag, D: Iterable[str]) -> Buckets:
-    """The unique partition of D into buckets, sorted by smallest member."""
-    dset = g.require(D)
-    parts = [c & dset for c in _components(g) if c & dset]
-    return tuple(sorted(parts, key=min))
-
-
 def pco(g: Pdag, D: Iterable[str]) -> Buckets:
     """Partial causal ordering of D in the MPDAG ``g``.
 

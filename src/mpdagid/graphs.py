@@ -299,24 +299,21 @@ class Pdag:
         return reached
 
     def possible_ancestors(self, xs: Iterable[str]) -> frozenset[str]:
-        """Nodes with a possibly causal path into ``xs``, plus ``xs``; requires an MPDAG."""
+        """Nodes with a possibly causal path into ``xs``, plus ``xs``; requires
+        an MPDAG.  The search of :meth:`possible_descendants`, run backward."""
         from . import meek
 
         g = meek.require_mpdag(self)
-        xset = g.require(xs)
-        out = set(xset)
-        for w in g.nodes:
-            if w in out:
-                continue
-            if g.possible_descendants([w]) & xset:
-                out.add(w)
-        return frozenset(out)
+        reached, _ = g._possibly_causal_search(g.require(xs), backward=True)
+        return reached
 
     def _possibly_causal_search(
         self,
         sources: Iterable[str],
         avoid: AbstractSet[str] = frozenset(),
         targets: AbstractSet[str] = frozenset(),
+        *,
+        backward: bool = False,
     ) -> tuple[frozenset[str], Optional[tuple[str, ...]]]:
         """Breadth-first search along possibly causal paths that never
         enter ``avoid``.
@@ -326,7 +323,9 @@ class Pdag:
         outside ``avoid``; after that it steps from ``u`` to ``w`` only when
         ``w`` is not adjacent to the previous node, so the walk is
         unshielded past its first node.  Neighbours are expanded in
-        sorted order, sources too.
+        sorted order, sources too.  With ``backward`` it steps along
+        ``u <- w`` or ``u -- w`` instead and so walks the paths into the
+        sources from their far end.
 
         Returns the nodes reached, sources included, and the path to the
         first target reached, where the search stops; with
@@ -335,6 +334,7 @@ class Pdag:
         no target is reachable.
         """
         pa, ch, und = self._parents, self._children, self._und
+        ahead = pa if backward else ch
         back: dict[_State, Optional[_State]] = {}
         queue: deque[_State] = deque()
         hit = None
@@ -348,7 +348,7 @@ class Pdag:
         while queue and hit is None:
             state = queue.popleft()
             prev, u = state
-            step = (ch[u] | und[u]) - avoid
+            step = (ahead[u] | und[u]) - avoid
             if prev is not None:
                 step -= pa[prev] | ch[prev] | und[prev]
                 step.discard(prev)
@@ -443,14 +443,6 @@ def parse_graph(text: str) -> Pdag:
             undirected.append((a, b))
 
     return Pdag(nodes, directed, undirected, "pdag")
-
-
-def induced_subgraph(g: Pdag, keep: Iterable[str]) -> Pdag:
-    return g.induced_subgraph(keep)
-
-
-def undirected_subgraph(g: Pdag) -> Pdag:
-    return g.undirected_subgraph()
 
 
 def relatives(g: Pdag, xs: Iterable[str], relation: Relation) -> frozenset[str]:

@@ -9,7 +9,6 @@ which is sufficient but not necessary for identification.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Literal, Optional
 
@@ -141,11 +140,11 @@ def check_adjustment(g: Pdag, X, Y, Z) -> bool:
     zs = g.require(Z)
     if xs & ys or zs & (xs | ys) or not xs or not ys:
         raise GraphError("X, Y, Z must be pairwise disjoint; X, Y nonempty")
-    if paths.exists_proper_pcp_starting_undirected(g, xs, ys):
+    if paths.amenability_witness(g, xs, ys) is not None:
         return False
     if zs & paths.forbidden_set(g, xs, ys):
         return False
-    return paths.unblocked_proper_noncausal_path(g, xs, ys, zs) is None
+    return not paths.unblocked_proper_noncausal_path(g, xs, ys, zs)
 
 
 def adjustment_formula(X, Y, Z) -> IdFormula:
@@ -162,29 +161,25 @@ def find_adjustment_set(g: Pdag, X, Y) -> AdjustmentResult:
 
     For singleton X and Y the parent set of X is complete: it is an
     adjustment set whenever any exists (and Y being a parent of X means
-    the effect is zero).  For set-valued X or Y the search is exhaustive
-    over subsets of the nodes outside X, Y, and the forbidden set, which
-    is intended for small graphs only.
+    the effect is zero).  For set-valued X or Y the constructive set
+    PossAn(X ∪ Y) ∖ (X ∪ Y ∪ Forb) is an adjustment set whenever any
+    exists (Perković, Textor, Kalisch & Maathuis 2018), so it is checked
+    once and returned.
     """
     g = require_mpdag(g)
     xs, ys = g.require(X), g.require(Y)
     if not xs or not ys or xs & ys:
         raise GraphError("X and Y must be nonempty and disjoint")
 
-    if len(xs) == 1 and len(ys) == 1:
-        (x,) = xs
-        (y,) = ys
-        if y in g.parents_of(x):
-            return AdjustmentResult(status="zero_effect")
-        if paths.exists_proper_pcp_starting_undirected(g, xs, ys):
-            return AdjustmentResult(status="none_exists", reason="not_amenable")
+    singleton = len(xs) == len(ys) == 1
+    if singleton and ys <= g.set_parents(xs):
+        return AdjustmentResult(status="zero_effect")
+    if paths.amenability_witness(g, xs, ys) is not None:
+        return AdjustmentResult(status="none_exists", reason="not_amenable")
+    if singleton:
         return AdjustmentResult(status="set_found", adjustment=g.set_parents(xs))
 
-    if paths.exists_proper_pcp_starting_undirected(g, xs, ys):
-        return AdjustmentResult(status="none_exists", reason="not_amenable")
-    universe = sorted(frozenset(g.nodes) - xs - ys - paths.forbidden_set(g, xs, ys))
-    for size in range(len(universe) + 1):
-        for combo in itertools.combinations(universe, size):
-            if check_adjustment(g, xs, ys, frozenset(combo)):
-                return AdjustmentResult(status="set_found", adjustment=frozenset(combo))
+    candidate = g.possible_ancestors(xs | ys) - xs - ys - paths.forbidden_set(g, xs, ys)
+    if check_adjustment(g, xs, ys, candidate):
+        return AdjustmentResult(status="set_found", adjustment=candidate)
     return AdjustmentResult(status="none_exists", reason="blocked_path_unachievable")

@@ -16,7 +16,8 @@ sets.  It keeps the map of every fireable orientation and, after each
 orientation, re-evaluates only the edges whose rule inputs it changed
 (Meek 1995, "Causal inference and causal explanation with background
 knowledge").  The consistent-extension check is Dor-Tarsi sink
-elimination over the same sets.
+elimination over the same sets; its removal order also gives the one
+represented DAG that :func:`consistent_extension` returns.
 """
 
 from __future__ import annotations
@@ -151,45 +152,71 @@ class _Scratch:
 
     def has_consistent_extension(self) -> bool:
         """True when some DAG orients the undirected edges without adding
-        a directed cycle or a new unshielded collider.
-
-        Dor-Tarsi sink elimination: repeatedly remove a node ``v`` with no
-        children whose neighbours other than ``w`` are all adjacent to
-        ``w``, for every undirected neighbour ``w``; orienting its
-        undirected edges into it adds no collider.  Any such choice works,
-        so the order of removal does not matter.  Assumes no directed
+        a directed cycle or a new unshielded collider.  Assumes no directed
         cycle (``close`` checks that first), so that a graph without
-        undirected edges is its own extension.
-        """
+        undirected edges is its own extension."""
         if not any(self.und.values()):
             return True
-        pa, adj = self.pa, self.adj
-        und = {n: set(s) for n, s in self.und.items()}
-        n_children = {n: len(s) for n, s in self.ch.items()}
-        alive = set(self.nodes)
-        while alive:
-            for v in alive:
-                if n_children[v]:
-                    continue
-                # A removed node was a sink, so pa[v] holds live nodes only;
-                # adj is static, and nb holds live nodes, so nb <= adj[w]
-                # tests adjacency among live nodes.
-                nb = pa[v] | und[v]
-                if all(nb <= adj[w] for w in und[v]):
-                    break
-            else:
-                return False
-            alive.remove(v)
-            for p in pa[v]:
-                n_children[p] -= 1
-            for w in und[v]:
-                und[w].discard(v)
-        return True
+        return _sink_order(self.nodes, self.pa, self.ch, self.und, self.adj) is not None
 
     def to_mpdag(self) -> Pdag:
         directed = [(p, n) for n, ps in self.pa.items() for p in ps]
         undirected = [(a, b) for a, bs in self.und.items() for b in bs if a < b]
         return Pdag(self.nodes, directed, undirected, "mpdag")
+
+
+def _sink_order(
+    nodes: Iterable[str], pa: NodeSets, ch: NodeSets, und: NodeSets, adj: _Adjacency
+) -> Optional[list[str]]:
+    """Dor-Tarsi sink elimination; the nodes in removal order, or ``None``
+    when it gets stuck (no consistent extension exists).
+
+    Repeatedly removes a node ``v`` with no children whose neighbours
+    other than ``w`` are all adjacent to ``w``, for every undirected
+    neighbour ``w``; orienting its undirected edges into it adds no
+    collider.  Any such choice works, so the order of removal does not
+    matter for success.  The sets are read, not changed.
+    """
+    und = {n: set(s) for n, s in und.items()}
+    n_children = {n: len(s) for n, s in ch.items()}
+    alive = set(nodes)
+    order: list[str] = []
+    while alive:
+        for v in alive:
+            if n_children[v]:
+                continue
+            # A removed node was a sink, so pa[v] holds live nodes only;
+            # adj is static, and nb holds live nodes, so nb <= adj[w]
+            # tests adjacency among live nodes.
+            nb = pa[v] | und[v]
+            if all(nb <= adj[w] for w in und[v]):
+                break
+        else:
+            return None
+        alive.remove(v)
+        order.append(v)
+        for p in pa[v]:
+            n_children[p] -= 1
+        for w in und[v]:
+            und[w].discard(v)
+    return order
+
+
+def consistent_extension(g: Pdag) -> tuple[NodeSets, NodeSets]:
+    """Parents and children of one DAG that the MPDAG ``g`` represents.
+
+    Each undirected edge points into the endpoint that sink elimination
+    removes first.  Raises :class:`GraphError` when ``g`` represents no
+    DAG, which a tagged graph can do since its tag is not re-checked.
+    """
+    pa, ch, und = g._parents, g._children, g._und
+    order = _sink_order(g.nodes, pa, ch, und, _Adjacency(pa, ch, und))
+    if order is None:
+        raise GraphError("closure represents no DAG (no consistent extension exists)")
+    rank = {v: i for i, v in enumerate(order)}
+    parents = {v: pa[v] | {w for w in und[v] if rank[w] > rank[v]} for v in g.nodes}
+    children = {v: ch[v] | {w for w in und[v] if rank[w] < rank[v]} for v in g.nodes}
+    return parents, children
 
 
 def is_mpdag(g: Pdag) -> bool:

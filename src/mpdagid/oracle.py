@@ -232,6 +232,9 @@ class InterventionalTable:
     table: np.ndarray
 
     def slice_x(self, x_assign: Mapping[str, int]) -> MarginalTable:
+        """The distribution of the response at one intervened configuration."""
+        if frozenset(x_assign) != frozenset(self.x_nodes):
+            raise GraphError("x assignment must cover exactly the intervened set")
         t = self.table
         for i, n in enumerate(self.x_nodes):
             take = x_assign[n] if t.shape[i] > 1 else 0
@@ -332,11 +335,6 @@ def gformula_table(m: DiscreteModel, X: Iterable[str], Y: Iterable[str]) -> Inte
     return InterventionalTable(x_nodes, y_nodes, table)
 
 
-def gformula_eval(m: DiscreteModel, x_assign: Mapping[str, int], Y: Iterable[str]) -> MarginalTable:
-    """Marginal of Y under do(x), evaluated by full enumeration."""
-    return gformula_table(m, frozenset(x_assign), Y).slice_x(x_assign)
-
-
 def id_formula_table(f: IdFormula, m: DiscreteModel) -> InterventionalTable:
     """Evaluate a formula against the observational joint of ``m``.
 
@@ -372,13 +370,6 @@ def id_formula_table(f: IdFormula, m: DiscreteModel) -> InterventionalTable:
     x_nodes, y_nodes = tuple(sorted(f.intervened)), tuple(sorted(f.response))
     table = table.transpose([kept.index(n) for n in x_nodes + y_nodes])
     return InterventionalTable(x_nodes, y_nodes, table)
-
-
-def eval_id_formula(f: IdFormula, m: DiscreteModel, x_assign: Mapping[str, int]) -> MarginalTable:
-    """Distribution of the response under the formula at a fixed x."""
-    if frozenset(x_assign) != f.intervened:
-        raise GraphError("x assignment must cover exactly the intervened set")
-    return id_formula_table(f, m).slice_x(x_assign)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Path classification, d-separation, the forbidden set and the witness.
 
-The possibly causal questions (the amenability witness, whether any
-possibly causal path exists, the forbidden set) are answered by the one
-polynomial search behind :meth:`Pdag.possible_descendants`, and so
-require an MPDAG.  d-separation and the non-causal path search still
-enumerate simple paths explicitly: exponential in the worst case, exact
-for every PDAG.
+The path predicates take any PDAG; every search here is polynomial
+and requires an MPDAG.  The possibly causal questions (the amenability
+witness, whether any possibly causal path exists, the forbidden set)
+are answered by the one search behind :meth:`Pdag.possible_descendants`.
+The separation questions (d-separation, and the blocked non-causal
+paths of the adjustment criterion) are answered by one Bayes-ball
+reachability (Shachter 1998, "Bayes-Ball: the rational pastime") over
+one DAG the MPDAG represents, since Markov equivalent DAGs share their
+d-separations.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .graphs import GraphError, Pdag
-from .meek import require_mpdag
+from .meek import consistent_extension, require_mpdag
 
 Path = tuple[str, ...]
 
@@ -116,10 +119,6 @@ def amenability_witness(g: Pdag, X, Y) -> Optional[Path]:
     return min(found, key=lambda p: (len(p), p), default=None)
 
 
-def exists_proper_pcp_starting_undirected(g: Pdag, X, Y) -> bool:
-    return amenability_witness(g, X, Y) is not None
-
-
 def exists_possibly_causal(g: Pdag, X, Y) -> bool:
     """True when any possibly causal path runs from X to Y.
 
@@ -164,83 +163,78 @@ def forbidden_set(g: Pdag, X, Y) -> frozenset[str]:
     return g.possible_descendants(second) - xs
 
 
-def _connecting_path_search(
-    g: Pdag,
-    xs: frozenset,
-    ys: frozenset,
-    zs: frozenset,
-    *,
-    proper: bool,
-    require_noncausal: bool,
-) -> Optional[Path]:
-    """A definite-status path from X to Y that is d-connecting given Z.
+def _validate_separation(g: Pdag, X, Y, Z) -> tuple[frozenset, frozenset, frozenset]:
+    xs, ys = _validate_disjoint(g, X, Y)
+    zs = g.require(Z)
+    if zs & (xs | ys):
+        raise GraphError("X, Y, Z must be pairwise disjoint")
+    return xs, ys, zs
 
-    With ``proper`` the interior avoids X but may revisit Y (needed for the
-    universally quantified adjustment condition, where truncating at an
-    interior response node can destroy non-causality); without it the
-    interior avoids X and Y, which is sufficient for plain d-connection.
-    With ``require_noncausal`` only paths that are not possibly causal count.
+
+def _d_connected(pa, ch, xs: frozenset, ys: frozenset, zs: frozenset) -> bool:
+    """Bayes-ball: whether some path of the DAG with parent sets ``pa`` and
+    child sets ``ch`` joins X to Y without being blocked by Z.
+
+    A ball arriving at ``n`` from a child passes on to every parent and
+    child unless ``n`` is in Z.  One arriving from a parent passes on to
+    the children unless ``n`` is in Z, and bounces back to the parents
+    when ``n`` is an ancestor of Z (an open collider).  Each (node,
+    direction) state is visited once, so the search is linear.
     """
-    de_cache: dict[str, bool] = {}
-
-    def collider_open(n: str) -> bool:
-        if n not in de_cache:
-            de_cache[n] = bool(g.descendants([n]) & zs)
-        return de_cache[n]
-
-    def ok_interior(a: str, b: str, c: str) -> bool:
-        status = _interior_status(g, a, b, c)
-        if status is None:
-            return False
-        if status == "collider":
-            return collider_open(b)
-        return b not in zs
-
-    def walk(path: list[str]) -> Optional[Path]:
-        u = path[-1]
-        for w in sorted(g.neighbors(u)):
-            if w in path or w in xs:
-                continue
-            if len(path) >= 2 and not ok_interior(path[-2], u, w):
-                continue
-            path.append(w)
-            if w in ys and (not require_noncausal or not is_possibly_causal(g, path)):
-                return tuple(path)
-            # The plain d-connection search can stop at Y: a connecting
-            # path through an interior Y node has a connecting prefix.
-            # The non-causal search must keep going, because truncating at
-            # an interior Y node can turn a non-causal path causal.
-            if w not in ys or proper:
-                found = walk(path)
-                if found is not None:
-                    return found
-            path.pop()
-        return None
-
-    for x in sorted(xs):
-        found = walk([x])
-        if found is not None:
-            return found
-    return None
+    anc_z: set[str] = set()
+    stack = list(zs)
+    while stack:
+        n = stack.pop()
+        if n not in anc_z:
+            anc_z.add(n)
+            stack.extend(pa[n])
+    seen: set[tuple[str, bool]] = set()
+    balls = [(x, True) for x in xs]  # (node, arrived from a child)
+    while balls:
+        state = balls.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        n, up = state
+        if n not in zs:
+            if n in ys:
+                return True
+            balls.extend((c, False) for c in ch[n])
+        if (up and n not in zs) or (not up and n in anc_z):
+            balls.extend((p, True) for p in pa[n])
+    return False
 
 
 def d_separated(g: Pdag, X, Y, Z) -> bool:
-    """True when Z blocks every definite-status path between X and Y."""
-    xs, ys = _validate_disjoint(g, X, Y)
-    zs = g.require(Z)
-    if zs & (xs | ys):
-        raise GraphError("X, Y, Z must be pairwise disjoint")
-    return (
-        _connecting_path_search(g, xs, ys, zs, proper=False, require_noncausal=False)
-        is None
-    )
+    """True when Z d-separates X and Y in every DAG the MPDAG ``g``
+    represents, i.e. blocks every definite-status path between them."""
+    g = require_mpdag(g)
+    xs, ys, zs = _validate_separation(g, X, Y, Z)
+    pa, ch = consistent_extension(g)
+    return not _d_connected(pa, ch, xs, ys, zs)
 
 
-def unblocked_proper_noncausal_path(g: Pdag, X, Y, Z) -> Optional[Path]:
-    """A proper non-causal definite-status path from X to Y not blocked by
-    Z, or ``None`` when Z blocks them all."""
-    xs, ys = _validate_disjoint(g, X, Y)
-    zs = g.require(Z)
-    if zs & (xs | ys):
-        raise GraphError("X, Y, Z must be pairwise disjoint")
-    return _connecting_path_search(g, xs, ys, zs, proper=True, require_noncausal=True)
+def unblocked_proper_noncausal_path(g: Pdag, X, Y, Z) -> bool:
+    """True when some proper non-causal definite-status path from X to Y
+    is not blocked by Z, i.e. when condition 3 of the generalized
+    adjustment criterion fails.
+
+    Defined for an amenable (X, Y) and a Z that avoids the forbidden set;
+    anything else raises :class:`GraphError`.  There, Z blocks those paths
+    exactly when it d-separates X and Y in the proper back-door graph
+    (Perković, Textor, Kalisch & Maathuis 2018, "Complete graphical
+    characterization and construction of adjustment sets in Markov
+    equivalence classes of ancestral graphs"), taken here as a represented
+    DAG without its edges from X into the forbidden set.
+    """
+    g = require_mpdag(g)
+    xs, ys, zs = _validate_separation(g, X, Y, Z)
+    forbidden = forbidden_set(g, xs, ys)
+    if zs & forbidden:
+        raise GraphError("Z meets the forbidden set")
+    pa, ch = consistent_extension(g)
+    for x in xs:
+        for w in ch[x] & forbidden:
+            ch[x].discard(w)
+            pa[w].discard(x)
+    return _d_connected(pa, ch, xs, ys, zs)

@@ -185,6 +185,121 @@ def reference_forbidden_set(g: Pdag, X, Y) -> frozenset:
 
 
 # --------------------------------------------------------------------------
+# Separation and adjustment by simple-path walks
+# --------------------------------------------------------------------------
+# The package once decided d-separation and condition 3 of the generalized
+# adjustment criterion with this walker, and searched adjustment sets over
+# every subset; they now check the Bayes-ball search and the constructive
+# set that replaced them.  The walker is exact on every PDAG.
+
+
+def _interior_status(g: Pdag, a: str, b: str, c: str):
+    """Status of ``b`` on the subpath ``a, b, c``: ``"collider"``,
+    ``"noncollider"`` (definite), or ``None`` when not of definite status."""
+    if g.has_directed(a, b) and g.has_directed(c, b):
+        return "collider"
+    if g.has_directed(b, a) or g.has_directed(b, c):
+        return "noncollider"
+    if g.has_undirected(a, b) and g.has_undirected(b, c) and not g.adjacent(a, c):
+        return "noncollider"
+    return None
+
+
+def _connecting_path_search(g: Pdag, xs, ys, zs, *, proper: bool, require_noncausal: bool):
+    """A definite-status path from X to Y that is d-connecting given Z.
+
+    With ``proper`` the interior avoids X but may revisit Y (needed for the
+    universally quantified adjustment condition, where truncating at an
+    interior response node can destroy non-causality); without it the
+    interior avoids X and Y, which is sufficient for plain d-connection.
+    With ``require_noncausal`` only paths that are not possibly causal count.
+    """
+    de_cache: dict = {}
+
+    def collider_open(n: str) -> bool:
+        if n not in de_cache:
+            de_cache[n] = bool(g.descendants([n]) & zs)
+        return de_cache[n]
+
+    def ok_interior(a: str, b: str, c: str) -> bool:
+        status = _interior_status(g, a, b, c)
+        if status is None:
+            return False
+        if status == "collider":
+            return collider_open(b)
+        return b not in zs
+
+    def walk(path: list):
+        u = path[-1]
+        for w in sorted(g.neighbors(u)):
+            if w in path or w in xs:
+                continue
+            if len(path) >= 2 and not ok_interior(path[-2], u, w):
+                continue
+            path.append(w)
+            if w in ys and (not require_noncausal or not possibly_causal(g, path)):
+                return tuple(path)
+            # The plain d-connection search can stop at Y: a connecting
+            # path through an interior Y node has a connecting prefix.
+            # The non-causal search must keep going, because truncating at
+            # an interior Y node can turn a non-causal path causal.
+            if w not in ys or proper:
+                found = walk(path)
+                if found is not None:
+                    return found
+            path.pop()
+        return None
+
+    for x in sorted(xs):
+        found = walk([x])
+        if found is not None:
+            return found
+    return None
+
+
+def reference_d_separated(g: Pdag, X, Y, Z) -> bool:
+    """Z blocks every definite-status path between X and Y."""
+    xs, ys, zs = frozenset(X), frozenset(Y), frozenset(Z)
+    path = _connecting_path_search(g, xs, ys, zs, proper=False, require_noncausal=False)
+    return path is None
+
+
+def reference_unblocked_noncausal_path(g: Pdag, X, Y, Z):
+    """A proper non-causal definite-status path from X to Y not blocked by
+    Z, or ``None`` when Z blocks them all."""
+    xs, ys, zs = frozenset(X), frozenset(Y), frozenset(Z)
+    return _connecting_path_search(g, xs, ys, zs, proper=True, require_noncausal=True)
+
+
+def reference_check_adjustment(g: Pdag, X, Y, Z) -> bool:
+    """The generalized adjustment criterion from the path walks alone."""
+    if reference_witness(g, X, Y) is not None:
+        return False
+    if frozenset(Z) & reference_forbidden_set(g, X, Y):
+        return False
+    return reference_unblocked_noncausal_path(g, X, Y, Z) is None
+
+
+def reference_find_adjustment_set(g: Pdag, X, Y):
+    """``(status, set)``: the parent set of X for singletons, otherwise the
+    least subset (by size, then sorted order) of the nodes outside X, Y and
+    the forbidden set that passes the criterion."""
+    xs, ys = frozenset(X), frozenset(Y)
+    if len(xs) == len(ys) == 1 and ys <= g.set_parents(xs):
+        return "zero_effect", None
+    if reference_witness(g, xs, ys) is not None:
+        return "none_exists", None
+    if len(xs) == len(ys) == 1:
+        return "set_found", g.set_parents(xs)
+    universe = sorted(frozenset(g.nodes) - xs - ys - reference_forbidden_set(g, xs, ys))
+    for size in range(len(universe) + 1):
+        for combo in itertools.combinations(universe, size):
+            if reference_unblocked_noncausal_path(g, xs, ys, combo) is None:
+                return "set_found", frozenset(combo)
+    return "none_exists", None
+
+
+# --------------------------------------------------------------------------
 # Equivalence classes by filtering all orientations
 # --------------------------------------------------------------------------
 
@@ -570,6 +685,15 @@ def random_pdag(rng: random.Random, n_nodes: int, p_edge: float = 0.5) -> Pdag:
             t, h = (a, b) if rank[a] < rank[b] else (b, a)
             directed.append((t, h))
     return Pdag(names, directed, undirected)
+
+
+def random_dag(rng: random.Random, n_nodes: int, p_edge: float) -> Pdag:
+    """Random DAG: each pair is joined with probability ``p_edge``, the
+    arrow following a random node order."""
+    names = [f"N{i}" for i in range(n_nodes)]
+    order = rng.sample(names, n_nodes)
+    edges = [(a, b) for a, b in itertools.combinations(order, 2) if rng.random() < p_edge]
+    return Pdag(names, edges, class_tag="dag")
 
 
 def random_mpdags(seed: int, count: int, n_nodes=(2, 3, 4, 5), p_edge: float = 0.5):

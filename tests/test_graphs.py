@@ -6,10 +6,8 @@ from mpdagid import (
     Pdag,
     UnknownNodeError,
     enumerate_dags,
-    induced_subgraph,
     parse_graph,
     relatives,
-    undirected_subgraph,
 )
 
 import oracles
@@ -87,42 +85,42 @@ def test_edgelist_isolated_nodes():
 
 
 def test_induced_subgraph_drops_removed_nodes(mpdag4):
-    h = induced_subgraph(mpdag4, {"V1", "Y1", "Y2"})
+    h = mpdag4.induced_subgraph({"V1", "Y1", "Y2"})
     assert h.undirected == {("V1", "Y1")}
     assert h.directed == {("Y1", "Y2")}
     assert h.class_tag == "pdag"
 
 
 def test_induced_subgraph_identity_and_empty(mpdag4):
-    assert induced_subgraph(mpdag4, mpdag4.nodes) == mpdag4
-    assert induced_subgraph(mpdag4, set()).nodes == ()
+    assert mpdag4.induced_subgraph(mpdag4.nodes) == mpdag4
+    assert mpdag4.induced_subgraph(set()).nodes == ()
 
 
 def test_induced_subgraph_unknown_node(mpdag4):
     with pytest.raises(UnknownNodeError):
-        induced_subgraph(mpdag4, {"NOPE"})
+        mpdag4.induced_subgraph({"NOPE"})
 
 
 def test_induced_subgraph_idempotent(mpdag4):
     keep = {"X", "Y1", "Y2"}
-    once = induced_subgraph(mpdag4, keep)
-    assert induced_subgraph(once, keep) == once
+    once = mpdag4.induced_subgraph(keep)
+    assert once.induced_subgraph(keep) == once
 
 
 def test_undirected_subgraph(mpdag4):
-    h = undirected_subgraph(mpdag4)
+    h = mpdag4.undirected_subgraph()
     assert h.undirected == {("V1", "X"), ("V1", "Y1")}
     assert not h.directed
     assert set(h.nodes) == set(mpdag4.nodes)
 
 
 def test_undirected_subgraph_of_dag_is_edgeless(twotreat7):
-    h = undirected_subgraph(twotreat7)
+    h = twotreat7.undirected_subgraph()
     assert not h.directed and not h.undirected
 
 
 def test_undirected_subgraph_fixpoint(cpdag4):
-    assert undirected_subgraph(cpdag4) == cpdag4
+    assert cpdag4.undirected_subgraph() == cpdag4
 
 
 def test_set_parents_convention(mpdag4):
@@ -140,7 +138,7 @@ def test_ancestors_reflexive(mpdag4):
 
 
 def test_ancestors_in_induced_subgraph(mpdag4):
-    h = induced_subgraph(mpdag4, set(mpdag4.nodes) - {"X"})
+    h = mpdag4.induced_subgraph(set(mpdag4.nodes) - {"X"})
     assert relatives(h, {"Y1", "Y2"}, "ancestors") == {"Y1", "Y2"}
 
 

@@ -8,10 +8,10 @@ from mpdagid import (
     IdFormula,
     NotTruncatableError,
     adjustment_formula,
+    amenability_witness,
     check_adjustment,
     cross_dag_agreement,
     enumerate_dags,
-    exists_proper_pcp_starting_undirected,
     find_adjustment_set,
     id_formula_table,
     identify,
@@ -168,9 +168,7 @@ def test_identifiable_iff_amenable():
         nodes = sorted(g.nodes)
         for x, y in itertools.permutations(nodes, 2):
             res = identify(g, {x}, {y})
-            assert res.identifiable == (
-                not exists_proper_pcp_starting_undirected(g, {x}, {y})
-            )
+            assert res.identifiable == (amenability_witness(g, {x}, {y}) is None)
             if not res.identifiable:
                 assert res.witness is not None
                 assert g.has_undirected(res.witness[0], res.witness[1])

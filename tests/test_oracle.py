@@ -14,8 +14,6 @@ from mpdagid import (
     amenability_witness,
     cross_dag_agreement,
     enumerate_dags,
-    eval_id_formula,
-    gformula_eval,
     gformula_table,
     id_formula_table,
     identify,
@@ -148,14 +146,14 @@ def test_model_keeps_read_only_copies():
 def test_gformula_single_edge_is_cpt_column():
     g = parse_graph("X -> Y")
     m = random_model(g, {"X": 2, "Y": 2}, seed=3)
-    dist = gformula_eval(m, {"X": 1}, {"Y"})
+    dist = gformula_table(m, {"X": 1}, {"Y"}).slice_x({"X": 1})
     assert np.allclose(dist.table, m.cpts["Y"][:, 1])
 
 
 def test_gformula_empty_intervention_is_marginal(mpdag4):
     dag = enumerate_dags(mpdag4)[0]
     m = random_model(dag, {n: 2 for n in mpdag4.nodes}, seed=9)
-    dist = gformula_eval(m, {}, {"Y2"})
+    dist = gformula_table(m, {}, {"Y2"}).slice_x({})
     want = joint_table(m).sum(axis=(0, 1, 2))
     assert np.allclose(dist.table, want)
 
@@ -163,7 +161,7 @@ def test_gformula_empty_intervention_is_marginal(mpdag4):
 def test_gformula_collider_leaves_target_alone():
     g = parse_graph("X -> C\nY -> C")
     m = random_model(g, {"X": 2, "C": 3, "Y": 2}, seed=4)
-    dist = gformula_eval(m, {"X": 1}, {"Y"})
+    dist = gformula_table(m, {"X": 1}, {"Y"}).slice_x({"X": 1})
     assert np.allclose(dist.table, m.cpts["Y"])
 
 
@@ -175,7 +173,7 @@ def test_gformula_matches_dict_enumeration():
         nodes = sorted(dag.nodes)
         x, y = nodes[0], nodes[-1]
         for xv in range(cards[x]):
-            got = gformula_eval(m, {x: xv}, {y})
+            got = gformula_table(m, {x: xv}, {y}).slice_x({x: xv})
             want = oracles.gformula_dict(m, {x: xv}, {y})
             for k, v in want.items():
                 assert abs(got.table[k] - v) < 1e-12
@@ -186,7 +184,7 @@ def test_gformula_cap():
     g = parse_graph("\n".join(f"node {n}" for n in names))
     m = random_model(g, {n: 2 for n in names}, seed=0)
     with pytest.raises(GraphError):
-        gformula_eval(m, {}, {"N0"})
+        gformula_table(m, {}, {"N0"}).slice_x({})
 
 
 # -- formula evaluation -------------------------------------------------------
@@ -205,7 +203,7 @@ def test_marginal_formula_evaluation(mpdag4):
     f = IdFormula(factors=(Factor({"Y2"}),), response={"Y2"})
     dag = enumerate_dags(mpdag4)[0]
     m = random_model(dag, {n: 2 for n in mpdag4.nodes}, seed=2)
-    got = eval_id_formula(f, m, {})
+    got = id_formula_table(f, m).slice_x({})
     want = joint_table(m).sum(axis=(0, 1, 2))
     assert np.allclose(got.table, want)
 
@@ -218,6 +216,16 @@ def test_cross_dag_agreement_with_integration(covar5):
     assert rep.max_formula_tv < 1e-9
 
 
+def test_slice_requires_exactly_the_intervened_set(mpdag4):
+    res = identify(mpdag4, {"X"}, {"Y1", "Y2"})
+    m = random_model(enumerate_dags(mpdag4)[0], {n: 2 for n in mpdag4.nodes}, seed=2)
+    table = id_formula_table(res.formula, m)
+    for bad in ({}, {"X": 0, "V1": 1}):
+        with pytest.raises(GraphError, match="cover exactly"):
+            table.slice_x(bad)
+    assert table.slice_x({"X": 1}).table.shape == (2, 2)
+
+
 def test_degenerate_conditioning_raises():
     g = parse_graph("A -> B")
     cpts = {
@@ -227,7 +235,7 @@ def test_degenerate_conditioning_raises():
     m = DiscreteModel(dag=g, cards={"A": 2, "B": 2}, cpts=cpts)
     f = IdFormula(factors=(Factor({"B"}, {"A"}),), intervened={"A"}, response={"B"})
     with pytest.raises(DegenerateConditioningError):
-        eval_id_formula(f, m, {"A": 1})
+        id_formula_table(f, m).slice_x({"A": 1})
 
 
 def test_memoised_tables_equal_uncached_reference(sweep):

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import random
 import signal
@@ -13,7 +14,7 @@ from mpdagid import (
     d_separated,
     enumerate_dags,
     exists_possibly_causal,
-    exists_proper_pcp_starting_undirected,
+    find_adjustment_set,
     forbidden_set,
     parse_graph,
     relatives,
@@ -72,9 +73,9 @@ def test_witness_on_undirected_pair(pair):
 
 
 def test_no_witness_when_first_edge_directed(chain3, mpdag4, covar5):
-    assert not exists_proper_pcp_starting_undirected(chain3, {"X1", "X2"}, {"Y"})
-    assert not exists_proper_pcp_starting_undirected(mpdag4, {"X"}, {"Y1", "Y2"})
-    assert not exists_proper_pcp_starting_undirected(covar5, {"X"}, {"Y"})
+    assert amenability_witness(chain3, {"X1", "X2"}, {"Y"}) is None
+    assert amenability_witness(mpdag4, {"X"}, {"Y1", "Y2"}) is None
+    assert amenability_witness(covar5, {"X"}, {"Y"}) is None
 
 
 def test_witness_found_through_shielded_path():
@@ -122,27 +123,57 @@ def test_forbidden_set_and_possibly_causal_match_reference(sweep):
     assert refused > 0
 
 
-def test_queries_on_chordal_18_nodes_finish_within_5_seconds():
-    # Simple-path enumeration took minutes on this graph; the state search
-    # must stay polynomial.  The alarm stops a hang instead of waiting it out.
-    g = _chordal_mpdag(random.Random(5), 18)
-    assert len(g.undirected) >= 50
+@contextlib.contextmanager
+def _time_limit(seconds, what):
+    """Raise TimeoutError in the block once ``seconds`` have passed, so a
+    hang fails the test instead of being waited out."""
 
     def timeout(signum, frame):
-        raise TimeoutError("possibly causal queries took over 5 s")
+        raise TimeoutError(f"{what} took over {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, timeout)
-    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_queries_on_chordal_18_nodes_finish_within_5_seconds():
+    # Simple-path enumeration took minutes on this graph; the state search
+    # must stay polynomial.
+    g = _chordal_mpdag(random.Random(5), 18)
+    assert len(g.undirected) >= 50
+    with _time_limit(5.0, "possibly causal queries"):
         for n in g.nodes:
             assert relatives(g, {n}, "ancestors") <= relatives(g, {n}, "possible_ancestors")
         for x, y in itertools.permutations(g.nodes, 2):
             w = amenability_witness(g, {x}, {y})
             if w is None:
                 forbidden_set(g, {x}, {y})
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+
+
+def test_separation_and_adjustment_on_larger_dags_finish_within_5_seconds():
+    # The exhaustive subset search for an adjustment set ran for over a
+    # minute on the 28-node DAG, and the simple-path walk for one of the
+    # 40-node queries took 27 s; Bayes-ball and the constructive set must
+    # stay polynomial.
+    dense = [oracles.random_dag(random.Random(n), n, 0.3) for n in (20, 28)]
+    sparse = oracles.random_dag(random.Random(40), 40, 0.15)
+    rng = random.Random(30)
+    with _time_limit(5.0, "separation and adjustment queries"):
+        for g in dense:
+            x1, x2, y = rng.sample(sorted(g.nodes), 3)
+            res = find_adjustment_set(g, {x1, x2}, {y})
+            assert res.status in ("set_found", "none_exists")
+        nodes = sorted(sparse.nodes)
+        for _ in range(30):
+            x, y = rng.sample(nodes, 2)
+            pool = sorted(set(nodes) - {x, y} - forbidden_set(sparse, {x}, {y}))
+            z = rng.sample(pool, min(len(pool), rng.randint(0, 6)))
+            d_separated(sparse, {x}, {y}, z)
+            unblocked_proper_noncausal_path(sparse, {x}, {y}, z)
 
 
 def _chordal_mpdag(rng, n):
@@ -185,7 +216,7 @@ def test_witness_survives_dropping_offpath_sources():
             continue
         for drop in xs:
             if drop != w[0] and drop not in w:
-                assert exists_proper_pcp_starting_undirected(g, xs - {drop}, {y})
+                assert amenability_witness(g, xs - {drop}, {y}) is not None
 
 
 def test_exists_possibly_causal(mpdag4):
@@ -214,6 +245,7 @@ def test_d_separation_overlap_rejected(mpdag4):
 
 
 def test_d_separation_sound_for_every_represented_dag():
+    # Sound and complete: d_separated equals d-separation in every DAG.
     for g in oracles.random_mpdags(seed=13, count=60):
         nodes = sorted(g.nodes)
         if len(nodes) < 3:
@@ -223,9 +255,87 @@ def test_d_separation_sound_for_every_represented_dag():
             rest = [n for n in nodes if n not in (x, y)]
             for r in range(len(rest) + 1):
                 for z in itertools.combinations(rest, r):
-                    if d_separated(g, {x}, {y}, set(z)):
-                        for d in dags:
-                            assert oracles.dag_d_separated(d, {x}, {y}, set(z))
+                    sep = d_separated(g, {x}, {y}, set(z))
+                    for d in dags:
+                        assert sep == oracles.dag_d_separated(d, {x}, {y}, set(z))
+
+
+def test_separation_refuses_a_graph_representing_no_dag():
+    # The 4-cycle passes the tag's closure check but has no consistent
+    # extension; the queries must refuse it, not crash.
+    cycle = [("A", "B"), ("B", "C"), ("C", "D"), ("A", "D")]
+    g = Pdag("ABCD", undirected=cycle, class_tag="mpdag")
+    with pytest.raises(GraphError, match="no consistent extension"):
+        d_separated(g, {"A"}, {"C"}, {"B", "D"})
+    with pytest.raises(GraphError):
+        unblocked_proper_noncausal_path(g, {"A"}, {"C"}, set())
+
+
+def _differential_graphs(sweep, seed):
+    """The sweep plus 40 random 6-8-node MPDAGs, each with its (X, Y)
+    pairs: all of them on the sweep, a seeded sample of 30 on the rest."""
+    rng = random.Random(seed)
+    for g, _ in sweep:
+        yield g, list(query_pairs(g.nodes))
+    for g in oracles.random_mpdags(seed=seed, count=40, n_nodes=(6, 7, 8)):
+        pairs = list(query_pairs(g.nodes))
+        yield g, rng.sample(pairs, 30)
+
+
+def _z_sample(rng, g, xs, ys, avoid=frozenset(), k=4):
+    """Up to ``k`` seeded conditioning sets outside X, Y and ``avoid``."""
+    rest = sorted(set(g.nodes) - xs - ys - avoid)
+    return [frozenset(n for n in rest if rng.random() < 0.5) for _ in range(k)]
+
+
+def test_d_separated_matches_path_walk(sweep):
+    rng = random.Random(3)
+    checked = 0
+    for g, pairs in _differential_graphs(sweep, seed=61):
+        for xs, ys in pairs:
+            for z in _z_sample(rng, g, xs, ys):
+                want = oracles.reference_d_separated(g, xs, ys, z)
+                assert d_separated(g, xs, ys, z) == want, (g.to_edgelist(), xs, ys, z)
+                checked += 1
+    assert checked > 10_000
+
+
+def test_condition_3_matches_path_walk(sweep):
+    # On amenable pairs with Z outside the forbidden set, Bayes-ball in the
+    # proper back-door graph equals the walk for unblocked non-causal paths.
+    rng = random.Random(4)
+    checked = blocked = 0
+    for g, pairs in _differential_graphs(sweep, seed=62):
+        for xs, ys in pairs:
+            if oracles.reference_witness(g, xs, ys) is not None:
+                with pytest.raises(GraphError, match="not amenable"):
+                    unblocked_proper_noncausal_path(g, xs, ys, set())
+                continue
+            forb = oracles.reference_forbidden_set(g, xs, ys)
+            for z in _z_sample(rng, g, xs, ys, avoid=forb):
+                want = oracles.reference_unblocked_noncausal_path(g, xs, ys, z) is not None
+                assert unblocked_proper_noncausal_path(g, xs, ys, z) == want, (
+                    g.to_edgelist(), xs, ys, z
+                )
+                checked += 1
+                blocked += not want
+            if forb - ys:
+                with pytest.raises(GraphError, match="forbidden set"):
+                    unblocked_proper_noncausal_path(g, xs, ys, {min(forb - ys)})
+    assert checked > 5_000 and 0 < blocked < checked
+
+
+def test_find_adjustment_set_matches_subset_search(sweep):
+    statuses = set()
+    for g, pairs in _differential_graphs(sweep, seed=63):
+        for xs, ys in pairs:
+            res = find_adjustment_set(g, xs, ys)
+            status, _ = oracles.reference_find_adjustment_set(g, xs, ys)
+            assert res.status == status, (g.to_edgelist(), xs, ys)
+            if res.adjustment is not None:
+                assert oracles.reference_check_adjustment(g, xs, ys, res.adjustment)
+            statuses.add((status, len(xs) + len(ys) > 2))
+    assert {("set_found", True), ("none_exists", True)} <= statuses
 
 
 def test_forbidden_set_goldens(mpdag4, twotreat7):
@@ -241,19 +351,17 @@ def test_forbidden_set_within_possible_descendants_when_amenable():
         if len(nodes) < 2:
             continue
         x, y = nodes[0], nodes[-1]
-        if exists_proper_pcp_starting_undirected(g, {x}, {y}):
+        if amenability_witness(g, {x}, {y}) is not None:
             continue
         assert forbidden_set(g, {x}, {y}) <= relatives(g, {x}, "possible_descendants")
 
 
 def test_unblocked_noncausal_path_direct_arrow_into_source(mpdag4):
     # Y1 -> X cannot be blocked: no interior node exists.
-    p = unblocked_proper_noncausal_path(mpdag4, {"X"}, {"Y1", "Y2"}, set())
-    assert p == ("X", "Y1")
-    p2 = unblocked_proper_noncausal_path(mpdag4, {"X"}, {"Y1", "Y2"}, {"V1"})
-    assert p2 is not None
+    assert unblocked_proper_noncausal_path(mpdag4, {"X"}, {"Y1", "Y2"}, set()) is True
+    assert unblocked_proper_noncausal_path(mpdag4, {"X"}, {"Y1", "Y2"}, {"V1"}) is True
 
 
 def test_unblocked_noncausal_path_none_for_pure_chain():
     g = parse_graph("X -> Y")
-    assert unblocked_proper_noncausal_path(g, {"X"}, {"Y"}, set()) is None
+    assert unblocked_proper_noncausal_path(g, {"X"}, {"Y"}, set()) is False
