@@ -74,7 +74,20 @@ class Pdag:
         ``"dag"`` additionally forbids undirected edges, and
         ``"cpdag"``/``"mpdag"`` additionally require closure under the
         orientation rules (none of the four forbidden induced subgraphs
-        occurs).  The tag is checked eagerly at construction.
+        occurs) and a consistent extension (Dor-Tarsi sink elimination
+        succeeds, so the graph represents at least one DAG).  This
+        constructor checks the tag in full, eagerly.
+
+    Graphs the package derives from graphs it already holds skip the
+    checks through :meth:`_trusted` and :meth:`_retag`: the closure of a
+    tagged graph (``meek.close`` reached its rule fixpoint and checked
+    acyclicity and the extension itself), the DAGs at the leaves of
+    enumeration (a closure without undirected edges), an untagged graph
+    that ``meek.require_mpdag`` has just checked, and induced and
+    undirected subgraphs (dropping nodes or arrows adds no cycle and no
+    second edge to a pair).  The closure of an untagged graph, the way
+    every input enters, is built by this constructor, so each input is
+    checked once at the boundary.
     """
 
     __slots__ = (
@@ -103,8 +116,6 @@ class Pdag:
                 raise GraphError(f"duplicate node: {n}")
             seen.add(n)
             node_list.append(n)
-        object.__setattr__(self, "nodes", tuple(node_list))
-
         parents: dict[str, set[str]] = {n: set() for n in node_list}
         children: dict[str, set[str]] = {n: set() for n in node_list}
         und: dict[str, set[str]] = {n: set() for n in node_list}
@@ -134,16 +145,17 @@ class Pdag:
             und[a].add(b)
             und[b].add(a)
 
-        object.__setattr__(self, "directed", frozenset(d_edges))
-        object.__setattr__(self, "undirected", frozenset(u_edges))
-        object.__setattr__(self, "_parents", parents)
-        object.__setattr__(self, "_children", children)
-        object.__setattr__(self, "_und", und)
-        object.__setattr__(self, "_hash", None)
-
         if class_tag not in ("pdag", "dag", "cpdag", "mpdag"):
             raise GraphError(f"unknown class tag: {class_tag!r}")
-        object.__setattr__(self, "class_tag", class_tag)
+        self._lay_out(
+            tuple(node_list),
+            frozenset(d_edges),
+            frozenset(u_edges),
+            parents,
+            children,
+            und,
+            class_tag,
+        )
 
         if d_edges and self._has_directed_cycle():
             raise GraphError("graph contains a directed cycle")
@@ -156,6 +168,58 @@ class Pdag:
                 raise GraphError(
                     f"{class_tag} tag rejected: an orientation rule still fires"
                 )
+            if not meek.has_consistent_extension(self):
+                raise GraphError(
+                    f"{class_tag} tag rejected: the graph represents no DAG "
+                    "(no consistent extension exists)"
+                )
+
+    def _lay_out(self, nodes, directed, undirected, parents, children, und, class_tag) -> None:
+        """Set every field; the one place that lays out a graph."""
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "directed", directed)
+        object.__setattr__(self, "undirected", undirected)
+        object.__setattr__(self, "_parents", parents)
+        object.__setattr__(self, "_children", children)
+        object.__setattr__(self, "_und", und)
+        object.__setattr__(self, "class_tag", class_tag)
+        object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _trusted(
+        cls,
+        nodes: tuple[str, ...],
+        parents: dict[str, set[str]],
+        children: dict[str, set[str]],
+        und: dict[str, set[str]],
+        class_tag: ClassTag,
+    ) -> "Pdag":
+        """A graph that adopts the caller's parent, child and undirected
+        neighbour sets (keyed by every node) and checks nothing.
+
+        The caller vouches for everything ``class_tag`` asserts and hands
+        the sets over: they must not change afterwards.
+        """
+        g = object.__new__(cls)
+        directed = frozenset((p, n) for n, ps in parents.items() for p in ps)
+        undirected = frozenset((a, b) for a, bs in und.items() for b in bs if a < b)
+        g._lay_out(nodes, directed, undirected, parents, children, und, class_tag)
+        return g
+
+    def _retag(self, class_tag: ClassTag) -> "Pdag":
+        """This graph under ``class_tag``, sharing its fields, unchecked:
+        the caller vouches for the tag."""
+        g = object.__new__(type(self))
+        g._lay_out(
+            self.nodes,
+            self.directed,
+            self.undirected,
+            self._parents,
+            self._children,
+            self._und,
+            class_tag,
+        )
+        return g
 
     @staticmethod
     def _reject_endpoints(known, a, b) -> None:
@@ -243,13 +307,20 @@ class Pdag:
         """
         kept = self.require(keep)
         nodes = tuple(n for n in self.nodes if n in kept)
-        directed = [(a, b) for a, b in self.directed if a in kept and b in kept]
-        undirected = [(a, b) for a, b in self.undirected if a in kept and b in kept]
-        return Pdag(nodes, directed, undirected, "pdag")
+        return Pdag._trusted(
+            nodes,
+            {n: self._parents[n] & kept for n in nodes},
+            {n: self._children[n] & kept for n in nodes},
+            {n: self._und[n] & kept for n in nodes},
+            "pdag",
+        )
 
     def undirected_subgraph(self) -> "Pdag":
         """Same node set, only the undirected edges retained."""
-        return Pdag(self.nodes, (), self.undirected, "pdag")
+        nodes = self.nodes
+        return Pdag._trusted(
+            nodes, {n: set() for n in nodes}, {n: set() for n in nodes}, self._und, "pdag"
+        )
 
     # -- ancestral relations ----------------------------------------------
 
@@ -398,6 +469,15 @@ class Pdag:
         return seen < len(self.nodes)
 
 
+def _token_lines(text: str):
+    """``(line number, line, tokens)`` for each line of the edge-list format
+    that is not blank once its ``#`` comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, raw, tokens
+
+
 def parse_graph(text: str) -> Pdag:
     """Parse the edge-list format into a ``Pdag`` tagged ``"pdag"``.
 
@@ -418,11 +498,7 @@ def parse_graph(text: str) -> Pdag:
             seen.add(name)
             nodes.append(name)
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, raw, tokens in _token_lines(text):
         if len(tokens) == 2 and tokens[0] == "node":
             note(tokens[1], lineno)
             continue

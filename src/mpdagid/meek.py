@@ -25,7 +25,14 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional
 
-from .graphs import GraphError, GraphParseError, Pdag, parse_graph
+from .graphs import (
+    GraphError,
+    GraphParseError,
+    Pdag,
+    UnknownNodeError,
+    _token_lines,
+    parse_graph,
+)
 
 BackgroundKnowledge = frozenset[tuple[str, str]]
 
@@ -160,6 +167,7 @@ class _Scratch:
         return _sink_order(self.nodes, self.pa, self.ch, self.und, self.adj) is not None
 
     def to_mpdag(self) -> Pdag:
+        """The closed graph, re-checked by the public constructor."""
         directed = [(p, n) for n, ps in self.pa.items() for p in ps]
         undirected = [(a, b) for a, bs in self.und.items() for b in bs if a < b]
         return Pdag(self.nodes, directed, undirected, "mpdag")
@@ -207,7 +215,9 @@ def consistent_extension(g: Pdag) -> tuple[NodeSets, NodeSets]:
 
     Each undirected edge points into the endpoint that sink elimination
     removes first.  Raises :class:`GraphError` when ``g`` represents no
-    DAG, which a tagged graph can do since its tag is not re-checked.
+    DAG.  A graph tagged ``cpdag`` or ``mpdag`` by the public constructor
+    or by :func:`close` always represents one, and :func:`require_mpdag`
+    checks an untagged graph, so the raise guards that invariant.
     """
     pa, ch, und = g._parents, g._children, g._und
     order = _sink_order(g.nodes, pa, ch, und, _Adjacency(pa, ch, und))
@@ -217,6 +227,16 @@ def consistent_extension(g: Pdag) -> tuple[NodeSets, NodeSets]:
     parents = {v: pa[v] | {w for w in und[v] if rank[w] > rank[v]} for v in g.nodes}
     children = {v: ch[v] | {w for w in und[v] if rank[w] < rank[v]} for v in g.nodes}
     return parents, children
+
+
+def has_consistent_extension(g: Pdag) -> bool:
+    """True when ``g`` represents at least one DAG: Dor-Tarsi sink
+    elimination orients its undirected edges without a directed cycle or
+    a new unshielded collider."""
+    if not g.undirected:
+        return True
+    pa, ch, und = g._parents, g._children, g._und
+    return _sink_order(g.nodes, pa, ch, und, _Adjacency(pa, ch, und)) is not None
 
 
 def is_mpdag(g: Pdag) -> bool:
@@ -240,9 +260,9 @@ def require_mpdag(g: Pdag) -> Pdag:
         return g
     if not is_mpdag(g):
         raise GraphError("graph is not maximally oriented; close it first")
-    if not _Scratch(g).has_consistent_extension():
+    if not has_consistent_extension(g):
         raise GraphError("closure represents no DAG (no consistent extension exists)")
-    return g.validate_as("mpdag")
+    return g._retag("mpdag")
 
 
 def close(
@@ -256,6 +276,10 @@ def close(
     Each ``(tail, head)`` pair in ``bk`` must be an adjacency of ``g`` and
     is oriented as ``tail -> head`` before the rules run.  The result
     contains every directed edge of the input and is tagged ``"mpdag"``.
+    The closure of an untagged ``g`` is built by the public ``Pdag``
+    constructor, which checks it once more; that of a tagged ``g`` adopts
+    the closure's sets unchecked, since the checks below establish
+    everything the tag asserts.
 
     ``rng`` randomizes which fireable rule is applied at each step; the
     default applies the least (rule index, then edge) application, which
@@ -263,6 +287,8 @@ def close(
 
     Raises
     ------
+    UnknownNodeError
+        If a pair in ``bk`` names a node that ``g`` does not have.
     InconsistentKnowledgeError
         If ``bk`` contains a pair in both orientations, demands orienting
         an edge against an existing direction, names a non-adjacent pair,
@@ -276,6 +302,9 @@ def close(
     oriented: dict[tuple[str, str], int] = {}
     pairs = sorted(frozenset(bk))
     for tail, head in pairs:
+        for n in (tail, head):
+            if n not in g:
+                raise UnknownNodeError(f"unknown node: {n}")
         if (head, tail) in pairs:
             raise InconsistentKnowledgeError(
                 f"background knowledge orients {tail} and {head} both ways"
@@ -328,7 +357,11 @@ def close(
         raise InconsistentKnowledgeError(
             "closure represents no DAG (no consistent extension exists)"
         )
-    return scratch.to_mpdag()
+    if g.class_tag == "pdag":
+        return scratch.to_mpdag()
+    # Reached the rule fixpoint from a closed graph, acyclic and extendable:
+    # an MPDAG (Meek 1995), so the scratch sets become the graph's own.
+    return Pdag._trusted(scratch.nodes, scratch.pa, scratch.ch, scratch.und, "mpdag")
 
 
 def _check_no_reverse_demand(scratch: _Scratch, edges: list[tuple[str, str]]) -> None:
@@ -344,9 +377,13 @@ def _check_no_reverse_demand(scratch: _Scratch, edges: list[tuple[str, str]]) ->
 
 
 def parse_background_knowledge(text: str) -> BackgroundKnowledge:
-    """Parse a background-knowledge file: edge-list format, directed lines only."""
+    """Parse a background-knowledge file: edge-list format, directed lines
+    only; the first undirected line is reported with its line number."""
     g = parse_graph(text)
     if g.undirected:
-        a, b = sorted(g.undirected)[0]
-        raise GraphParseError(0, f"background knowledge must be directed: {a} -- {b}")
+        for lineno, _, tokens in _token_lines(text):
+            if tokens[1] == "--":
+                a, _, b = tokens
+                message = f"background knowledge must be directed: {a} -- {b}"
+                raise GraphParseError(lineno, message)
     return frozenset(g.directed)

@@ -48,13 +48,14 @@ def enumerate_dags(g: Pdag) -> list[Pdag]:
     re-close, recurse.  Every returned DAG has the adjacencies and
     unshielded colliders of ``g`` and contains all its directed edges.
     The output is sorted by the orientation bitstring over the sorted
-    skeleton, so it is canonical regardless of evaluation order.
+    skeleton, so it is canonical regardless of evaluation order.  A leaf
+    is a closure without undirected edges, re-tagged ``dag`` unchecked.
     """
     out: list[Pdag] = []
 
     def rec(h: Pdag) -> None:
         if not h.undirected:
-            out.append(h.validate_as("dag"))
+            out.append(h._retag("dag"))
             return
         a, b = min(h.undirected)
         for pair in ((a, b), (b, a)):
@@ -85,7 +86,7 @@ def _first_dag(h: Pdag) -> Pdag:
     A branch whose closure fails, there or further down, holds no leaf.
     """
     if not h.undirected:
-        return h.validate_as("dag")
+        return h._retag("dag")
     a, b = min(h.undirected)
     try:
         return _first_dag(close(h, ((a, b),)))

@@ -211,6 +211,21 @@ def test_graph_without_consistent_extension_exit_1(tmp_path, capsys):
     assert "no consistent extension" in _one_error_line(capsys)
 
 
+def test_knowledge_naming_an_unknown_node_exit_1(files, tmp_path, capsys):
+    bk = tmp_path / "unknown.bk"
+    bk.write_text("Y1 -> X\nX -> Q\n")
+    assert main(["close", "-g", files["cpdag4.g"], "-b", str(bk)]) == 1
+    assert capsys.readouterr().err == "mpdagid: unknown node: Q\n"
+
+
+def test_undirected_knowledge_line_reports_its_number_exit_1(files, tmp_path, capsys):
+    bk = tmp_path / "undirected.bk"
+    bk.write_text("# knowledge\nY1 -> X\n\nY2 -- X\nV1 -- X\n")
+    assert main(["close", "-g", files["cpdag4.g"], "-b", str(bk)]) == 1
+    err = capsys.readouterr().err
+    assert err == "mpdagid: line 4: background knowledge must be directed: Y2 -- X\n"
+
+
 def test_ragged_csv_exit_1(files, capsys, tmp_path):
     csv = tmp_path / "ragged.csv"
     rows = np.random.default_rng(0).standard_normal((20, 8))

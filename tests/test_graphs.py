@@ -6,6 +6,7 @@ from mpdagid import (
     Pdag,
     UnknownNodeError,
     enumerate_dags,
+    identify,
     parse_graph,
     relatives,
 )
@@ -72,6 +73,41 @@ def test_mpdag_tag_rejects_open_rule():
     with pytest.raises(GraphError):
         Pdag(["A", "B", "C"], directed=[("A", "B")], undirected=[("B", "C")],
              class_tag="mpdag")
+
+
+@pytest.mark.parametrize("tag", ["cpdag", "mpdag"])
+def test_tag_rejects_a_graph_representing_no_dag(tag):
+    # The chordless 4-cycle fires no orientation rule, yet every
+    # orientation adds a directed cycle or a new collider.
+    cycle = [("A", "B"), ("B", "C"), ("C", "D"), ("A", "D")]
+    with pytest.raises(GraphError, match=f"{tag} tag rejected: .*no consistent extension"):
+        Pdag("ABCD", undirected=cycle, class_tag=tag)
+    # Untagged, the queries refuse it too.
+    g = Pdag("ABCD", undirected=cycle)
+    with pytest.raises(GraphError, match="no consistent extension"):
+        identify(g, {"A"}, {"C"})
+    with pytest.raises(GraphError, match="no consistent extension"):
+        g.possible_descendants({"A"})
+
+
+def _same_sets(h, g):
+    return all(
+        h.parents_of(n) == g.parents_of(n)
+        and h.children_of(n) == g.children_of(n)
+        and h.und_neighbors(n) == g.und_neighbors(n)
+        for n in g.nodes
+    )
+
+
+def test_subgraphs_equal_their_public_construction(sweep):
+    # Both subgraphs are built unchecked; each must be the graph the
+    # public constructor builds from its edges, sets and node order too.
+    for g, _ in sweep:
+        for keep in (g.nodes[::2], g.nodes[1:]):
+            for h in (g.induced_subgraph(keep), g.undirected_subgraph()):
+                public = Pdag(h.nodes, h.directed, h.undirected)
+                assert h == public and h.nodes == public.nodes
+                assert h.class_tag == "pdag" and _same_sets(h, public)
 
 
 def test_edgelist_round_trip(mpdag4, covar5):

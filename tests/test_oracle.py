@@ -21,6 +21,7 @@ from mpdagid import (
     joint_table,
     model_from_joint,
     nonid_witness,
+    Pdag,
     parse_graph,
     random_model,
     simulate,
@@ -56,6 +57,29 @@ def test_enumerate_matches_brute_force_random():
         assert got == oracles.all_represented_dags(g)
         assert got  # the class of a consistent closure is never empty
         assert all(g.directed <= edges for edges in got)
+
+
+def test_enumeration_equals_brute_force_in_canonical_order(sweep):
+    # The leaves are re-tagged dag unchecked; each must equal the DAG the
+    # public constructor builds, and the list must be the brute-force
+    # class sorted by orientation bitstring over the sorted skeleton.
+    graphs = [(g, dags) for g, dags in sweep]
+    graphs += [
+        (g, enumerate_dags(g))
+        for g in oracles.random_mpdags(seed=71, count=60, n_nodes=(6, 7, 8))
+    ]
+    for g, dags in graphs:
+        skeleton = sorted({(min(a, b), max(a, b)) for a, b in g.directed} | g.undirected)
+
+        def bits(edges):
+            return tuple(0 if (a, b) in edges else 1 for a, b in skeleton)
+
+        expected = sorted(oracles.all_represented_dags(g), key=bits)
+        assert [d.directed for d in dags] == expected
+        for d in dags:
+            assert d.class_tag == "dag"
+            public = Pdag(d.nodes, d.directed, (), "dag")
+            assert d == public and d.nodes == public.nodes
 
 
 def test_enumerate_output_invariants(cpdag4):

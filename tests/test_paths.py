@@ -261,10 +261,13 @@ def test_d_separation_sound_for_every_represented_dag():
 
 
 def test_separation_refuses_a_graph_representing_no_dag():
-    # The 4-cycle passes the tag's closure check but has no consistent
-    # extension; the queries must refuse it, not crash.
+    # The 4-cycle fires no orientation rule but has no consistent
+    # extension: the mpdag tag is refused at construction, and the
+    # queries refuse the untagged graph, not crash.
     cycle = [("A", "B"), ("B", "C"), ("C", "D"), ("A", "D")]
-    g = Pdag("ABCD", undirected=cycle, class_tag="mpdag")
+    with pytest.raises(GraphError, match="no consistent extension"):
+        Pdag("ABCD", undirected=cycle, class_tag="mpdag")
+    g = Pdag("ABCD", undirected=cycle)
     with pytest.raises(GraphError, match="no consistent extension"):
         d_separated(g, {"A"}, {"C"}, {"B", "D"})
     with pytest.raises(GraphError):

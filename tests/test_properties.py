@@ -5,7 +5,7 @@ import itertools
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from mpdagid import InconsistentKnowledgeError, Pdag, amenability_witness, close
+from mpdagid import InconsistentKnowledgeError, Pdag, amenability_witness, close, parse_graph
 
 import oracles
 
@@ -43,3 +43,38 @@ def test_possibly_causal_search_matches_path_walks(g):
         assert g.possible_descendants({n}) == oracles.reference_possible_descendants(g, {n})
     for x, y in itertools.permutations(g.nodes, 2):
         assert amenability_witness(g, {x}, {y}) == oracles.reference_witness(g, {x}, {y})
+
+
+@st.composite
+def closures(draw):
+    """Close a drawn MPDAG, which is tagged, plus one drawn orientation of
+    one of its undirected edges (none when it has none): the closure that
+    adopts its sets unchecked."""
+    g = draw(mpdags())
+    bk = []
+    if g.undirected:
+        a, b = draw(st.sampled_from(sorted(g.undirected)))
+        bk.append(draw(st.sampled_from(((a, b), (b, a)))))
+    try:
+        return close(g, bk)
+    except InconsistentKnowledgeError:
+        assume(False)
+
+
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(closures())
+def test_unchecked_closure_passes_the_public_checks(h):
+    public = Pdag(h.nodes, h.directed, h.undirected, "mpdag")
+    assert h == public and h.nodes == public.nodes
+    for n in h.nodes:
+        assert h.parents_of(n) == public.parents_of(n)
+        assert h.children_of(n) == public.children_of(n)
+        assert h.und_neighbors(n) == public.und_neighbors(n)
+    assert parse_graph(h.to_edgelist()) == h
+    assert close(h) == h
