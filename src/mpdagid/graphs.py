@@ -157,7 +157,7 @@ class Pdag:
             class_tag,
         )
 
-        if d_edges and self._has_directed_cycle():
+        if d_edges and has_directed_cycle(self.nodes, self._parents, self._children):
             raise GraphError("graph contains a directed cycle")
         if class_tag == "dag" and u_edges:
             raise GraphError("dag tag forbids undirected edges")
@@ -453,20 +453,23 @@ class Pdag:
         lines += [f"{a} {mark} {b}" for a, b, mark in edges]
         return "\n".join(lines) + ("\n" if lines else "")
 
-    # -- internals ---------------------------------------------------------
 
-    def _has_directed_cycle(self) -> bool:
-        indeg = {n: len(self._parents[n]) for n in self.nodes}
-        queue = [n for n in self.nodes if indeg[n] == 0]
-        seen = 0
-        while queue:
-            n = queue.pop()
-            seen += 1
-            for c in self._children[n]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        return seen < len(self.nodes)
+def has_directed_cycle(
+    nodes: tuple[str, ...], parents: dict[str, set[str]], children: dict[str, set[str]]
+) -> bool:
+    """Kahn's algorithm over per-node parent and child sets: True when some
+    node is never freed of its parents."""
+    indeg = {n: len(parents[n]) for n in nodes}
+    queue = [n for n in nodes if indeg[n] == 0]
+    seen = 0
+    while queue:
+        n = queue.pop()
+        seen += 1
+        for c in children[n]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                queue.append(c)
+    return seen < len(nodes)
 
 
 def _token_lines(text: str):

@@ -31,6 +31,7 @@ from .graphs import (
     Pdag,
     UnknownNodeError,
     _token_lines,
+    has_directed_cycle,
     parse_graph,
 )
 
@@ -143,19 +144,6 @@ class _Scratch:
             out.add(h)
             out |= self.und[h]
         return out
-
-    def has_directed_cycle(self) -> bool:
-        indeg = {n: len(self.pa[n]) for n in self.nodes}
-        queue = [n for n in self.nodes if indeg[n] == 0]
-        seen = 0
-        while queue:
-            n = queue.pop()
-            seen += 1
-            for c in self.ch[n]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        return seen < len(self.nodes)
 
     def has_consistent_extension(self) -> bool:
         """True when some DAG orients the undirected edges without adding
@@ -349,7 +337,7 @@ def close(
         _check_no_reverse_demand(scratch, sorted(suspects, key=oriented.__getitem__))
         scratch.update(pending, around)
 
-    if scratch.has_directed_cycle():
+    if has_directed_cycle(scratch.nodes, scratch.pa, scratch.ch):
         raise InconsistentKnowledgeError(
             "closure creates a directed cycle; knowledge is inconsistent"
         )

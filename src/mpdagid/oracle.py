@@ -3,7 +3,8 @@
 Everything here favors being obviously correct over being fast: discrete
 evaluation enumerates the full joint (capped at 2**20 configurations),
 the equivalence class is enumerated DAG by DAG, and linear-Gaussian
-covariances come from explicit path sums.
+covariances come from Wright's path rule, accumulated node by node over a
+topological order.
 
 A :class:`DiscreteModel` is immutable (it keeps read-only copies of its
 tables), so what is derived from it is computed once per model and
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,56 +43,42 @@ class DegenerateConditioningError(ValueError):
 
 
 def enumerate_dags(g: Pdag) -> list[Pdag]:
-    """All DAGs represented by the MPDAG ``g``.
+    """All DAGs represented by the MPDAG ``g``, in the order of their
+    orientation bitstrings over the sorted skeleton (``a -> b`` with
+    ``a < b`` before ``b -> a``), so the list is canonical.
 
-    Branch and bound: pick an undirected edge, try both orientations,
-    re-close, recurse.  Every returned DAG has the adjacencies and
-    unshielded colliders of ``g`` and contains all its directed edges.
-    The output is sorted by the orientation bitstring over the sorted
-    skeleton, so it is canonical regardless of evaluation order.  A leaf
-    is a closure without undirected edges, re-tagged ``dag`` unchecked.
+    Every returned DAG has the adjacencies and unshielded colliders of
+    ``g`` and contains all its directed edges.
     """
-    out: list[Pdag] = []
-
-    def rec(h: Pdag) -> None:
-        if not h.undirected:
-            out.append(h._retag("dag"))
-            return
-        a, b = min(h.undirected)
-        for pair in ((a, b), (b, a)):
-            try:
-                rec(close(h, (pair,)))
-            except InconsistentKnowledgeError:
-                continue
-
-    rec(require_mpdag(g))
-    skeleton = sorted(
-        {(min(a, b), max(a, b)) for a, b in g.directed} | set(g.undirected)
-    )
-
-    def bits(d: Pdag) -> tuple[int, ...]:
-        return tuple(0 if d.has_directed(a, b) else 1 for a, b in skeleton)
-
-    out.sort(key=bits)
-    return out
+    return list(_depth_first(require_mpdag(g)))
 
 
 def _first_dag(h: Pdag) -> Pdag:
-    """``enumerate_dags(h)[0]`` for a closed ``h``, by a depth-first descent
-    that stops at its first leaf.
+    """``enumerate_dags(h)[0]`` for a closed ``h``, without enumerating
+    past its first leaf."""
+    return next(_depth_first(h))
 
-    It branches as ``enumerate_dags`` does, ``a -> b`` before ``b -> a`` on
-    the least undirected edge ``(a, b)``.  Every skeleton edge below that
-    one is already directed, so leaves come in orientation-bitstring order.
-    A branch whose closure fails, there or further down, holds no leaf.
+
+def _depth_first(h: Pdag) -> Iterator[Pdag]:
+    """The DAGs represented by the closed ``h``, depth first.
+
+    It branches ``a -> b`` before ``b -> a`` on the least undirected edge
+    ``(a, b)`` and re-closes.  Every skeleton edge below that one is
+    already directed, so leaves come in orientation-bitstring order.  A
+    branch whose closure fails, there or further down, holds no leaf.  A
+    leaf is a closure without undirected edges, re-tagged ``dag``
+    unchecked.
     """
     if not h.undirected:
-        return h._retag("dag")
+        yield h._retag("dag")
+        return
     a, b = min(h.undirected)
-    try:
-        return _first_dag(close(h, ((a, b),)))
-    except InconsistentKnowledgeError:
-        return _first_dag(close(h, ((b, a),)))
+    for pair in ((a, b), (b, a)):
+        try:
+            branch = close(h, (pair,))
+        except InconsistentKnowledgeError:
+            continue
+        yield from _depth_first(branch)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +361,7 @@ def id_formula_table(f: IdFormula, m: DiscreteModel) -> InterventionalTable:
 
 
 # ---------------------------------------------------------------------------
-# Linear-Gaussian models, path covariances, and disagreement witnesses
+# Linear-Gaussian models, covariances, and disagreement witnesses
 # ---------------------------------------------------------------------------
 
 
@@ -385,7 +372,8 @@ class GaussianModel:
     ``coeffs`` maps directed edges to their coefficients and
     ``noise_vars`` holds the residual variances.  The witness builder
     chooses residual variances so every variable has variance one, which
-    is what the path-sum covariance rule assumes.
+    is what :func:`wright_cov`'s recursion over a topological order
+    assumes.
     """
 
     dag: Pdag
@@ -430,44 +418,20 @@ class GaussianModel:
 
 
 def wright_cov(m: GaussianModel) -> tuple[tuple[str, ...], np.ndarray]:
-    """Covariance matrix by summing edge-coefficient products over all
-    collider-free paths; assumes the unit-variance construction, so the
-    diagonal is one."""
+    """Covariance matrix by Wright's path rule, in its recursive form over
+    a topological order: Cov(v, w) is the sum over parents p of v of
+    coeff(p, v) * Cov(p, w), for every w placed before v.  Assumes the
+    unit-variance construction, so the diagonal is one."""
     nodes = m.dag.nodes
     idx = {n: i for i, n in enumerate(nodes)}
     cov = np.eye(len(nodes))
-
-    def edge_coeff(a: str, b: str) -> float:
-        return m.coeff(a, b) if m.dag.has_directed(a, b) else m.coeff(b, a)
-
-    def paths_between(a: str, b: str):
-        found: list[float] = []
-
-        def walk(path: list[str]) -> None:
-            u = path[-1]
-            for w in sorted(m.dag.neighbors(u)):
-                if w in path:
-                    continue
-                if len(path) >= 2:
-                    prev = path[-2]
-                    if m.dag.has_directed(prev, u) and m.dag.has_directed(w, u):
-                        continue  # collider at u
-                path.append(w)
-                if w == b:
-                    found.append(
-                        math.prod(edge_coeff(p, q) for p, q in zip(path, path[1:]))
-                    )
-                else:
-                    walk(path)
-                path.pop()
-
-        walk([a])
-        return found
-
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1 :]:
-            s = float(sum(paths_between(a, b)))
-            cov[idx[a], idx[b]] = cov[idx[b], idx[a]] = s
+    placed: list[int] = []
+    for v in m.topological_order():
+        i = idx[v]
+        pa = [(idx[p], m.coeff(p, v)) for p in sorted(m.dag.parents_of(v))]
+        for j in placed:
+            cov[i, j] = cov[j, i] = sum(c * cov[p, j] for p, c in pa)
+        placed.append(i)
     return nodes, cov
 
 
@@ -548,8 +512,8 @@ def nonid_witness(
             noise[v] = 1.0 - (into[0] ** 2 if into else 0.0)
         return GaussianModel(dag=dag, coeffs=coeff_map, noise_vars=noise)
 
-    m1 = build(d1, list(zip(q, q[1:])))
-    m2 = build(d2, [(q[1], q[0])] + list(zip(q[1:], q[2:])))
+    m1 = build(d1, forward)
+    m2 = build(d2, flipped)
     delta = math.prod(abs(c) for c in cs)
     return m1, m2, delta
 

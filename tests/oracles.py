@@ -6,13 +6,15 @@ classes come from filtering all edge orientations, the Meek closure
 re-derives every rule application from the edge sets after each
 orientation, discrete evaluation walks python dicts (or, for bit-exact
 comparison, rebuilds numpy tables from the CPTs on every call), and
-Gaussian covariances come from a matrix solve.
+Gaussian covariances come from a matrix solve or from summing coefficient
+products over every collider-free simple path.
 None of this shares code with the package under test.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 
@@ -598,7 +600,7 @@ def reference_id_formula_table(f, m) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Gaussian covariance by matrix solve
+# Gaussian covariance by matrix solve and by path sums
 # --------------------------------------------------------------------------
 
 
@@ -608,6 +610,48 @@ def sem_cov_linalg(model) -> np.ndarray:
     omega = np.diag([model.noise_vars[n] for n in model.dag.nodes])
     inv = np.linalg.inv(np.eye(a.shape[0]) - a)
     return inv @ omega @ inv.T
+
+
+def reference_wright_cov(m):
+    """Covariance matrix by summing edge-coefficient products over all
+    collider-free paths; assumes the unit-variance construction, so the
+    diagonal is one."""
+    nodes = m.dag.nodes
+    idx = {n: i for i, n in enumerate(nodes)}
+    cov = np.eye(len(nodes))
+
+    def edge_coeff(a: str, b: str) -> float:
+        return m.coeff(a, b) if m.dag.has_directed(a, b) else m.coeff(b, a)
+
+    def paths_between(a: str, b: str):
+        found: list[float] = []
+
+        def walk(path: list[str]) -> None:
+            u = path[-1]
+            for w in sorted(m.dag.neighbors(u)):
+                if w in path:
+                    continue
+                if len(path) >= 2:
+                    prev = path[-2]
+                    if m.dag.has_directed(prev, u) and m.dag.has_directed(w, u):
+                        continue  # collider at u
+                path.append(w)
+                if w == b:
+                    found.append(
+                        math.prod(edge_coeff(p, q) for p, q in zip(path, path[1:]))
+                    )
+                else:
+                    walk(path)
+                path.pop()
+
+        walk([a])
+        return found
+
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1 :]:
+            s = float(sum(paths_between(a, b)))
+            cov[idx[a], idx[b]] = cov[idx[b], idx[a]] = s
+    return nodes, cov
 
 
 def unit_variance_noise(dag: Pdag, coeffs: dict) -> dict:

@@ -368,6 +368,7 @@ def test_wright_matches_linear_algebra_random():
         sigma = oracles.sem_cov_linalg(m)
         assert np.allclose(np.diag(sigma), 1.0, atol=1e-10)
         assert np.allclose(cov, sigma, atol=1e-10)
+        assert np.allclose(cov, oracles.reference_wright_cov(m)[1], atol=1e-10)
 
 
 def test_nonid_witness_pair(pair):
@@ -404,11 +405,17 @@ def test_first_dag_is_first_enumerated(sweep):
         assert _first_dag(g) == enumerate_dags(g)[0]
 
 
-def test_nonid_witness_random_sweep():
+def test_nonid_witness_random_sweep(sweep):
     # The models realize the amenability witness, which is also the first
     # candidate of the exhaustive list the witness once was picked from.
+    # Each witness model gives every node at most one parent with a
+    # nonzero coefficient, so the recursion over a topological order forms
+    # the same single product per entry as the path sum: equal bit for bit.
+    graphs = list(oracles.random_mpdags(seed=131, count=60))
+    graphs += [g for g, _ in sweep]
+    graphs += oracles.random_mpdags(seed=151, count=40, n_nodes=(6, 7, 8))
     found = 0
-    for g in oracles.random_mpdags(seed=131, count=60):
+    for g in graphs:
         nodes = sorted(g.nodes)
         for x, y in itertools.permutations(nodes, 2):
             res = identify(g, {x}, {y})
@@ -422,6 +429,8 @@ def test_nonid_witness_random_sweep():
             assert set(m2.coeffs) == {(q[1], q[0])} | set(zip(q[1:], q[2:]))
             _, c1 = wright_cov(m1)
             _, c2 = wright_cov(m2)
+            assert np.array_equal(c1, oracles.reference_wright_cov(m1)[1])
+            assert np.array_equal(c2, oracles.reference_wright_cov(m2)[1])
             assert np.abs(c1 - c2).max() < 1e-12
             assert delta > 0
             e1 = interventional_means(m1, {n: 1.0 for n in (x,)})

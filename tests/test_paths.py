@@ -5,6 +5,7 @@ import signal
 
 import pytest
 
+from mpdagid import cli
 from mpdagid import (
     GraphError,
     Pdag,
@@ -174,6 +175,19 @@ def test_separation_and_adjustment_on_larger_dags_finish_within_5_seconds():
             z = rng.sample(pool, min(len(pool), rng.randint(0, 6)))
             d_separated(sparse, {x}, {y}, z)
             unblocked_proper_noncausal_path(sparse, {x}, {y}, z)
+
+
+def test_verify_on_chordal_22_nodes_finishes_within_5_seconds(tmp_path, capsys):
+    # The witness models' covariances once summed over every collider-free
+    # simple path, which took about 30 s here; the recursion over a
+    # topological order must stay polynomial.
+    path = tmp_path / "chordal22.g"
+    path.write_text(_chordal_mpdag(random.Random(5), 22).to_edgelist())
+    with _time_limit(5.0, "verify on the 22-node chordal MPDAG"):
+        code = cli.main(["verify", "-g", str(path), "-X", "N0", "-Y", "N1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "covariance max diff: 0.000e+00\n" in out
 
 
 def _chordal_mpdag(rng, n):
