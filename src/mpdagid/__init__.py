@@ -18,7 +18,6 @@ from .formula import (
     structurally_equal,
 )
 from .graphs import (
-    Edge,
     GraphError,
     GraphParseError,
     Pdag,
@@ -84,7 +83,6 @@ __all__ = [
     "Dataset",
     "DegenerateConditioningError",
     "DiscreteModel",
-    "Edge",
     "EstimationError",
     "Factor",
     "FormulaError",

@@ -10,63 +10,45 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graphs import GraphError, Pdag
+from .graphs import GraphError, Pdag, topological_order
 from .meek import require_mpdag
 
 Bucket = frozenset[str]
 Buckets = tuple[Bucket, ...]
 
 
-def _components(g: Pdag) -> list[frozenset[str]]:
-    """Undirected connected components of the full node set."""
-    seen: set[str] = set()
-    comps: list[frozenset[str]] = []
-    for start in g.nodes:
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            n = frontier.pop()
-            for m in g.und_neighbors(n):
-                if m not in comp:
-                    comp.add(m)
-                    frontier.append(m)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
-
-
 def pco(g: Pdag, D: Iterable[str]) -> Buckets:
     """Partial causal ordering of D in the MPDAG ``g``.
 
-    Repeatedly removes a component of the full node set whose remaining
-    external edges all point into it and prepends its intersection with D.
-    Adjacent output buckets satisfy: every edge between bucket i and
-    bucket j with i < j is directed from i to j.  When several components
-    are removable at once, the one whose smallest member is largest is
-    taken, which fixes the emitted order.
+    The undirected connected components of the full node set, joined by
+    the directed edges between them, form the component graph, which is
+    acyclic in an MPDAG.  PCO is a topological order of it, each component
+    cut down to its intersection with D and empty ones dropped, so every
+    edge between bucket i and bucket j with i < j is directed from i to j.
+    The order is built by removing sinks: when several components are
+    sinks at once, the one whose smallest member is largest is removed
+    first and so is placed last, which fixes the emitted order.
     """
     g = require_mpdag(g)
     dset = g.require(D)
-    concomp = _components(g)
-    ordered: list[Bucket] = []
-    while concomp:
-        removable = []
-        for comp in concomp:
-            rest = set().union(*(c for c in concomp if c is not comp)) if len(concomp) > 1 else set()
-            ok = True
-            for a, b in g.directed:
-                if a in comp and b in rest:
-                    ok = False
-                    break
-            if ok:
-                removable.append(comp)
-        if not removable:
-            raise GraphError("no removable component; graph is not an MPDAG")
-        comp = max(removable, key=min)
-        concomp.remove(comp)
-        part = comp & dset
-        if part:
-            ordered.insert(0, frozenset(part))
-    return tuple(ordered)
+    comp_of: dict[str, Bucket] = {}
+    comps: list[Bucket] = []
+    for n in g.nodes:
+        if n not in comp_of:
+            comp = g._directed_reach((n,), g._und)
+            comps.append(comp)
+            comp_of.update(dict.fromkeys(comp, comp))
+    comps.sort(key=min, reverse=True)
+    into: dict[Bucket, set[Bucket]] = {c: set() for c in comps}
+    out_of: dict[Bucket, set[Bucket]] = {c: set() for c in comps}
+    for a, b in g.directed:
+        ca, cb = comp_of[a], comp_of[b]
+        if ca is not cb:
+            out_of[ca].add(cb)
+            into[cb].add(ca)
+    # On the reversed component graph a component is placed once all its
+    # children are, so the sort removes sinks first.
+    removed = topological_order(comps, out_of, into)
+    if len(removed) < len(comps):
+        raise GraphError("no removable component; graph is not an MPDAG")
+    return tuple(part for part in (c & dset for c in reversed(removed)) if part)

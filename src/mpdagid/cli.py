@@ -33,11 +33,14 @@ def _read_text(path: str) -> str:
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        return raw.decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(
             f"{path}: not UTF-8 text (byte 0x{raw[exc.start]:02x} at offset {exc.start})"
         ) from None
+    # Spreadsheet exports often start with a byte-order mark; decoding as
+    # plain UTF-8 first keeps the offsets above counted from the file start.
+    return text.removeprefix("\ufeff")
 
 
 def _positive_int(text: str) -> int:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Literal, Optional
+from heapq import heappop, heappush
+from typing import AbstractSet, Hashable, Iterable, Literal, Mapping, Optional, Sequence, TypeVar
 
 NODE_NAME = re.compile(r"[A-Za-z0-9_.]+\Z")
 
@@ -25,6 +25,8 @@ Relation = Literal[
 
 # A state of the possibly causal search: (previous node, current node).
 _State = tuple[Optional[str], str]
+
+T = TypeVar("T", bound=Hashable)
 
 
 class GraphError(ValueError):
@@ -41,15 +43,6 @@ class GraphParseError(GraphError):
 
 class UnknownNodeError(GraphError):
     """A queried node is not part of the graph."""
-
-
-@dataclass(frozen=True)
-class Edge:
-    """A single edge; ``kind`` is ``"directed"`` (a -> b) or ``"undirected"``."""
-
-    a: str
-    b: str
-    kind: Literal["directed", "undirected"]
 
 
 def _check_name(name: str) -> str:
@@ -262,13 +255,6 @@ class Pdag:
     def has_undirected(self, a: str, b: str) -> bool:
         return (min(a, b), max(a, b)) in self.undirected
 
-    def edges(self) -> list[Edge]:
-        """All edges in a deterministic (sorted) order."""
-        out = [Edge(a, b, "directed") for a, b in sorted(self.directed)]
-        out += [Edge(a, b, "undirected") for a, b in sorted(self.undirected)]
-        out.sort(key=lambda e: (e.a, e.b, e.kind))
-        return out
-
     def __eq__(self, other) -> bool:
         # Value equality: node set and edge sets; presentation order and
         # class tag are not part of graph identity.
@@ -443,7 +429,7 @@ class Pdag:
 
     def to_edgelist(self) -> str:
         """Render in the edge-list text format (parse round-trips)."""
-        # Sorted as edges(): a pair has one edge, so (a, b) decides the order.
+        # Sorted by endpoints: a pair has one edge, so (a, b) decides the order.
         edges = sorted(
             [(a, b, "->") for a, b in self.directed]
             + [(a, b, "--") for a, b in self.undirected]
@@ -470,6 +456,28 @@ def has_directed_cycle(
             if indeg[c] == 0:
                 queue.append(c)
     return seen < len(nodes)
+
+
+def topological_order(
+    nodes: Sequence[T], parents: Mapping[T, AbstractSet[T]], children: Mapping[T, AbstractSet[T]]
+) -> list[T]:
+    """Kahn's algorithm with a keyed pick: each step places the earliest
+    item of ``nodes`` whose parents are all placed.  Items need only be
+    hashable.  The result is shorter than ``nodes`` when they hold a
+    directed cycle."""
+    rank = {n: i for i, n in enumerate(nodes)}
+    indeg = [len(parents[n]) for n in nodes]
+    ready = [i for i, d in enumerate(indeg) if d == 0]  # ascending: a heap
+    order = []
+    while ready:
+        n = nodes[heappop(ready)]
+        order.append(n)
+        for c in children[n]:
+            i = rank[c]
+            indeg[i] -= 1
+            if indeg[i] == 0:
+                heappush(ready, i)
+    return order
 
 
 def _token_lines(text: str):

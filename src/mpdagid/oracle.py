@@ -27,7 +27,7 @@ import numpy as np
 from . import paths
 from .estimate import Dataset
 from .formula import IdFormula
-from .graphs import GraphError, Pdag
+from .graphs import GraphError, Pdag, topological_order
 from .meek import InconsistentKnowledgeError, close, require_mpdag
 
 CONFIG_CAP = 2**20
@@ -196,15 +196,6 @@ class MarginalTable:
 
     nodes: tuple[str, ...]
     table: np.ndarray
-
-    def prob(self, assign: Mapping[str, int]) -> float:
-        idx = tuple(assign[n] for n in self.nodes)
-        return float(self.table[idx])
-
-    def tv_distance(self, other: "MarginalTable") -> float:
-        if self.nodes != other.nodes:
-            raise ValueError("tables are over different node sets")
-        return 0.5 * float(np.abs(self.table - other.table).sum())
 
 
 @dataclass(frozen=True)
@@ -402,18 +393,12 @@ class GaussianModel:
         return a
 
     def topological_order(self) -> list[str]:
-        order: list[str] = []
-        placed: set[str] = set()
-        pending = list(self.dag.nodes)
-        while pending:
-            for n in pending:
-                if self.dag.parents_of(n) <= placed:
-                    order.append(n)
-                    placed.add(n)
-                    pending.remove(n)
-                    break
-            else:
-                raise GraphError("cyclic model")
+        """The DAG's nodes in a topological order: of the nodes whose parents
+        are all placed, the one earliest in ``dag.nodes`` is placed next."""
+        dag = self.dag
+        order = topological_order(dag.nodes, dag._parents, dag._children)
+        if len(order) < len(dag.nodes):
+            raise GraphError("cyclic model")
         return order
 
 

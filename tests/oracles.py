@@ -4,7 +4,8 @@ Deliberately dumb implementations: path predicates follow the raw
 definitions over exhaustively enumerated node sequences, equivalence
 classes come from filtering all edge orientations, the Meek closure
 re-derives every rule application from the edge sets after each
-orientation, discrete evaluation walks python dicts (or, for bit-exact
+orientation, orders come from rescanning what is left after each pick,
+discrete evaluation walks python dicts (or, for bit-exact
 comparison, rebuilds numpy tables from the CPTs on every call), and
 Gaussian covariances come from a matrix solve or from summing coefficient
 products over every collider-free simple path.
@@ -21,7 +22,8 @@ from collections import deque
 import networkx as nx
 import numpy as np
 
-from mpdagid import Pdag, close, InconsistentKnowledgeError
+from mpdagid import GraphError, Pdag, close, InconsistentKnowledgeError
+from mpdagid.meek import require_mpdag
 
 
 # --------------------------------------------------------------------------
@@ -299,6 +301,80 @@ def reference_find_adjustment_set(g: Pdag, X, Y):
             if reference_unblocked_noncausal_path(g, xs, ys, combo) is None:
                 return "set_found", frozenset(combo)
     return "none_exists", None
+
+
+# --------------------------------------------------------------------------
+# Orders by rescanning what is left
+# --------------------------------------------------------------------------
+
+
+def undirected_components(g: Pdag) -> list[frozenset[str]]:
+    """Undirected connected components of the full node set."""
+    seen: set[str] = set()
+    comps: list[frozenset[str]] = []
+    for start in g.nodes:
+        if start in seen:
+            continue
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            n = frontier.pop()
+            for m in g.und_neighbors(n):
+                if m not in comp:
+                    comp.add(m)
+                    frontier.append(m)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
+def reference_pco(g: Pdag, D):
+    """Partial causal ordering of D: repeatedly remove a component whose
+    remaining external edges all point into it, rescanning every directed
+    edge for each component, and prepend its intersection with D; of
+    several removable components, the one whose smallest member is
+    largest goes first."""
+    g = require_mpdag(g)
+    dset = g.require(D)
+    concomp = undirected_components(g)
+    ordered: list[frozenset[str]] = []
+    while concomp:
+        removable = []
+        for comp in concomp:
+            rest = set().union(*(c for c in concomp if c is not comp)) if len(concomp) > 1 else set()
+            ok = True
+            for a, b in g.directed:
+                if a in comp and b in rest:
+                    ok = False
+                    break
+            if ok:
+                removable.append(comp)
+        if not removable:
+            raise GraphError("no removable component; graph is not an MPDAG")
+        comp = max(removable, key=min)
+        concomp.remove(comp)
+        part = comp & dset
+        if part:
+            ordered.insert(0, frozenset(part))
+    return tuple(ordered)
+
+
+def reference_topological_order(dag: Pdag) -> list[str]:
+    """Topological order that rescans the pending nodes in graph order and
+    places the first one whose parents are all placed."""
+    order: list[str] = []
+    placed: set[str] = set()
+    pending = list(dag.nodes)
+    while pending:
+        for n in pending:
+            if dag.parents_of(n) <= placed:
+                order.append(n)
+                placed.add(n)
+                pending.remove(n)
+                break
+        else:
+            raise GraphError("cyclic model")
+    return order
 
 
 # --------------------------------------------------------------------------
@@ -660,15 +736,7 @@ def unit_variance_noise(dag: Pdag, coeffs: dict) -> dict:
     Built incrementally in topological order: the variance contributed by
     the parents is a quadratic form in the already-fixed covariances.
     """
-    order, placed = [], set()
-    pending = list(dag.nodes)
-    while pending:
-        for n in pending:
-            if dag.parents_of(n) <= placed:
-                order.append(n)
-                placed.add(n)
-                pending.remove(n)
-                break
+    order = reference_topological_order(dag)
     cov = {}
     noise = {}
     for v in order:

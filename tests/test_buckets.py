@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from mpdagid import GraphError, enumerate_dags, parse_graph, pco
+from mpdagid import GraphError, Pdag, close, enumerate_dags, parse_graph, pco
 
 import oracles
 
@@ -73,6 +73,32 @@ def test_pco_ordering_property():
                 for b in parts[j]:
                     assert not g.has_directed(b, a)
                     assert not g.has_undirected(a, b)
+
+
+def _cpdag(dag):
+    """The CPDAG of ``dag``: its skeleton with only the unshielded
+    colliders directed, closed under the orientation rules."""
+    directed = {(t, h) for a, h, c in oracles.unshielded_colliders(dag) for t in (a, c)}
+    skeleton = {tuple(sorted(e)) for e in dag.directed}
+    undirected = {(a, b) for a, b in skeleton if (a, b) not in directed and (b, a) not in directed}
+    return close(Pdag(dag.nodes, directed, undirected))
+
+
+def test_pco_equals_rescan_reference(sweep):
+    rng = random.Random(9)
+    cases = []
+    for g, _ in sweep:
+        cases += [(g, g.nodes), (g, rng.sample(g.nodes, rng.randint(0, len(g.nodes))))]
+    for g in oracles.random_mpdags(seed=61, count=120, n_nodes=(6, 7, 8)):
+        cases += [(g, g.nodes), (g, rng.sample(g.nodes, rng.randint(0, len(g.nodes))))]
+    for n in (20, 40, 60):
+        dag = oracles.random_dag(random.Random(n), n, 4 / n)
+        cpdag = _cpdag(dag)
+        assert cpdag.undirected
+        for g in (dag, cpdag):
+            cases += [(g, g.nodes), (g, rng.sample(g.nodes, n // 2))]
+    for g, d in cases:
+        assert pco(g, d) == oracles.reference_pco(g, d)
 
 
 def test_pco_consistent_with_every_represented_dag():

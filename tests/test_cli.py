@@ -142,6 +142,24 @@ def test_estimate_outputs_json(files, capsys, tmp_path):
     assert abs(payload["effect"]["X2"] - 0.50) < 0.05
 
 
+def test_byte_order_mark_is_ignored(files, capsys, tmp_path):
+    rows = np.random.default_rng(1).standard_normal((50, 2))
+    csv = "X,Y\n" + "\n".join(f"{a},{b}" for a, b in rows) + "\n"
+    runs = {}
+    for prefix in ("", "\ufeff"):
+        graph = tmp_path / f"chain{len(prefix)}.g"
+        graph.write_text(prefix + "X -> Y\n", encoding="utf-8")
+        data = tmp_path / f"data{len(prefix)}.csv"
+        data.write_text(prefix + csv, encoding="utf-8")
+        codes = (
+            main(["close", "-g", str(graph)]),
+            main(["estimate", "-g", str(graph), "-X", "X", "-Y", "Y", "--data", str(data)]),
+        )
+        runs[prefix] = codes, capsys.readouterr().out
+    assert runs["\ufeff"] == runs[""]
+    assert runs[""][0] == (0, 0)
+
+
 def test_estimate_refuses_unidentifiable(files, capsys, tmp_path):
     csv = tmp_path / "d.csv"
     rows = np.random.default_rng(0).standard_normal((10, 2))

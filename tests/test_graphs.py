@@ -10,8 +10,17 @@ from mpdagid import (
     parse_graph,
     relatives,
 )
+from mpdagid.graphs import topological_order
 
 import oracles
+
+
+def test_topological_order_places_the_earliest_ready_item():
+    parents = {"C": set(), "B": {"A"}, "A": set(), "D": {"B", "C"}}
+    children = {"C": {"D"}, "B": {"D"}, "A": {"B"}, "D": set()}
+    assert topological_order(("C", "B", "A", "D"), parents, children) == ["C", "A", "B", "D"]
+    parents["A"], children["D"] = {"D"}, {"A"}  # the cycle A -> B -> D -> A
+    assert topological_order(("C", "B", "A", "D"), parents, children) == ["C"]
 
 
 def test_parse_mixed_edges():

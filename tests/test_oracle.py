@@ -371,6 +371,16 @@ def test_wright_matches_linear_algebra_random():
         assert np.allclose(cov, oracles.reference_wright_cov(m)[1], atol=1e-10)
 
 
+def test_gaussian_order_equals_rescan_reference(sweep):
+    checked = 0
+    for _, dags in sweep:
+        for d in dags:
+            m = GaussianModel(dag=d, coeffs={}, noise_vars={n: 1.0 for n in d.nodes})
+            assert m.topological_order() == oracles.reference_topological_order(d)
+            checked += 1
+    assert checked >= 300
+
+
 def test_nonid_witness_pair(pair):
     m1, m2, delta = nonid_witness(pair, {"X"}, {"Y"})
     assert delta == 0.5

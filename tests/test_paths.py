@@ -190,6 +190,23 @@ def test_verify_on_chordal_22_nodes_finishes_within_5_seconds(tmp_path, capsys):
     assert "covariance max diff: 0.000e+00\n" in out
 
 
+def test_factorize_and_identify_on_400_nodes_finish_within_5_seconds(tmp_path, capsys):
+    # The partial causal ordering rescanned every directed edge for every
+    # remaining component, which took 6 s for factorize here; the sort of
+    # the component graph must stay near linear.
+    g = oracles.random_dag(random.Random(400), 400, 0.015)
+    assert len(g.directed) == 1212
+    path = tmp_path / "dag400.g"
+    path.write_text(g.to_edgelist())
+    with _time_limit(5.0, "factorize and identify on the 400-node DAG"):
+        codes = (
+            cli.main(["factorize", "-g", str(path)]),
+            cli.main(["identify", "-g", str(path), "-X", "N0", "-Y", "N1"]),
+        )
+    # cli.main reports the TimeoutError, an OSError, on stderr with exit 1.
+    assert codes == (0, 0), capsys.readouterr().err
+
+
 def _chordal_mpdag(rng, n):
     """Each new node joins a clique of up to 4 earlier nodes, grown greedily
     from a random node's neighbourhood; closed with the knowledge N0 -> v."""

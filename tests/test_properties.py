@@ -5,7 +5,14 @@ import itertools
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from mpdagid import InconsistentKnowledgeError, Pdag, amenability_witness, close, parse_graph
+from mpdagid import (
+    InconsistentKnowledgeError,
+    Pdag,
+    amenability_witness,
+    close,
+    parse_graph,
+    pco,
+)
 
 import oracles
 
@@ -78,3 +85,27 @@ def test_unchecked_closure_passes_the_public_checks(h):
         assert h.und_neighbors(n) == public.und_neighbors(n)
     assert parse_graph(h.to_edgelist()) == h
     assert close(h) == h
+
+
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(mpdags(), st.data())
+def test_pco_buckets_partition_d_and_order_every_edge(g, data):
+    d = data.draw(st.sets(st.sampled_from(g.nodes)))
+    parts = pco(g, d)
+    assert parts == oracles.reference_pco(g, d)
+    assert sorted(n for b in parts for n in b) == sorted(d)
+    comps = oracles.undirected_components(g)
+    assert all(any(b == d & comp for comp in comps) for b in parts)
+    rank = {n: i for i, b in enumerate(parts) for n in b}
+    for a, b in g.directed:
+        if a in rank and b in rank:
+            assert rank[a] <= rank[b]
+    for a, b in g.undirected:
+        if a in rank and b in rank:
+            assert rank[a] == rank[b]
