@@ -245,7 +245,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except OSError as exc:
-        print(f"mpdagid: {exc.strerror}: {exc.filename}", file=sys.stderr)
+        # A file error names its file; any other OSError (a TimeoutError,
+        # say) carries only its message.
+        message = exc if exc.filename is None else f"{exc.strerror}: {exc.filename}"
+        print(f"mpdagid: {message}", file=sys.stderr)
         return 1
     except (
         InputError,

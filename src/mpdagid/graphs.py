@@ -73,14 +73,20 @@ class Pdag:
 
     Graphs the package derives from graphs it already holds skip the
     checks through :meth:`_trusted` and :meth:`_retag`: the closure of a
-    tagged graph (``meek.close`` reached its rule fixpoint and checked
-    acyclicity and the extension itself), the DAGs at the leaves of
-    enumeration (a closure without undirected edges), an untagged graph
-    that ``meek.require_mpdag`` has just checked, and induced and
-    undirected subgraphs (dropping nodes or arrows adds no cycle and no
-    second edge to a pair).  The closure of an untagged graph, the way
-    every input enters, is built by this constructor, so each input is
-    checked once at the boundary.
+    tagged graph (``meek.close`` reached its rule fixpoint and certified
+    acyclicity and the extension, either by agreement with the DAG its
+    input carries or by Kahn's and Dor-Tarsi's passes), the DAGs at the
+    leaves of enumeration (a closure without undirected edges), an
+    untagged graph that ``meek.require_mpdag`` has just checked, and
+    induced and undirected subgraphs (dropping nodes or arrows adds no
+    cycle and no second edge to a pair).  The closure of an untagged
+    graph, the way every input enters, is built by this constructor, so
+    each input is checked once at the boundary.
+
+    A graph that ``meek.close`` returns also carries, in the private
+    ``_rank``, the Dor-Tarsi removal rank of one DAG it represents: that
+    DAG points every edge from the higher rank to the lower.  The slot is
+    ``None`` on every graph ``close`` did not build.
     """
 
     __slots__ = (
@@ -91,6 +97,7 @@ class Pdag:
         "_parents",
         "_children",
         "_und",
+        "_rank",
         "_hash",
     )
 
@@ -167,7 +174,9 @@ class Pdag:
                     "(no consistent extension exists)"
                 )
 
-    def _lay_out(self, nodes, directed, undirected, parents, children, und, class_tag) -> None:
+    def _lay_out(
+        self, nodes, directed, undirected, parents, children, und, class_tag, rank=None
+    ) -> None:
         """Set every field; the one place that lays out a graph."""
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "directed", directed)
@@ -176,6 +185,7 @@ class Pdag:
         object.__setattr__(self, "_children", children)
         object.__setattr__(self, "_und", und)
         object.__setattr__(self, "class_tag", class_tag)
+        object.__setattr__(self, "_rank", rank)
         object.__setattr__(self, "_hash", None)
 
     @classmethod
@@ -186,17 +196,24 @@ class Pdag:
         children: dict[str, set[str]],
         und: dict[str, set[str]],
         class_tag: ClassTag,
+        edges: Optional[tuple[frozenset, frozenset]] = None,
+        rank: Optional[dict[str, int]] = None,
     ) -> "Pdag":
         """A graph that adopts the caller's parent, child and undirected
         neighbour sets (keyed by every node) and checks nothing.
 
         The caller vouches for everything ``class_tag`` asserts and hands
-        the sets over: they must not change afterwards.
+        the sets over: they must not change afterwards.  ``edges``, the
+        ``(directed, undirected)`` frozensets, is derived from the sets
+        when not given; ``rank`` becomes the graph's ``_rank``.
         """
         g = object.__new__(cls)
-        directed = frozenset((p, n) for n, ps in parents.items() for p in ps)
-        undirected = frozenset((a, b) for a, bs in und.items() for b in bs if a < b)
-        g._lay_out(nodes, directed, undirected, parents, children, und, class_tag)
+        if edges is None:
+            edges = (
+                frozenset((p, n) for n, ps in parents.items() for p in ps),
+                frozenset((a, b) for a, bs in und.items() for b in bs if a < b),
+            )
+        g._lay_out(nodes, *edges, parents, children, und, class_tag, rank)
         return g
 
     def _retag(self, class_tag: ClassTag) -> "Pdag":
@@ -211,6 +228,7 @@ class Pdag:
             self._children,
             self._und,
             class_tag,
+            self._rank,
         )
         return g
 
@@ -440,22 +458,30 @@ class Pdag:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def has_directed_cycle(
+def kahn_order(
     nodes: tuple[str, ...], parents: dict[str, set[str]], children: dict[str, set[str]]
-) -> bool:
-    """Kahn's algorithm over per-node parent and child sets: True when some
-    node is never freed of its parents."""
+) -> list[str]:
+    """Kahn's algorithm over per-node parent and child sets: the nodes in
+    a topological order, short of every node that is never freed of its
+    parents (a directed cycle)."""
     indeg = {n: len(parents[n]) for n in nodes}
     queue = [n for n in nodes if indeg[n] == 0]
-    seen = 0
+    order = []
     while queue:
         n = queue.pop()
-        seen += 1
+        order.append(n)
         for c in children[n]:
             indeg[c] -= 1
             if indeg[c] == 0:
                 queue.append(c)
-    return seen < len(nodes)
+    return order
+
+
+def has_directed_cycle(
+    nodes: tuple[str, ...], parents: dict[str, set[str]], children: dict[str, set[str]]
+) -> bool:
+    """True when :func:`kahn_order` leaves some node out."""
+    return len(kahn_order(nodes, parents, children)) < len(nodes)
 
 
 def topological_order(

@@ -18,6 +18,15 @@ orientation, re-evaluates only the edges whose rule inputs it changed
 knowledge").  The consistent-extension check is Dor-Tarsi sink
 elimination over the same sets; its removal order also gives the one
 represented DAG that :func:`consistent_extension` returns.
+
+Every closure carries the removal rank of one DAG D it represents.  A
+closure of a graph with a rank that orients each edge from the higher
+rank to the lower keeps all its directed edges inside D, so D, which has
+the input's skeleton and unshielded colliders, is a consistent extension
+of the closure too: the closure is acyclic and extendable without
+Kahn's or Dor-Tarsi's pass, and keeps the rank.  By maximality every
+branch on an undirected edge of an MPDAG has a consistent closure, so
+in enumeration the branch that agrees with D always takes this path.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from .graphs import (
     UnknownNodeError,
     _token_lines,
     has_directed_cycle,
+    kahn_order,
     parse_graph,
 )
 
@@ -93,28 +103,29 @@ def _which_rule(
 
 
 class _Scratch:
-    """Mutable adjacency sets used during closure; tolerates directed cycles."""
+    """Parent, child and undirected-neighbour maps of a graph under
+    closure; tolerates directed cycles.
 
-    __slots__ = ("nodes", "pa", "ch", "und", "adj")
+    The maps are shallow copies of the graph's, and :meth:`orient`
+    replaces the sets it changes instead of writing into them, so the
+    graph's own sets stay untouched and the closure shares every set it
+    did not change.
+    """
+
+    __slots__ = ("pa", "ch", "und", "adj")
 
     def __init__(self, g: Pdag):
-        self.nodes = g.nodes
-        self.pa: NodeSets = {n: set(s) for n, s in g._parents.items()}
-        self.ch: NodeSets = {n: set(s) for n, s in g._children.items()}
-        self.und: NodeSets = {n: set(s) for n, s in g._und.items()}
+        self.pa: NodeSets = dict(g._parents)
+        self.ch: NodeSets = dict(g._children)
+        self.und: NodeSets = dict(g._und)
         self.adj = _Adjacency(self.pa, self.ch, self.und)
 
-    def has_dir(self, a: str, b: str) -> bool:
-        return b in self.ch[a]
-
-    def adjacent(self, a: str, b: str) -> bool:
-        return a in self.pa and a != b and b in self.adj[a]
-
     def orient(self, tail: str, head: str) -> None:
-        self.und[tail].discard(head)
-        self.und[head].discard(tail)
-        self.ch[tail].add(head)
-        self.pa[head].add(tail)
+        und = self.und
+        und[tail] = und[tail] - {head}
+        und[head] = und[head] - {tail}
+        self.ch[tail] = self.ch[tail] | {head}
+        self.pa[head] = self.pa[head] | {tail}
 
     def update(self, pending: dict[tuple[str, str], int], around: Iterable[str]) -> None:
         """Re-evaluate into ``pending`` (``(tail, head) -> rule``) every
@@ -144,21 +155,6 @@ class _Scratch:
             out.add(h)
             out |= self.und[h]
         return out
-
-    def has_consistent_extension(self) -> bool:
-        """True when some DAG orients the undirected edges without adding
-        a directed cycle or a new unshielded collider.  Assumes no directed
-        cycle (``close`` checks that first), so that a graph without
-        undirected edges is its own extension."""
-        if not any(self.und.values()):
-            return True
-        return _sink_order(self.nodes, self.pa, self.ch, self.und, self.adj) is not None
-
-    def to_mpdag(self) -> Pdag:
-        """The closed graph, re-checked by the public constructor."""
-        directed = [(p, n) for n, ps in self.pa.items() for p in ps]
-        undirected = [(a, b) for a, bs in self.und.items() for b in bs if a < b]
-        return Pdag(self.nodes, directed, undirected, "mpdag")
 
 
 def _sink_order(
@@ -269,6 +265,17 @@ def close(
     the closure's sets unchecked, since the checks below establish
     everything the tag asserts.
 
+    The result carries the Dor-Tarsi removal rank of one DAG D it
+    represents (``Pdag._rank``).  When ``g`` carries one and every edge
+    the closure orients, ``t -> h``, has ``rank[t] > rank[h]``, every
+    directed edge of the closure lies in ``g``'s D.  D then has the
+    closure's skeleton and, since it has ``g``'s unshielded colliders and
+    the closure has at least those, the closure's too: D is a consistent
+    extension of the closure, which is therefore acyclic.  The closure
+    inherits the rank and skips Kahn's and Dor-Tarsi's passes.  Otherwise
+    the closure is checked in full, and the removal order found becomes
+    its rank.
+
     ``rng`` randomizes which fireable rule is applied at each step; the
     default applies the least (rule index, then edge) application, which
     is deterministic.  The closure itself is order-independent.
@@ -285,6 +292,7 @@ def close(
         would represent no DAG at all (no consistent extension).
     """
     scratch = _Scratch(g)
+    nodes, pa, ch, und, adj = g.nodes, scratch.pa, scratch.ch, scratch.und, scratch.adj
     # Orientations made here, in order; the position picks which demand
     # is reported when several conflict at once.
     oriented: dict[tuple[str, str], int] = {}
@@ -297,13 +305,13 @@ def close(
             raise InconsistentKnowledgeError(
                 f"background knowledge orients {tail} and {head} both ways"
             )
-        if not scratch.adjacent(tail, head):
+        if tail == head or head not in adj[tail]:
             raise InconsistentKnowledgeError(
                 f"background knowledge pair {tail} -> {head} is not an adjacency"
             )
-        if scratch.has_dir(tail, head):
+        if head in ch[tail]:
             continue
-        if scratch.has_dir(head, tail):
+        if tail in ch[head]:
             raise InconsistentKnowledgeError(
                 f"background knowledge {tail} -> {head} opposes existing edge"
             )
@@ -314,7 +322,7 @@ def close(
     # A graph tagged dag, cpdag or mpdag was checked closed when it was
     # built, so only the rules near the knowledge can fire.
     pending: dict[tuple[str, str], int] = {}
-    around = scratch.nodes if g.class_tag == "pdag" else scratch.affected(oriented)
+    around = nodes if g.class_tag == "pdag" else scratch.affected(oriented)
     scratch.update(pending, around)
     while pending:
         if rng is None:
@@ -332,24 +340,44 @@ def close(
         # with the input (input edges are exempt: an arrow into an
         # existing v-structure is not a demand).  Only the verdicts for
         # edges into the affected nodes, or out of the head, can change.
-        suspects = [(u, v) for v in around for u in scratch.pa[v] if (u, v) in oriented]
-        suspects += [(head, v) for v in scratch.ch[head] if (head, v) in oriented]
+        suspects = [(u, v) for v in around for u in pa[v] if (u, v) in oriented]
+        suspects += [(head, v) for v in ch[head] if (head, v) in oriented]
         _check_no_reverse_demand(scratch, sorted(suspects, key=oriented.__getitem__))
         scratch.update(pending, around)
 
-    if has_directed_cycle(scratch.nodes, scratch.pa, scratch.ch):
-        raise InconsistentKnowledgeError(
-            "closure creates a directed cycle; knowledge is inconsistent"
-        )
-    if not scratch.has_consistent_extension():
-        raise InconsistentKnowledgeError(
-            "closure represents no DAG (no consistent extension exists)"
-        )
+    rank = g._rank
+    if rank is None or any(rank[t] < rank[h] for t, h in oriented):
+        # Sink elimination also gets stuck on a directed cycle, so it
+        # decides alone; Kahn only picks the message.  Without undirected
+        # edges a reversed Kahn order removes sinks first.
+        if any(und.values()):
+            order = _sink_order(nodes, pa, ch, und, adj)
+        else:
+            order = kahn_order(nodes, pa, ch)[::-1]
+            if len(order) < len(nodes):
+                order = None
+        if order is None:
+            if has_directed_cycle(nodes, pa, ch):
+                raise InconsistentKnowledgeError(
+                    "closure creates a directed cycle; knowledge is inconsistent"
+                )
+            raise InconsistentKnowledgeError(
+                "closure represents no DAG (no consistent extension exists)"
+            )
+        rank = {v: i for i, v in enumerate(order)}
     if g.class_tag == "pdag":
-        return scratch.to_mpdag()
+        directed = [(p, n) for n, ps in pa.items() for p in ps]
+        undirected = [(a, b) for a, bs in und.items() for b in bs if a < b]
+        h = Pdag(nodes, directed, undirected, "mpdag")
+        h._rank = rank
+        return h
     # Reached the rule fixpoint from a closed graph, acyclic and extendable:
     # an MPDAG (Meek 1995), so the scratch sets become the graph's own.
-    return Pdag._trusted(scratch.nodes, scratch.pa, scratch.ch, scratch.und, "mpdag")
+    edges = (
+        g.directed.union(oriented),
+        g.undirected.difference((t, h) if t < h else (h, t) for t, h in oriented),
+    )
+    return Pdag._trusted(nodes, pa, ch, und, "mpdag", edges, rank)
 
 
 def _check_no_reverse_demand(scratch: _Scratch, edges: list[tuple[str, str]]) -> None:

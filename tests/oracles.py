@@ -391,6 +391,16 @@ def unshielded_colliders(g: Pdag) -> frozenset:
     return frozenset(out)
 
 
+def carried_dag(h: Pdag) -> Pdag:
+    """The DAG that the removal rank carried by a closure stands for: each
+    skeleton edge points from the higher rank to the lower.  A strict
+    order leaves no directed cycle; whether the DAG keeps the directed
+    edges and the unshielded colliders of ``h`` is for the caller to check."""
+    rank = h._rank
+    edges = [(a, b) if rank[a] > rank[b] else (b, a) for a, b in h.directed | h.undirected]
+    return Pdag(h.nodes, edges, class_tag="dag")
+
+
 def all_represented_dags(g: Pdag) -> set[frozenset]:
     """Directed-edge sets of every DAG with the skeleton and unshielded
     colliders of ``g`` that keeps all of g's directed edges."""

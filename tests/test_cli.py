@@ -180,7 +180,18 @@ def test_usage_error_exit_1(files, capsys):
 
 def test_missing_file_exit_1(capsys):
     assert main(["identify", "-g", "/nonexistent.g", "-X", "A", "-Y", "B"]) == 1
-    assert "nonexistent" in capsys.readouterr().err
+    assert capsys.readouterr().err == "mpdagid: No such file or directory: /nonexistent.g\n"
+
+
+def test_os_error_without_a_file_prints_its_message(files, capsys, monkeypatch):
+    def hang(*args, **kwargs):
+        raise TimeoutError("close took over 5 s")
+
+    monkeypatch.setattr("mpdagid.cli.meek.close", hang)
+    assert main(["close", "-g", files["pair.g"]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "mpdagid: close took over 5 s\n"
 
 
 def test_malformed_graph_exit_1(tmp_path, capsys):

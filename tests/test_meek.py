@@ -1,4 +1,7 @@
+import collections
+import itertools
 import random
+import re
 
 import pytest
 
@@ -216,3 +219,93 @@ def test_close_matches_full_rescan_when_orienting_one_edge_of_an_mpdag():
     for g in oracles.random_mpdags(seed=5, count=100, n_nodes=(5, 6, 7, 8), p_edge=0.6):
         walk(g)
     assert cases > 3000
+
+
+def _directable_cycles(g, longest=5):
+    """For each skeleton cycle of 3-5 nodes whose directed edges all point
+    one way round it, its undirected edges oriented that way round."""
+    out = []
+
+    def extend(path):
+        for w in sorted(g.neighbors(path[-1])):
+            if w == path[0] and len(path) >= 3:
+                steps = list(zip(path, path[1:] + [path[0]]))
+                todo = [(a, b) for a, b in steps if g.has_undirected(a, b)]
+                if todo and not any(g.has_directed(b, a) for a, b in steps):
+                    out.append(todo)
+            elif w > path[0] and w not in path and len(path) < longest:
+                extend(path + [w])
+
+    for v in sorted(g.nodes):
+        extend([v])
+    return out
+
+
+def _mixed_knowledge(rng, g):
+    """1-3 pairs of five kinds: an undirected edge in either direction
+    (drawn half the time, so that most knowledge holds), a directed edge
+    as it is, a directed edge reversed, a non-adjacent pair, and the
+    first pairs of a cycle from ``_directable_cycles`` (cycle-making
+    knowledge)."""
+    undirected = sorted(g.undirected)
+    undirected += [(b, a) for a, b in undirected]
+    kinds = {
+        "undirected": undirected,
+        "directed": sorted(g.directed),
+        "reversed": [(b, a) for a, b in sorted(g.directed)],
+        "non-adjacent": [
+            pair for pair in itertools.permutations(sorted(g.nodes), 2) if not g.adjacent(*pair)
+        ],
+        "cycle": _directable_cycles(g),
+    }
+    kinds = {k: v for k, v in kinds.items() if v}
+    n = rng.randint(1, 3)
+    bk = []
+    while len(bk) < n:
+        kind = "undirected" if undirected and rng.random() < 0.5 else rng.choice(sorted(kinds))
+        pick = rng.choice(kinds[kind])
+        bk.extend(pick[: n - len(bk)] if kind == "cycle" else [pick])
+    return bk
+
+
+def _assert_carries_an_extension(h):
+    dag = oracles.carried_dag(h)
+    assert h.directed <= dag.directed, h.to_edgelist()
+    assert oracles.unshielded_colliders(dag) == oracles.unshielded_colliders(h), h.to_edgelist()
+
+
+def test_close_with_a_carried_dag_matches_full_rescan(sweep):
+    # Every graph of the enumeration walk carries the rank of a DAG it
+    # represents; closing it with knowledge either keeps that rank (the
+    # agreement path) or checks in full (the fallback path).  Both must
+    # give the reference's closure or its exact message, and a closure's
+    # rank must stand for a DAG it represents.
+    rng = random.Random(17)
+    paths = collections.Counter()
+    messages = collections.Counter()
+
+    def walk(g):
+        _assert_carries_an_extension(g)
+        for _ in range(6):
+            bk = _mixed_knowledge(rng, g)
+            expected = _outcome(oracles.reference_close, g, bk)
+            try:
+                h = close(g, bk)
+            except InconsistentKnowledgeError as exc:
+                assert str(exc) == expected, (g.to_edgelist(), bk)
+                messages[re.sub(r"\bN\d+\b", "_", re.sub(r"rule \d", "rule k", str(exc)))] += 1
+                continue
+            assert (h.directed, h.undirected) == expected, (g.to_edgelist(), bk)
+            _assert_carries_an_extension(h)
+            paths["agreement" if h._rank is g._rank else "fallback"] += 1
+        if g.undirected:
+            a, b = min(g.undirected)
+            for pair in ((a, b), (b, a)):
+                walk(close(g, (pair,)))
+
+    graphs = [g for g, _ in sweep]
+    graphs += oracles.random_mpdags(seed=88, count=60, n_nodes=(6, 7, 8), p_edge=0.6)
+    for g in graphs:
+        walk(g)
+    print(dict(paths), dict(messages))
+    assert paths["agreement"] > 500 and paths["fallback"] > 500

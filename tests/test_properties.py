@@ -2,6 +2,7 @@
 
 import itertools
 
+import networkx as nx
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -109,3 +110,27 @@ def test_pco_buckets_partition_d_and_order_every_edge(g, data):
     for a, b in g.undirected:
         if a in rank and b in rank:
             assert rank[a] == rank[b]
+
+
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(mpdags())
+def test_carried_rank_stands_for_a_represented_dag(g):
+    # close(g) and both branch closures on every undirected edge of it:
+    # some keep g's rank, the others find their own.
+    closures = [g]
+    for a, b in sorted(g.undirected):
+        closures += [close(g, (pair,)) for pair in ((a, b), (b, a))]
+    for h in closures:
+        dag = oracles.carried_dag(h)
+        assert {frozenset(e) for e in dag.directed} == {
+            frozenset(e) for e in h.directed | h.undirected
+        }
+        assert h.directed <= dag.directed
+        assert nx.is_directed_acyclic_graph(oracles.to_networkx(dag))
+        assert oracles.unshielded_colliders(dag) == oracles.unshielded_colliders(h)
