@@ -5,10 +5,14 @@ decide whether f(y | do(x)) is identifiable, emit and render the
 symbolic identification formula, test the generalized adjustment
 criterion, verify everything against brute-force oracles over the
 represented equivalence class, and estimate effects from Gaussian data.
+
+The numpy-backed ``oracle`` and ``estimate`` modules, and the names taken
+from them, load on first access, so importing the package loads no numpy.
 """
 
+import importlib
+
 from .buckets import Bucket, Buckets, pco
-from .estimate import Dataset, EstimationError, gaussian_effect
 from .formula import (
     Factor,
     FormulaError,
@@ -18,6 +22,8 @@ from .formula import (
     structurally_equal,
 )
 from .graphs import (
+    DegenerateConditioningError,
+    EstimationError,
     GraphError,
     GraphParseError,
     Pdag,
@@ -43,25 +49,6 @@ from .meek import (
     is_mpdag,
     parse_background_knowledge,
 )
-from .oracle import (
-    AgreementReport,
-    DegenerateConditioningError,
-    DiscreteModel,
-    GaussianModel,
-    InterventionalTable,
-    MarginalTable,
-    cross_dag_agreement,
-    enumerate_dags,
-    gformula_table,
-    id_formula_table,
-    interventional_means,
-    joint_table,
-    model_from_joint,
-    nonid_witness,
-    random_model,
-    simulate,
-    wright_cov,
-)
 from .paths import (
     PathStatus,
     amenability_witness,
@@ -73,6 +60,28 @@ from .paths import (
 )
 
 __version__ = "0.1.0"
+
+# Name -> the numpy-backed module that defines it; see ``__getattr__``.
+_LAZY = {
+    "Dataset": "estimate",
+    "gaussian_effect": "estimate",
+    "AgreementReport": "oracle",
+    "DiscreteModel": "oracle",
+    "GaussianModel": "oracle",
+    "InterventionalTable": "oracle",
+    "MarginalTable": "oracle",
+    "cross_dag_agreement": "oracle",
+    "enumerate_dags": "oracle",
+    "gformula_table": "oracle",
+    "id_formula_table": "oracle",
+    "interventional_means": "oracle",
+    "joint_table": "oracle",
+    "model_from_joint": "oracle",
+    "nonid_witness": "oracle",
+    "random_model": "oracle",
+    "simulate": "oracle",
+    "wright_cov": "oracle",
+}
 
 __all__ = [
     "AdjustmentResult",
@@ -132,3 +141,20 @@ __all__ = [
     "unblocked_proper_noncausal_path",
     "wright_cov",
 ]
+
+
+def __getattr__(name: str):
+    """Import ``oracle`` or ``estimate``, or a name from one of them, on
+    first access (PEP 562), and bind it here so later lookups skip this."""
+    if name in ("estimate", "oracle"):
+        value = importlib.import_module(f".{name}", __name__)
+    elif name in _LAZY:
+        value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -4,6 +4,10 @@ Subcommands: close, identify, factorize, adjust, enumerate, verify,
 estimate.  Exit codes: 0 on success, 1 for usage or input errors, 2 for
 a valid negative answer (not identifiable, not truncatable, no
 adjustment set).  Output is deterministic for a fixed seed.
+
+Only ``enumerate``, ``verify`` and ``estimate`` import the numpy-backed
+``oracle`` and ``estimate`` modules, inside their commands, so the other
+subcommands start without numpy.
 """
 
 from __future__ import annotations
@@ -14,9 +18,15 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from . import estimate, meek, oracle
+from . import meek
 from .formula import render
-from .graphs import GraphError, Pdag, parse_graph
+from .graphs import (
+    DegenerateConditioningError,
+    EstimationError,
+    GraphError,
+    Pdag,
+    parse_graph,
+)
 from .identify import (
     NotTruncatableError,
     find_adjustment_set,
@@ -159,6 +169,8 @@ def _cmd_adjust(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from . import oracle
+
     g = _load_graph(args)
     dags = oracle.enumerate_dags(g)
     print(len(dags))
@@ -181,6 +193,8 @@ def _render_path(g: Pdag, path) -> str:
 
 
 def _cmd_verify(args) -> int:
+    from . import oracle
+
     g = _load_graph(args)
     xs, ys = _nodes(args.X), _nodes(args.Y)
     res = identify(g, xs, ys)
@@ -211,6 +225,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    from . import estimate
+
     g = _load_graph(args)
     xs_order = [s.strip() for s in args.X.split(",") if s.strip()]
     ys = _nodes(args.Y)
@@ -250,12 +266,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         message = exc if exc.filename is None else f"{exc.strerror}: {exc.filename}"
         print(f"mpdagid: {message}", file=sys.stderr)
         return 1
-    except (
-        InputError,
-        GraphError,
-        estimate.EstimationError,
-        oracle.DegenerateConditioningError,
-    ) as exc:
+    except (InputError, GraphError, EstimationError, DegenerateConditioningError) as exc:
         print(f"mpdagid: {exc}", file=sys.stderr)
         return 1
 

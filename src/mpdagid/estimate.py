@@ -17,10 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .formula import IdFormula
-
-
-class EstimationError(ValueError):
-    """Bad data, a singular regression, or a formula/data mismatch."""
+from .graphs import EstimationError
 
 
 @dataclass(frozen=True)

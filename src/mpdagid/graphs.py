@@ -45,6 +45,18 @@ class UnknownNodeError(GraphError):
     """A queried node is not part of the graph."""
 
 
+# The two errors below belong to ``estimate`` and ``oracle``, which re-export
+# them; they live here so that ``cli`` can catch them without importing numpy.
+
+
+class EstimationError(ValueError):
+    """Bad data, a singular regression, or a formula/data mismatch."""
+
+
+class DegenerateConditioningError(ValueError):
+    """A formula factor conditions on a zero-probability event."""
+
+
 def _check_name(name: str) -> str:
     if not isinstance(name, str) or not NODE_NAME.match(name):
         raise GraphError(f"invalid node name: {name!r}")
@@ -458,30 +470,11 @@ class Pdag:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def kahn_order(
-    nodes: tuple[str, ...], parents: dict[str, set[str]], children: dict[str, set[str]]
-) -> list[str]:
-    """Kahn's algorithm over per-node parent and child sets: the nodes in
-    a topological order, short of every node that is never freed of its
-    parents (a directed cycle)."""
-    indeg = {n: len(parents[n]) for n in nodes}
-    queue = [n for n in nodes if indeg[n] == 0]
-    order = []
-    while queue:
-        n = queue.pop()
-        order.append(n)
-        for c in children[n]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                queue.append(c)
-    return order
-
-
 def has_directed_cycle(
     nodes: tuple[str, ...], parents: dict[str, set[str]], children: dict[str, set[str]]
 ) -> bool:
-    """True when :func:`kahn_order` leaves some node out."""
-    return len(kahn_order(nodes, parents, children)) < len(nodes)
+    """True when :func:`topological_order` leaves some node out."""
+    return len(topological_order(nodes, parents, children)) < len(nodes)
 
 
 def topological_order(

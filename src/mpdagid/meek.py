@@ -32,7 +32,7 @@ in enumeration the branch that agrees with D always takes this path.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .graphs import (
     GraphError,
@@ -41,8 +41,8 @@ from .graphs import (
     UnknownNodeError,
     _token_lines,
     has_directed_cycle,
-    kahn_order,
     parse_graph,
+    topological_order,
 )
 
 BackgroundKnowledge = frozenset[tuple[str, str]]
@@ -158,39 +158,46 @@ class _Scratch:
 
 
 def _sink_order(
-    nodes: Iterable[str], pa: NodeSets, ch: NodeSets, und: NodeSets, adj: _Adjacency
+    nodes: Sequence[str], pa: NodeSets, ch: NodeSets, und: NodeSets, adj: _Adjacency
 ) -> Optional[list[str]]:
     """Dor-Tarsi sink elimination; the nodes in removal order, or ``None``
     when it gets stuck (no consistent extension exists).
 
-    Repeatedly removes a node ``v`` with no children whose neighbours
-    other than ``w`` are all adjacent to ``w``, for every undirected
-    neighbour ``w``; orienting its undirected edges into it adds no
-    collider.  Any such choice works, so the order of removal does not
-    matter for success.  The sets are read, not changed.
+    Repeatedly removes the first node ``v`` of ``nodes`` with no children
+    whose neighbours other than ``w`` are all adjacent to ``w``, for every
+    undirected neighbour ``w``; orienting its undirected edges into it
+    adds no collider.  Any such choice works, so the order of removal does
+    not matter for success; taking the first keeps it independent of
+    string hashing.  A removal only shrinks the child counts and
+    neighbour sets of the removed node's parents and undirected
+    neighbours, so a node that failed the test is tested again only after
+    one of those changes.  The sets are read, not changed.
     """
-    und = {n: set(s) for n, s in und.items()}
+    live = dict(und)  # undirected neighbours still live; replaced, not mutated
     n_children = {n: len(s) for n, s in ch.items()}
-    alive = set(nodes)
+    alive = list(nodes)
+    stuck: set[str] = set()
     order: list[str] = []
     while alive:
-        for v in alive:
-            if n_children[v]:
+        for i, v in enumerate(alive):
+            if v in stuck or n_children[v]:
                 continue
             # A removed node was a sink, so pa[v] holds live nodes only;
-            # adj is static, and nb holds live nodes, so nb <= adj[w]
-            # tests adjacency among live nodes.
-            nb = pa[v] | und[v]
-            if all(nb <= adj[w] for w in und[v]):
+            # adj is static, so nb <= adj[w] tests adjacency among live nodes.
+            nb = pa[v] | live[v]
+            if all(nb <= adj[w] for w in live[v]):
                 break
+            stuck.add(v)
         else:
             return None
-        alive.remove(v)
+        del alive[i]
         order.append(v)
         for p in pa[v]:
             n_children[p] -= 1
-        for w in und[v]:
-            und[w].discard(v)
+            stuck.discard(p)
+        for w in live[v]:
+            live[w] = live[w] - {v}
+            stuck.discard(w)
     return order
 
 
@@ -348,12 +355,13 @@ def close(
     rank = g._rank
     if rank is None or any(rank[t] < rank[h] for t, h in oriented):
         # Sink elimination also gets stuck on a directed cycle, so it
-        # decides alone; Kahn only picks the message.  Without undirected
-        # edges a reversed Kahn order removes sinks first.
+        # decides alone; the cycle test only picks the message.  Without
+        # undirected edges a reversed topological order removes sinks
+        # first; its keyed pick keeps the rank independent of string hashing.
         if any(und.values()):
             order = _sink_order(nodes, pa, ch, und, adj)
         else:
-            order = kahn_order(nodes, pa, ch)[::-1]
+            order = topological_order(nodes, pa, ch)[::-1]
             if len(order) < len(nodes):
                 order = None
         if order is None:

@@ -27,14 +27,10 @@ import numpy as np
 from . import paths
 from .estimate import Dataset
 from .formula import IdFormula
-from .graphs import GraphError, Pdag, topological_order
+from .graphs import DegenerateConditioningError, GraphError, Pdag, topological_order
 from .meek import InconsistentKnowledgeError, close, require_mpdag
 
 CONFIG_CAP = 2**20
-
-
-class DegenerateConditioningError(ValueError):
-    """A formula factor conditions on a zero-probability event."""
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,29 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mpdagid
 from mpdagid import enumerate_dags, parse_graph
 
 import oracles
+
+SRC = os.path.dirname(os.path.dirname(mpdagid.__file__))
+
+
+def fresh_python(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter on ``args`` with this checkout's package on
+    the path and ``env`` added to the environment; output is text."""
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=SRC, **env),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
 
 # A chordal 4-node CPDAG: every edge undirected, V1 and Y2 nonadjacent.
 CPDAG4_TEXT = """\

@@ -401,6 +401,31 @@ def carried_dag(h: Pdag) -> Pdag:
     return Pdag(h.nodes, edges, class_tag="dag")
 
 
+def reference_sink_order(nodes, pa, ch, und):
+    """Dor-Tarsi sink elimination over parent, child and undirected-
+    neighbour maps by rescanning: after each removal, remove the first
+    live node of ``nodes`` with no live children whose live neighbours
+    other than ``w`` are all adjacent to ``w``, for every live undirected
+    neighbour ``w``.  The removal order, or None when no node qualifies."""
+    adj = {n: pa[n] | ch[n] | und[n] | {n} for n in nodes}
+    alive = list(nodes)
+    order = []
+    while alive:
+        live = set(alive)
+        for v in alive:
+            if ch[v] & live:
+                continue
+            und_nb = und[v] & live
+            nb = (pa[v] | und_nb) & live
+            if all(nb <= adj[w] for w in und_nb):
+                break
+        else:
+            return None
+        alive.remove(v)
+        order.append(v)
+    return order
+
+
 def all_represented_dags(g: Pdag) -> set[frozenset]:
     """Directed-edge sets of every DAG with the skeleton and unshielded
     colliders of ``g`` that keeps all of g's directed edges."""

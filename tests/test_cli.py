@@ -6,7 +6,14 @@ import pytest
 from mpdagid import GaussianModel, parse_formula_json, parse_graph, simulate
 from mpdagid.cli import main
 
-from conftest import CPDAG4_TEXT, MPDAG4_TEXT, PAIR_TEXT, COVAR5_TEXT, TWOTREAT7_TEXT
+from conftest import (
+    COVAR5_TEXT,
+    CPDAG4_TEXT,
+    MPDAG4_TEXT,
+    PAIR_TEXT,
+    TWOTREAT7_TEXT,
+    fresh_python,
+)
 
 
 @pytest.fixture
@@ -265,6 +272,44 @@ def test_ragged_csv_exit_1(files, capsys, tmp_path):
                  "--data", str(csv)])
     assert code == 1
     assert "line 6" in _one_error_line(capsys)
+
+
+def test_degenerate_conditioning_exit_1(files, capsys, monkeypatch):
+    from mpdagid import DegenerateConditioningError
+
+    def degenerate(*args, **kwargs):
+        raise DegenerateConditioningError("conditioning on a zero-probability event")
+
+    monkeypatch.setattr("mpdagid.oracle.cross_dag_agreement", degenerate)
+    assert main(["verify", "-g", files["mpdag4.g"], "-X", "X", "-Y", "Y1,Y2"]) == 1
+    assert "zero-probability" in _one_error_line(capsys)
+
+
+# Runs the CLI in a fresh interpreter and reports whether numpy got loaded.
+_NUMPY_PROBE = """\
+import sys
+from mpdagid import cli
+code = cli.main(sys.argv[1:])
+print("numpy loaded:", "numpy" in sys.modules)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (["close"], False),
+        (["identify", "-X", "X", "-Y", "Y1,Y2"], False),
+        (["factorize", "-X", "Y2"], False),
+        (["adjust", "-X", "X", "-Y", "Y2"], False),
+        (["enumerate"], True),
+    ],
+)
+def test_graph_only_subcommands_start_without_numpy(files, argv, loads_numpy):
+    argv = [*argv[:1], "-g", files["cpdag4.g"], "-b", files["bk.g"], *argv[1:]]
+    done = fresh_python("-c", _NUMPY_PROBE, *argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith(f"numpy loaded: {loads_numpy}\n"), done.stdout
 
 
 @pytest.mark.parametrize("models", ["0", "-3"])

@@ -1,10 +1,12 @@
 import collections
 import itertools
+import os
 import random
 import re
 
 import pytest
 
+from mpdagid import meek
 from mpdagid import (
     GraphError,
     GraphParseError,
@@ -18,6 +20,7 @@ from mpdagid import (
 )
 
 import oracles
+from conftest import fresh_python
 
 
 def test_closure_with_knowledge_matches_target(cpdag4, mpdag4):
@@ -309,3 +312,63 @@ def test_close_with_a_carried_dag_matches_full_rescan(sweep):
         walk(g)
     print(dict(paths), dict(messages))
     assert paths["agreement"] > 500 and paths["fallback"] > 500
+
+
+def _sink_order_cases(sweep):
+    """``(nodes, pa, ch, und)`` of the sweep graphs, of random 6-8-node
+    MPDAGs and every graph of their enumeration walk, of each of those
+    with one undirected edge oriented at random and not closed, and of
+    random unclosed PDAGs; the last two often represent no DAG."""
+    rng = random.Random(23)
+    graphs = []
+
+    def walk(g):
+        graphs.append(g)
+        if g.undirected:
+            a, b = min(g.undirected)
+            for pair in ((a, b), (b, a)):
+                try:
+                    walk(close(g, (pair,)))
+                except InconsistentKnowledgeError:
+                    pass
+
+    for g in oracles.random_mpdags(seed=31, count=60, n_nodes=(6, 7, 8), p_edge=0.6):
+        walk(g)
+    graphs += [g for g, _ in sweep]
+    for g in list(graphs):
+        if g.undirected:
+            a, b = rng.choice(sorted(g.undirected))
+            tail, head = (a, b) if rng.random() < 0.5 else (b, a)
+            graphs.append(Pdag(g.nodes, g.directed | {(tail, head)}, g.undirected - {(a, b)}))
+    for _ in range(300):
+        graphs.append(oracles.random_pdag(rng, rng.choice((4, 5, 6, 7, 8)), 0.6))
+    return [(g.nodes, g._parents, g._children, g._und) for g in graphs]
+
+
+def test_sink_order_matches_rescanning_reference(sweep):
+    outcomes = collections.Counter()
+    for nodes, pa, ch, und in _sink_order_cases(sweep):
+        expected = oracles.reference_sink_order(nodes, pa, ch, und)
+        got = meek._sink_order(nodes, pa, ch, und, meek._Adjacency(pa, ch, und))
+        assert got == expected, (nodes, pa, und)
+        outcomes["stuck" if got is None else "order"] += 1
+    print(dict(outcomes))
+    assert outcomes["stuck"] > 100 and outcomes["order"] > 1000
+
+
+def test_carried_rank_does_not_depend_on_string_hashing():
+    # Closing untagged graphs takes the full check, whose removal order
+    # becomes the rank; it must read the same under any hash seed.
+    script = """
+import oracles
+for h in oracles.random_mpdags(seed=5, count=40, n_nodes=(7, 8)):
+    print(sorted(h._rank, key=h._rank.get))
+"""
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    runs = []
+    for seed in ("0", "1"):
+        done = fresh_python("-c", f"import sys; sys.path.insert(0, {tests_dir!r})\n" + script,
+                            PYTHONHASHSEED=seed)
+        assert done.returncode == 0, done.stderr
+        runs.append(done.stdout)
+    assert runs[0] == runs[1]
