@@ -13,14 +13,7 @@ from them, load on first access, so importing the package loads no numpy.
 import importlib
 
 from .buckets import Bucket, Buckets, pco
-from .formula import (
-    Factor,
-    FormulaError,
-    IdFormula,
-    parse_formula_json,
-    render,
-    structurally_equal,
-)
+from .formula import Factor, FormulaError, IdFormula, render
 from .graphs import (
     DegenerateConditioningError,
     EstimationError,
@@ -29,17 +22,14 @@ from .graphs import (
     Pdag,
     UnknownNodeError,
     parse_graph,
-    relatives,
 )
 from .identify import (
     AdjustmentResult,
     IdentifyResult,
     NotTruncatableError,
-    adjustment_formula,
     check_adjustment,
     find_adjustment_set,
     identify,
-    identify_long_form,
     truncated_factorization,
 )
 from .meek import (
@@ -50,9 +40,7 @@ from .meek import (
     parse_background_knowledge,
 )
 from .paths import (
-    PathStatus,
     amenability_witness,
-    classify_path,
     d_separated,
     exists_possibly_causal,
     forbidden_set,
@@ -69,12 +57,10 @@ _LAZY = {
     "DiscreteModel": "oracle",
     "GaussianModel": "oracle",
     "InterventionalTable": "oracle",
-    "MarginalTable": "oracle",
     "cross_dag_agreement": "oracle",
     "enumerate_dags": "oracle",
     "gformula_table": "oracle",
     "id_formula_table": "oracle",
-    "interventional_means": "oracle",
     "joint_table": "oracle",
     "model_from_joint": "oracle",
     "nonid_witness": "oracle",
@@ -102,15 +88,11 @@ __all__ = [
     "IdentifyResult",
     "InconsistentKnowledgeError",
     "InterventionalTable",
-    "MarginalTable",
     "NotTruncatableError",
     "Pdag",
-    "PathStatus",
     "UnknownNodeError",
-    "adjustment_formula",
     "amenability_witness",
     "check_adjustment",
-    "classify_path",
     "close",
     "cross_dag_agreement",
     "d_separated",
@@ -122,21 +104,16 @@ __all__ = [
     "gformula_table",
     "id_formula_table",
     "identify",
-    "identify_long_form",
-    "interventional_means",
     "is_mpdag",
     "joint_table",
     "model_from_joint",
     "nonid_witness",
     "parse_background_knowledge",
-    "parse_formula_json",
     "parse_graph",
     "pco",
     "random_model",
-    "relatives",
     "render",
     "simulate",
-    "structurally_equal",
     "truncated_factorization",
     "unblocked_proper_noncausal_path",
     "wright_cov",

@@ -53,11 +53,17 @@ def _read_text(path: str) -> str:
     return text.removeprefix("\ufeff")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,10 +92,10 @@ def _build_parser() -> _Parser:
         if data:
             p.add_argument("--data", required=True, help="CSV file of observations")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_int_at_least(0), default=0)
         if models:
             p.add_argument(
-                "--models", type=_positive_int, default=20, help="random models per check"
+                "--models", type=_int_at_least(1), default=20, help="random models per check"
             )
         return p
 

@@ -40,7 +40,10 @@ class Dataset:
         if len(set(self.columns)) != len(self.columns):
             raise EstimationError("duplicate column names")
         if rows.shape[0] <= rows.shape[1]:
-            raise EstimationError("need more rows than columns")
+            raise EstimationError(
+                f"need more data rows than columns: {rows.shape[0]} rows, "
+                f"{rows.shape[1]} columns"
+            )
         if not np.isfinite(rows).all():
             raise EstimationError("data contains missing or non-finite values")
 
@@ -71,14 +74,10 @@ class Dataset:
                 body.append([float(cell) for cell in row])
             except ValueError as exc:
                 raise EstimationError(f"non-numeric cell: {exc}") from exc
-        return cls(columns=header, rows=np.array(body, dtype=float))
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(self.columns)
-        writer.writerows(self.rows.tolist())
-        return out.getvalue()
+        # Shaped (0, p) when no data row follows the header, so that the
+        # row count, not the shape, is what gets reported.
+        rows = np.array(body, dtype=float).reshape(len(body), len(header))
+        return cls(columns=header, rows=rows)
 
 
 def _ols(design: np.ndarray, response: np.ndarray) -> np.ndarray:

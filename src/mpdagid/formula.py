@@ -2,7 +2,7 @@
 
 An :class:`IdFormula` is an ordered product of conditional density
 factors together with an integration set, the intervened set, and the
-response set.  Rendering is deterministic; the JSON style round-trips.
+response set.  Rendering is deterministic.
 """
 
 from __future__ import annotations
@@ -161,36 +161,3 @@ def render(f: IdFormula, style: Style = "text") -> str:
         return _render_json(f)
     raise FormulaError(f"unknown style: {style!r}")
 
-
-def parse_formula_json(text: str) -> IdFormula:
-    """Inverse of the JSON rendering."""
-    try:
-        payload = json.loads(text)
-        factors = tuple(
-            Factor(frozenset(fc["targets"]), frozenset(fc["given"]))
-            for fc in payload["factors"]
-        )
-        out = IdFormula(
-            factors=factors,
-            intervened=frozenset(payload["do"]),
-            response=frozenset(payload["response"]),
-        )
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise FormulaError(f"malformed formula JSON: {exc}") from exc
-    if sorted(out.integrate_over) != sorted(payload.get("integrate_over", [])):
-        raise FormulaError("integrate_over does not match targets minus response")
-    return out
-
-
-def structurally_equal(a: IdFormula, b: IdFormula) -> bool:
-    """Equality up to factor reordering (product commutativity)."""
-
-    def canon(f: IdFormula):
-        return (
-            tuple(sorted((tuple(sorted(fc.targets)), tuple(sorted(fc.given))) for fc in f.factors)),
-            tuple(sorted(f.integrate_over)),
-            tuple(sorted(f.intervened)),
-            tuple(sorted(f.response)),
-        )
-
-    return canon(a) == canon(b)

@@ -15,13 +15,6 @@ from typing import AbstractSet, Hashable, Iterable, Literal, Mapping, Optional, 
 NODE_NAME = re.compile(r"[A-Za-z0-9_.]+\Z")
 
 ClassTag = Literal["pdag", "dag", "cpdag", "mpdag"]
-Relation = Literal[
-    "parents",
-    "ancestors",
-    "descendants",
-    "possible_ancestors",
-    "possible_descendants",
-]
 
 # A state of the possibly causal search: (previous node, current node).
 _State = tuple[Optional[str], str]
@@ -90,10 +83,10 @@ class Pdag:
     input carries or by Kahn's and Dor-Tarsi's passes), the DAGs at the
     leaves of enumeration (a closure without undirected edges), an
     untagged graph that ``meek.require_mpdag`` has just checked, and
-    induced and undirected subgraphs (dropping nodes or arrows adds no
-    cycle and no second edge to a pair).  The closure of an untagged
-    graph, the way every input enters, is built by this constructor, so
-    each input is checked once at the boundary.
+    induced subgraphs (dropping nodes adds no cycle and no second edge to
+    a pair).  The closure of an untagged graph, the way every input
+    enters, is built by this constructor, so each input is checked once
+    at the boundary.
 
     A graph that ``meek.close`` returns also carries, in the private
     ``_rank``, the Dor-Tarsi removal rank of one DAG it represents: that
@@ -311,10 +304,6 @@ class Pdag:
 
     # -- transformations -------------------------------------------------
 
-    def validate_as(self, class_tag: ClassTag) -> "Pdag":
-        """Re-validate this graph under ``class_tag`` and return it re-tagged."""
-        return Pdag(self.nodes, self.directed, self.undirected, class_tag)
-
     def induced_subgraph(self, keep: Iterable[str]) -> "Pdag":
         """Subgraph on ``keep`` with every edge whose endpoints both remain.
 
@@ -329,13 +318,6 @@ class Pdag:
             {n: self._children[n] & kept for n in nodes},
             {n: self._und[n] & kept for n in nodes},
             "pdag",
-        )
-
-    def undirected_subgraph(self) -> "Pdag":
-        """Same node set, only the undirected edges retained."""
-        nodes = self.nodes
-        return Pdag._trusted(
-            nodes, {n: set() for n in nodes}, {n: set() for n in nodes}, self._und, "pdag"
         )
 
     # -- ancestral relations ----------------------------------------------
@@ -550,21 +532,3 @@ def parse_graph(text: str) -> Pdag:
 
     return Pdag(nodes, directed, undirected, "pdag")
 
-
-def relatives(g: Pdag, xs: Iterable[str], relation: Relation) -> frozenset[str]:
-    """Ancestral-relation query for a node set.
-
-    ``parents`` follows the set convention (union of parents minus the set
-    itself); the other relations include the set members themselves.
-    """
-    if relation == "parents":
-        return g.set_parents(xs)
-    if relation == "ancestors":
-        return g.ancestors(xs)
-    if relation == "descendants":
-        return g.descendants(xs)
-    if relation == "possible_ancestors":
-        return g.possible_ancestors(xs)
-    if relation == "possible_descendants":
-        return g.possible_descendants(xs)
-    raise GraphError(f"unknown relation: {relation!r}")

@@ -90,19 +90,6 @@ def identify(g: Pdag, X: Iterable[str], Y: Iterable[str]) -> IdentifyResult:
     return IdentifyResult(formula=_ancestor_formula(g, xs, ys))
 
 
-def identify_long_form(g: Pdag, X: Iterable[str], Y: Iterable[str]) -> IdFormula:
-    """The ancestor factorization without the zero-effect simplification.
-
-    Used by verification to confirm that the f(y) shortcut agrees with the
-    full product after marginalization.  Requires an identifiable query.
-    """
-    g = require_mpdag(g)
-    xs, ys = g.require(X), g.require(Y)
-    if xs and paths.amenability_witness(g, xs, ys) is not None:
-        raise GraphError("effect is not identifiable")
-    return _ancestor_formula(g, xs, ys)
-
-
 def truncated_factorization(g: Pdag, X: Iterable[str]) -> IdFormula:
     """f(v' | do(x)) over the buckets containing no intervened node.
 
@@ -145,15 +132,6 @@ def check_adjustment(g: Pdag, X, Y, Z) -> bool:
     if zs & paths.forbidden_set(g, xs, ys):
         return False
     return not paths.unblocked_proper_noncausal_path(g, xs, ys, zs)
-
-
-def adjustment_formula(X, Y, Z) -> IdFormula:
-    """The adjustment functional ∫ f(y | x, z) f(z) dz as an IdFormula."""
-    xs, ys, zs = frozenset(X), frozenset(Y), frozenset(Z)
-    factors = [Factor(targets=ys, given=xs | zs)]
-    if zs:
-        factors.insert(0, Factor(targets=zs))
-    return IdFormula(factors=tuple(factors), intervened=xs, response=ys)
 
 
 def find_adjustment_set(g: Pdag, X, Y) -> AdjustmentResult:

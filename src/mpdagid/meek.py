@@ -102,61 +102,6 @@ def _which_rule(
     return None
 
 
-class _Scratch:
-    """Parent, child and undirected-neighbour maps of a graph under
-    closure; tolerates directed cycles.
-
-    The maps are shallow copies of the graph's, and :meth:`orient`
-    replaces the sets it changes instead of writing into them, so the
-    graph's own sets stay untouched and the closure shares every set it
-    did not change.
-    """
-
-    __slots__ = ("pa", "ch", "und", "adj")
-
-    def __init__(self, g: Pdag):
-        self.pa: NodeSets = dict(g._parents)
-        self.ch: NodeSets = dict(g._children)
-        self.und: NodeSets = dict(g._und)
-        self.adj = _Adjacency(self.pa, self.ch, self.und)
-
-    def orient(self, tail: str, head: str) -> None:
-        und = self.und
-        und[tail] = und[tail] - {head}
-        und[head] = und[head] - {tail}
-        self.ch[tail] = self.ch[tail] | {head}
-        self.pa[head] = self.pa[head] | {tail}
-
-    def update(self, pending: dict[tuple[str, str], int], around: Iterable[str]) -> None:
-        """Re-evaluate into ``pending`` (``(tail, head) -> rule``) every
-        orientation of an undirected edge with its tail in ``around``."""
-        pa, ch, und, adj = self.pa, self.ch, self.und, self.adj
-        for a in around:
-            for b in und[a]:
-                rule = _which_rule(pa, ch, und, adj, a, b)
-                if rule is None:
-                    pending.pop((a, b), None)
-                else:
-                    pending[(a, b)] = rule
-
-    def affected(self, oriented: Iterable[tuple[str, str]]) -> set[str]:
-        """Tails whose rule verdicts may have changed by orienting the
-        given ``t -> h`` edges.
-
-        Orienting ``t -> h`` changes only ``pa[h]``, ``ch[t]``, ``und[t]``
-        and ``und[h]``.  By what ``_which_rule`` reads, the verdict for
-        ``a -> b`` can then change only when ``a`` is ``t``, ``h`` or in
-        ``und[h]`` (rule 4 reads ``pa[d]`` for ``d`` in ``und[a]``), or
-        when ``b`` is ``h``, which again puts ``a`` in ``und[h]``.
-        """
-        out: set[str] = set()
-        for t, h in oriented:
-            out.add(t)
-            out.add(h)
-            out |= self.und[h]
-        return out
-
-
 def _sink_order(
     nodes: Sequence[str], pa: NodeSets, ch: NodeSets, und: NodeSets, adj: _Adjacency
 ) -> Optional[list[str]]:
@@ -298,8 +243,14 @@ def close(
         the closure would create a directed cycle, or the closed graph
         would represent no DAG at all (no consistent extension).
     """
-    scratch = _Scratch(g)
-    nodes, pa, ch, und, adj = g.nodes, scratch.pa, scratch.ch, scratch.und, scratch.adj
+    # Shallow copies of the graph's maps.  Orienting an edge replaces the
+    # sets it changes instead of writing into them, so the graph's own sets
+    # stay untouched and the closure shares every set it does not change.
+    nodes = g.nodes
+    pa: NodeSets = dict(g._parents)
+    ch: NodeSets = dict(g._children)
+    und: NodeSets = dict(g._und)
+    adj = _Adjacency(pa, ch, und)
     # Orientations made here, in order; the position picks which demand
     # is reported when several conflict at once.
     oriented: dict[tuple[str, str], int] = {}
@@ -322,26 +273,47 @@ def close(
             raise InconsistentKnowledgeError(
                 f"background knowledge {tail} -> {head} opposes existing edge"
             )
-        scratch.orient(tail, head)
+        und[tail] = und[tail] - {head}
+        und[head] = und[head] - {tail}
+        ch[tail] = ch[tail] | {head}
+        pa[head] = pa[head] | {tail}
         oriented[(tail, head)] = len(oriented)
 
-    _check_no_reverse_demand(scratch, list(oriented))
+    _check_no_reverse_demand(pa, ch, und, adj, list(oriented))
+    # Orienting t -> h changes only pa[h], ch[t], und[t] and und[h].  By what
+    # ``_which_rule`` reads, the verdict for a -> b can then change only when
+    # a is t, h or in und[h] (rule 4 reads pa[d] for d in und[a]), or when b
+    # is h, which again puts a in und[h]; ``around`` holds those tails.
     # A graph tagged dag, cpdag or mpdag was checked closed when it was
     # built, so only the rules near the knowledge can fire.
-    pending: dict[tuple[str, str], int] = {}
-    around = nodes if g.class_tag == "pdag" else scratch.affected(oriented)
-    scratch.update(pending, around)
-    while pending:
+    if g.class_tag == "pdag":
+        around = nodes
+    else:
+        around = {n for t, h in oriented for n in (t, h, *und[h])}
+    pending: dict[tuple[str, str], int] = {}  # (tail, head) -> lowest rule
+    while True:
+        for a in around:
+            for b in und[a]:
+                rule = _which_rule(pa, ch, und, adj, a, b)
+                if rule is None:
+                    pending.pop((a, b), None)
+                else:
+                    pending[(a, b)] = rule
+        if not pending:
+            break
         if rng is None:
             _, tail, head = min((r, t, h) for (t, h), r in pending.items())
         else:
             _, tail, head = rng.choice(sorted((r, t, h) for (t, h), r in pending.items()))
-        scratch.orient(tail, head)
+        und[tail] = und[tail] - {head}
+        und[head] = und[head] - {tail}
+        ch[tail] = ch[tail] | {head}
+        pa[head] = pa[head] | {tail}
         oriented[(tail, head)] = len(oriented)
         del pending[(tail, head)]
         pending.pop((head, tail), None)
 
-        around = scratch.affected(((tail, head),))
+        around = und[head] | {tail, head}
         # A rule pattern demanding the reverse of an orientation made by
         # the knowledge or by an earlier rule means no DAG is compatible
         # with the input (input edges are exempt: an arrow into an
@@ -349,8 +321,7 @@ def close(
         # edges into the affected nodes, or out of the head, can change.
         suspects = [(u, v) for v in around for u in pa[v] if (u, v) in oriented]
         suspects += [(head, v) for v in ch[head] if (head, v) in oriented]
-        _check_no_reverse_demand(scratch, sorted(suspects, key=oriented.__getitem__))
-        scratch.update(pending, around)
+        _check_no_reverse_demand(pa, ch, und, adj, sorted(suspects, key=oriented.__getitem__))
 
     rank = g._rank
     if rank is None or any(rank[t] < rank[h] for t, h in oriented):
@@ -380,7 +351,7 @@ def close(
         h._rank = rank
         return h
     # Reached the rule fixpoint from a closed graph, acyclic and extendable:
-    # an MPDAG (Meek 1995), so the scratch sets become the graph's own.
+    # an MPDAG (Meek 1995), so the closure's sets become the graph's own.
     edges = (
         g.directed.union(oriented),
         g.undirected.difference((t, h) if t < h else (h, t) for t, h in oriented),
@@ -388,10 +359,11 @@ def close(
     return Pdag._trusted(nodes, pa, ch, und, "mpdag", edges, rank)
 
 
-def _check_no_reverse_demand(scratch: _Scratch, edges: list[tuple[str, str]]) -> None:
+def _check_no_reverse_demand(
+    pa: NodeSets, ch: NodeSets, und: NodeSets, adj: _Adjacency, edges: list[tuple[str, str]]
+) -> None:
     """Raise for the first ``tail -> head`` in ``edges`` that a rule
     demands to be ``head -> tail``."""
-    pa, ch, und, adj = scratch.pa, scratch.ch, scratch.und, scratch.adj
     for tail, head in edges:
         rule = _which_rule(pa, ch, und, adj, head, tail)
         if rule is not None:

@@ -187,14 +187,6 @@ class DiscreteModel:
 
 
 @dataclass(frozen=True)
-class MarginalTable:
-    """A distribution over configurations of ``nodes`` (sorted)."""
-
-    nodes: tuple[str, ...]
-    table: np.ndarray
-
-
-@dataclass(frozen=True)
 class InterventionalTable:
     """f(y | do(x)) for every configuration jointly.
 
@@ -205,17 +197,6 @@ class InterventionalTable:
     x_nodes: tuple[str, ...]
     y_nodes: tuple[str, ...]
     table: np.ndarray
-
-    def slice_x(self, x_assign: Mapping[str, int]) -> MarginalTable:
-        """The distribution of the response at one intervened configuration."""
-        if frozenset(x_assign) != frozenset(self.x_nodes):
-            raise GraphError("x assignment must cover exactly the intervened set")
-        t = self.table
-        for i, n in enumerate(self.x_nodes):
-            take = x_assign[n] if t.shape[i] > 1 else 0
-            t = np.take(t, [take], axis=i)
-        t = t.reshape(t.shape[len(self.x_nodes):])
-        return MarginalTable(self.y_nodes, t)
 
     def max_tv(self, other: "InterventionalTable") -> float:
         """Largest total-variation distance over intervened configurations."""
@@ -380,14 +361,6 @@ class GaussianModel:
     def coeff(self, tail: str, head: str) -> float:
         return float(self.coeffs.get((tail, head), 0.0))
 
-    def coefficient_matrix(self) -> np.ndarray:
-        """A with A[j, i] = coefficient of node_i -> node_j."""
-        idx = {n: i for i, n in enumerate(self.dag.nodes)}
-        a = np.zeros((len(idx), len(idx)))
-        for (t, h), c in self.coeffs.items():
-            a[idx[h], idx[t]] = c
-        return a
-
     def topological_order(self) -> list[str]:
         """The DAG's nodes in a topological order: of the nodes whose parents
         are all placed, the one earliest in ``dag.nodes`` is placed next."""
@@ -414,17 +387,6 @@ def wright_cov(m: GaussianModel) -> tuple[tuple[str, ...], np.ndarray]:
             cov[i, j] = cov[j, i] = sum(c * cov[p, j] for p, c in pa)
         placed.append(i)
     return nodes, cov
-
-
-def interventional_means(m: GaussianModel, x_assign: Mapping[str, float]) -> dict[str, float]:
-    """E[V | do(x)] for every node of a zero-mean linear SEM."""
-    means: dict[str, float] = {}
-    for v in m.topological_order():
-        if v in x_assign:
-            means[v] = float(x_assign[v])
-        else:
-            means[v] = sum(m.coeff(p, v) * means[p] for p in m.dag.parents_of(v))
-    return means
 
 
 def simulate(m: GaussianModel, n: int, seed: int) -> Dataset:

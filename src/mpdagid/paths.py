@@ -1,9 +1,9 @@
-"""Path classification, d-separation, the forbidden set and the witness.
+"""D-separation, the forbidden set and the amenability witness.
 
-The path predicates take any PDAG; every search here is polynomial
-and requires an MPDAG.  The possibly causal questions (the amenability
-witness, whether any possibly causal path exists, the forbidden set)
-are answered by the one search behind :meth:`Pdag.possible_descendants`.
+Every search here is polynomial and requires an MPDAG.  The possibly
+causal questions (the amenability witness, whether any possibly causal
+path exists, the forbidden set) are answered by the one search behind
+:meth:`Pdag.possible_descendants`.
 The separation questions (d-separation, and the blocked non-causal
 paths of the adjustment criterion) are answered by one Bayes-ball
 reachability (Shachter 1998, "Bayes-Ball: the rational pastime") over
@@ -13,8 +13,7 @@ d-separations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from .graphs import GraphError, Pdag
 from .meek import consistent_extension, require_mpdag
@@ -22,78 +21,12 @@ from .meek import consistent_extension, require_mpdag
 Path = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class PathStatus:
-    possibly_causal: bool
-    definite_status: bool
-    proper: bool
-
-
-def _validate_path(g: Pdag, p: Sequence[str]) -> Path:
-    nodes = tuple(p)
-    if len(nodes) < 2:
-        raise GraphError("a path needs at least two nodes")
-    g.require(nodes)
-    if len(set(nodes)) != len(nodes):
-        raise GraphError("path nodes must be distinct")
-    for u, w in zip(nodes, nodes[1:]):
-        if not g.adjacent(u, w):
-            raise GraphError(f"{u} and {w} are not adjacent")
-    return nodes
-
-
-def is_possibly_causal(g: Pdag, p: Sequence[str]) -> bool:
-    """No directed edge from a later path node back into an earlier one."""
-    nodes = _validate_path(g, p)
-    for j in range(1, len(nodes)):
-        for i in range(j):
-            if g.has_directed(nodes[j], nodes[i]):
-                return False
-    return True
-
-
-def _interior_status(g: Pdag, a: str, b: str, c: str) -> Optional[str]:
-    """Status of ``b`` on the subpath ``a, b, c``: ``"collider"``,
-    ``"noncollider"`` (definite), or ``None`` when not of definite status."""
-    if g.has_directed(a, b) and g.has_directed(c, b):
-        return "collider"
-    if g.has_directed(b, a) or g.has_directed(b, c):
-        return "noncollider"
-    if g.has_undirected(a, b) and g.has_undirected(b, c) and not g.adjacent(a, c):
-        return "noncollider"
-    return None
-
-
-def is_definite_status(g: Pdag, p: Sequence[str]) -> bool:
-    """Every interior node is a collider or a definite non-collider."""
-    nodes = _validate_path(g, p)
-    return all(
-        _interior_status(g, nodes[i - 1], nodes[i], nodes[i + 1]) is not None
-        for i in range(1, len(nodes) - 1)
-    )
-
-
-def classify_path(g: Pdag, p: Sequence[str], sources: Iterable[str]) -> PathStatus:
-    """Classify a path relative to a source set.
-
-    ``proper`` holds when the first node is the only one in ``sources``.
-    """
-    nodes = _validate_path(g, p)
-    srcs = g.require(sources)
-    proper = nodes[0] in srcs and all(n not in srcs for n in nodes[1:])
-    return PathStatus(
-        possibly_causal=is_possibly_causal(g, nodes),
-        definite_status=is_definite_status(g, nodes),
-        proper=proper,
-    )
-
-
-def _validate_disjoint(g: Pdag, X, Y, *, names=("X", "Y")) -> tuple[frozenset, frozenset]:
+def _validate_disjoint(g: Pdag, X, Y) -> tuple[frozenset, frozenset]:
     xs, ys = g.require(X), g.require(Y)
     if not xs or not ys:
-        raise GraphError(f"{names[0]} and {names[1]} must be nonempty")
+        raise GraphError("X and Y must be nonempty")
     if xs & ys:
-        raise GraphError(f"{names[0]} and {names[1]} must be disjoint")
+        raise GraphError("X and Y must be disjoint")
     return xs, ys
 
 

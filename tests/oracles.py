@@ -10,6 +10,11 @@ comparison, rebuilds numpy tables from the CPTs on every call), and
 Gaussian covariances come from a matrix solve or from summing coefficient
 products over every collider-free simple path.
 None of this shares code with the package under test.
+
+It also holds the few helpers tests need that the package does not
+offer: formula equality up to factor order, the adjustment functional,
+interventional means of a linear SEM, one slice of an interventional
+table, and a dataset written as CSV.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from collections import deque
 import networkx as nx
 import numpy as np
 
-from mpdagid import GraphError, Pdag, close, InconsistentKnowledgeError
+from mpdagid import Factor, GraphError, IdFormula, InconsistentKnowledgeError, Pdag, close
 from mpdagid.meek import require_mpdag
 
 
@@ -605,6 +610,34 @@ def reference_close(g: Pdag, bk=(), *, rng: random.Random | None = None):
 
 
 # --------------------------------------------------------------------------
+# Formulas
+# --------------------------------------------------------------------------
+
+
+def structurally_equal(a: IdFormula, b: IdFormula) -> bool:
+    """Equality up to factor reordering (product commutativity)."""
+
+    def canon(f: IdFormula):
+        return (
+            sorted((sorted(fc.targets), sorted(fc.given)) for fc in f.factors),
+            sorted(f.integrate_over),
+            sorted(f.intervened),
+            sorted(f.response),
+        )
+
+    return canon(a) == canon(b)
+
+
+def adjustment_formula(X, Y, Z) -> IdFormula:
+    """The adjustment functional ∫ f(y | x, z) f(z) dz as an IdFormula."""
+    xs, ys, zs = frozenset(X), frozenset(Y), frozenset(Z)
+    factors = [Factor(targets=ys, given=xs | zs)]
+    if zs:
+        factors.insert(0, Factor(targets=zs))
+    return IdFormula(factors=tuple(factors), intervened=xs, response=ys)
+
+
+# --------------------------------------------------------------------------
 # Discrete evaluation over python dicts
 # --------------------------------------------------------------------------
 
@@ -631,11 +664,14 @@ def gformula_dict(model, x_assign, Y) -> dict:
     return out
 
 
-def table_as_dict(marginal) -> dict:
-    out = {}
-    for idx in itertools.product(*[range(s) for s in marginal.table.shape]):
-        out[idx] = float(marginal.table[idx])
-    return out
+def slice_x(table, x_assign) -> np.ndarray:
+    """The response's distribution in an ``InterventionalTable`` at one
+    configuration of the intervened nodes; an x axis of size one (the law
+    does not depend on that node) is read at 0."""
+    if frozenset(x_assign) != frozenset(table.x_nodes):
+        raise GraphError("x assignment must cover exactly the intervened set")
+    shape = table.table.shape
+    return table.table[tuple(x_assign[n] if k > 1 else 0 for n, k in zip(table.x_nodes, shape))]
 
 
 # --------------------------------------------------------------------------
@@ -716,10 +752,15 @@ def reference_id_formula_table(f, m) -> np.ndarray:
 
 
 def sem_cov_linalg(model) -> np.ndarray:
-    """(I - A)^-1 Omega (I - A)^-T for the SEM coefficient matrix A."""
-    a = model.coefficient_matrix()
-    omega = np.diag([model.noise_vars[n] for n in model.dag.nodes])
-    inv = np.linalg.inv(np.eye(a.shape[0]) - a)
+    """(I - A)^-1 Omega (I - A)^-T for the SEM coefficient matrix A, where
+    A[j, i] is the coefficient of node_i -> node_j."""
+    nodes = model.dag.nodes
+    idx = {n: i for i, n in enumerate(nodes)}
+    a = np.zeros((len(nodes), len(nodes)))
+    for (t, h), c in model.coeffs.items():
+        a[idx[h], idx[t]] = c
+    omega = np.diag([model.noise_vars[n] for n in nodes])
+    inv = np.linalg.inv(np.eye(len(nodes)) - a)
     return inv @ omega @ inv.T
 
 
@@ -789,6 +830,24 @@ def unit_variance_noise(dag: Pdag, coeffs: dict) -> dict:
             cov[(v, u)] = cov[(u, v)] = c
         cov[(v, v)] = 1.0
     return noise
+
+
+def interventional_means(m, x_assign) -> dict:
+    """E[V | do(x)] for every node of a zero-mean linear SEM."""
+    means: dict = {}
+    for v in reference_topological_order(m.dag):
+        if v in x_assign:
+            means[v] = float(x_assign[v])
+        else:
+            means[v] = sum(m.coeff(p, v) * means[p] for p in m.dag.parents_of(v))
+    return means
+
+
+def to_csv(data) -> str:
+    """A ``Dataset`` as CSV text; ``repr`` keeps every float exact."""
+    lines = [",".join(data.columns)]
+    lines += [",".join(map(repr, row)) for row in data.rows.tolist()]
+    return "\n".join(lines) + "\n"
 
 
 def causal_path_gradient(dag: Pdag, x: str, other_x, y: str, coeff) -> float:

@@ -17,6 +17,7 @@ from mpdagid import (
     Factor,
     GaussianModel,
     IdFormula,
+    Pdag,
     check_adjustment,
     close,
     d_separated,
@@ -33,7 +34,6 @@ from mpdagid import (
     pco,
     random_model,
     simulate,
-    structurally_equal,
     truncated_factorization,
     wright_cov,
 )
@@ -72,7 +72,7 @@ def test_criterion_1_two_response_identification():
             response={"Y1", "Y2"},
         )
         assert res.identifiable
-        assert structurally_equal(res.formula, expected)
+        assert oracles.structurally_equal(res.formula, expected)
         assert res.formula.integrate_over == set()
         assert best_time(lambda: identify(g, {"X"}, {"Y1", "Y2"})) < 1e-3
 
@@ -81,7 +81,7 @@ def test_criterion_2_integration_and_truncation():
     with criterion(2, "integrated formula and truncated factorization"):
         g = parse_graph(COVAR5_TEXT)
         res = identify(g, {"X"}, {"Y"})
-        assert structurally_equal(
+        assert oracles.structurally_equal(
             res.formula,
             IdFormula(
                 factors=(Factor({"V1", "V2"}), Factor({"Y"}, {"X", "V1", "V2"})),
@@ -91,7 +91,7 @@ def test_criterion_2_integration_and_truncation():
         )
         assert res.formula.integrate_over == {"V1", "V2"}
         trunc = truncated_factorization(g, {"X"})
-        assert structurally_equal(
+        assert oracles.structurally_equal(
             trunc,
             IdFormula(
                 factors=(Factor({"V1", "V2", "V3"}), Factor({"Y"}, {"X", "V1", "V2"})),
@@ -108,7 +108,7 @@ def test_criterion_3_two_treatment_estimation():
         t0 = time.perf_counter()
         g = parse_graph(TWOTREAT7_TEXT)
         res = identify(g, {"X1", "X2"}, {"Y"})
-        assert structurally_equal(
+        assert oracles.structurally_equal(
             res.formula,
             IdFormula(
                 factors=(Factor({"V4"}, {"X1"}), Factor({"Y"}, {"X1", "X2", "V4"})),
@@ -128,7 +128,9 @@ def test_criterion_3_two_treatment_estimation():
             ("V4", "X2"): 0.4,
         }
         model = GaussianModel(
-            dag=g.validate_as("dag"), coeffs=coeffs, noise_vars={n: 1.0 for n in g.nodes}
+            dag=Pdag(g.nodes, g.directed, g.undirected, "dag"),
+            coeffs=coeffs,
+            noise_vars={n: 1.0 for n in g.nodes},
         )
         data = simulate(model, 100_000, seed=42)
         effect = gaussian_effect(res.formula, data, ["X1", "X2"], {"Y"})

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from mpdagid import GaussianModel, parse_formula_json, parse_graph, simulate
+from mpdagid import Factor, GaussianModel, IdFormula, Pdag, parse_graph, render, simulate
 from mpdagid.cli import main
 
+import oracles
 from conftest import (
     COVAR5_TEXT,
     CPDAG4_TEXT,
@@ -61,8 +62,12 @@ def test_identify_json_round_trips(files, capsys):
                  "--format", "json"])
     captured = capsys.readouterr()
     assert code == 0
-    f = parse_formula_json(captured.out)
-    assert f.response == {"Y1", "Y2"}
+    expected = IdFormula(
+        factors=(Factor({"Y1"}), Factor({"Y2"}, {"X", "Y1"})),
+        intervened={"X"},
+        response={"Y1", "Y2"},
+    )
+    assert json.loads(captured.out) == json.loads(render(expected, "json"))
 
 
 def test_close_with_knowledge_golden(files, capsys):
@@ -134,11 +139,11 @@ def test_estimate_outputs_json(files, capsys, tmp_path):
     g = parse_graph(TWOTREAT7_TEXT)
     coeffs = {("X1", "Y"): 0.3, ("X2", "Y"): 0.5, ("V4", "Y"): 0.7, ("X1", "V4"): 0.6,
               ("V2", "X1"): 0.4, ("V1", "X1"): 0.3, ("V3", "X2"): 0.5, ("V4", "X2"): 0.4}
-    model = GaussianModel(dag=g.validate_as("dag"), coeffs=coeffs,
+    model = GaussianModel(dag=Pdag(g.nodes, g.directed, g.undirected, "dag"), coeffs=coeffs,
                           noise_vars={n: 1.0 for n in g.nodes})
     data = simulate(model, 30_000, seed=5)
     csv = tmp_path / "data.csv"
-    csv.write_text(data.to_csv())
+    csv.write_text(oracles.to_csv(data))
     code = main(["estimate", "-g", files["twotreat7.g"], "-X", "X1,X2", "-Y", "Y",
                  "--data", str(csv)])
     captured = capsys.readouterr()
@@ -320,6 +325,18 @@ def test_verify_models_below_one_is_usage_error(files, capsys, models):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--models: must be at least 1" in captured.err
+
+
+def test_verify_negative_seed_is_usage_error(files, capsys):
+    # The random models take their seed from --seed, and PCG64 rejects a
+    # negative one; the parser must refuse it before any model is built.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-g", files["mpdag4.g"], "-X", "X", "-Y", "Y1,Y2", "--seed", "-1"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "--seed: must be at least 0, got -1" in captured.err
 
 
 def test_parser_reused_across_calls(files, capsys):

@@ -5,6 +5,7 @@ from mpdagid import (
     Dataset,
     EstimationError,
     GaussianModel,
+    Pdag,
     enumerate_dags,
     gaussian_effect,
     identify,
@@ -26,7 +27,7 @@ def _two_treatment_model(twotreat7, alpha=0.3, beta=0.5, gamma=0.7, delta=0.6):
         ("V3", "X2"): 0.5,
         ("V4", "X2"): 0.4,
     }
-    dag = twotreat7.validate_as("dag")
+    dag = Pdag(twotreat7.nodes, twotreat7.directed, twotreat7.undirected, "dag")
     return GaussianModel(dag=dag, coeffs=coeffs, noise_vars={n: 1.0 for n in dag.nodes})
 
 
@@ -51,7 +52,7 @@ def test_effect_vector_follows_treatment_order(twotreat7):
 def test_single_edge_slope():
     g = parse_graph("X -> Y")
     model = GaussianModel(
-        dag=g.validate_as("dag"),
+        dag=Pdag(g.nodes, g.directed, g.undirected, "dag"),
         coeffs={("X", "Y"): 0.8},
         noise_vars={"X": 1.0, "Y": 1.0},
     )
@@ -146,10 +147,12 @@ def test_dataset_validation():
 
 def test_dataset_csv_round_trip():
     d = Dataset(columns=["A", "B"], rows=np.array([[1.0, 2.5], [3.0, -4.25], [0.5, 0.0]]))
-    back = Dataset.from_csv(d.to_csv())
+    back = Dataset.from_csv(oracles.to_csv(d))
     assert back.columns == d.columns
     assert np.array_equal(back.rows, d.rows)
     with pytest.raises(EstimationError):
         Dataset.from_csv("A,B\n1,oops\n")
     with pytest.raises(EstimationError):
         Dataset.from_csv("")
+    with pytest.raises(EstimationError, match="need more data rows than columns: 0 rows"):
+        Dataset.from_csv("A,B\n")

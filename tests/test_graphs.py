@@ -8,7 +8,6 @@ from mpdagid import (
     enumerate_dags,
     identify,
     parse_graph,
-    relatives,
 )
 from mpdagid.graphs import topological_order
 
@@ -109,14 +108,14 @@ def _same_sets(h, g):
 
 
 def test_subgraphs_equal_their_public_construction(sweep):
-    # Both subgraphs are built unchecked; each must be the graph the
+    # Induced subgraphs are built unchecked; each must be the graph the
     # public constructor builds from its edges, sets and node order too.
     for g, _ in sweep:
         for keep in (g.nodes[::2], g.nodes[1:]):
-            for h in (g.induced_subgraph(keep), g.undirected_subgraph()):
-                public = Pdag(h.nodes, h.directed, h.undirected)
-                assert h == public and h.nodes == public.nodes
-                assert h.class_tag == "pdag" and _same_sets(h, public)
+            h = g.induced_subgraph(keep)
+            public = Pdag(h.nodes, h.directed, h.undirected)
+            assert h == public and h.nodes == public.nodes
+            assert h.class_tag == "pdag" and _same_sets(h, public)
 
 
 def test_edgelist_round_trip(mpdag4, covar5):
@@ -152,51 +151,38 @@ def test_induced_subgraph_idempotent(mpdag4):
     assert once.induced_subgraph(keep) == once
 
 
-def test_undirected_subgraph(mpdag4):
-    h = mpdag4.undirected_subgraph()
-    assert h.undirected == {("V1", "X"), ("V1", "Y1")}
-    assert not h.directed
-    assert set(h.nodes) == set(mpdag4.nodes)
-
-
-def test_undirected_subgraph_of_dag_is_edgeless(twotreat7):
-    h = twotreat7.undirected_subgraph()
-    assert not h.directed and not h.undirected
-
-
-def test_undirected_subgraph_fixpoint(cpdag4):
-    assert cpdag4.undirected_subgraph() == cpdag4
-
-
 def test_set_parents_convention(mpdag4):
-    assert relatives(mpdag4, {"Y2"}, "parents") == {"X", "Y1"}
+    assert mpdag4.set_parents({"Y2"}) == {"X", "Y1"}
     # parents of a set exclude the set itself
-    assert relatives(mpdag4, {"X", "Y1"}, "parents") == set()
+    assert mpdag4.set_parents({"X", "Y1"}) == set()
 
 
 def test_ancestors_reflexive(mpdag4):
     for n in mpdag4.nodes:
-        assert n in relatives(mpdag4, {n}, "ancestors")
-        assert n in relatives(mpdag4, {n}, "descendants")
-        assert n in relatives(mpdag4, {n}, "possible_descendants")
-        assert n in relatives(mpdag4, {n}, "possible_ancestors")
+        assert n in mpdag4.ancestors({n})
+        assert n in mpdag4.descendants({n})
+        assert n in mpdag4.possible_descendants({n})
+        assert n in mpdag4.possible_ancestors({n})
 
 
 def test_ancestors_in_induced_subgraph(mpdag4):
     h = mpdag4.induced_subgraph(set(mpdag4.nodes) - {"X"})
-    assert relatives(h, {"Y1", "Y2"}, "ancestors") == {"Y1", "Y2"}
+    assert h.ancestors({"Y1", "Y2"}) == {"Y1", "Y2"}
 
 
 def test_relatives_unknown_node(mpdag4):
-    with pytest.raises(UnknownNodeError):
-        relatives(mpdag4, {"Q"}, "ancestors")
+    g = mpdag4
+    for query in (g.set_parents, g.ancestors, g.descendants, g.possible_ancestors,
+                  g.possible_descendants):
+        with pytest.raises(UnknownNodeError):
+            query({"Q"})
 
 
 def test_directed_subsets_of_possible():
     for g in oracles.random_mpdags(seed=11, count=40):
         for n in g.nodes:
-            assert relatives(g, {n}, "ancestors") <= relatives(g, {n}, "possible_ancestors")
-            assert relatives(g, {n}, "descendants") <= relatives(g, {n}, "possible_descendants")
+            assert g.ancestors({n}) <= g.possible_ancestors({n})
+            assert g.descendants({n}) <= g.possible_descendants({n})
 
 
 def test_possible_descendants_match_brute_force():
@@ -205,7 +191,7 @@ def test_possible_descendants_match_brute_force():
     # possibly causal simple paths on 6-8 nodes.
     for g in oracles.random_mpdags(seed=5, count=60):
         for n in g.nodes:
-            assert relatives(g, {n}, "possible_descendants") == oracles.possible_descendants(g, {n})
+            assert g.possible_descendants({n}) == oracles.possible_descendants(g, {n})
     for g in oracles.random_mpdags(seed=6, count=100, n_nodes=(6, 7, 8)):
         nodes = sorted(g.nodes)
         for xs in [{n} for n in nodes] + [set(nodes[:2]), set(nodes[-3:])]:
@@ -219,14 +205,14 @@ def test_possible_relations_require_an_mpdag():
     with pytest.raises(GraphError, match="not maximally oriented"):
         g.possible_descendants({"A"})
     with pytest.raises(GraphError, match="not maximally oriented"):
-        relatives(g, {"C"}, "possible_ancestors")
+        g.possible_ancestors({"C"})
 
 
 def test_possible_descendants_shielded_triangle():
     # c -> a plus a - b - c: the walk a - b - c is locally forward but the
     # back-edge c -> a disqualifies it.
     g = Pdag(["A", "B", "C"], directed=[("C", "A")], undirected=[("A", "B"), ("B", "C")])
-    assert relatives(g, {"A"}, "possible_descendants") == {"A", "B"}
+    assert g.possible_descendants({"A"}) == {"A", "B"}
 
 
 def test_acyclicity_accepts_every_enumerated_dag(cpdag4, mpdag4, covar5):

@@ -1,5 +1,5 @@
-"""The package surface: every public name resolves, numpy-backed names
-load on first access, and the two errors ``cli`` catches keep one class
+"""The package surface: every public name resolves and no retired name
+does, numpy-backed names load on first access, and the two errors ``cli`` catches keep one class
 under each of their names."""
 
 import mpdagid
@@ -7,9 +7,42 @@ from mpdagid import estimate, graphs, oracle
 
 from conftest import fresh_python
 
+# Names the package no longer has, as (owner, name): the owner is the
+# package, one of its modules, or a class the package exports.
+RETIRED = [
+    ("mpdagid", "PathStatus"),
+    ("mpdagid", "classify_path"),
+    ("mpdagid", "relatives"),
+    ("mpdagid", "adjustment_formula"),
+    ("mpdagid", "identify_long_form"),
+    ("mpdagid", "parse_formula_json"),
+    ("mpdagid", "structurally_equal"),
+    ("mpdagid", "MarginalTable"),
+    ("mpdagid", "interventional_means"),
+    ("mpdagid.paths", "classify_path"),
+    ("mpdagid.paths", "PathStatus"),
+    ("mpdagid.paths", "is_possibly_causal"),
+    ("mpdagid.paths", "is_definite_status"),
+    ("mpdagid.graphs", "relatives"),
+    ("mpdagid.graphs", "Relation"),
+    ("mpdagid.identify", "identify_long_form"),
+    ("mpdagid.identify", "adjustment_formula"),
+    ("mpdagid.formula", "parse_formula_json"),
+    ("mpdagid.formula", "structurally_equal"),
+    ("mpdagid.oracle", "MarginalTable"),
+    ("mpdagid.oracle", "interventional_means"),
+    ("mpdagid.meek", "_Scratch"),
+    ("Pdag", "validate_as"),
+    ("Pdag", "undirected_subgraph"),
+    ("Dataset", "to_csv"),
+    ("GaussianModel", "coefficient_matrix"),
+    ("InterventionalTable", "slice_x"),
+]
+
 
 def test_every_public_name_resolves_in_a_fresh_interpreter():
-    script = """\
+    script = f"RETIRED = {RETIRED!r}\n" + """\
+import importlib
 import sys
 import mpdagid
 assert "numpy" not in sys.modules, "importing the package loaded numpy"
@@ -22,6 +55,18 @@ assert not unbound, unbound
 assert mpdagid.oracle.enumerate_dags is mpdagid.enumerate_dags
 assert mpdagid.estimate.Dataset is mpdagid.Dataset
 assert not hasattr(mpdagid, "no_such_name")
+for owner, name in RETIRED:
+    if owner.startswith("mpdagid"):
+        holder = importlib.import_module(owner)
+    else:
+        holder = getattr(mpdagid, owner)
+    assert name not in dir(holder), (owner, name)
+    try:
+        getattr(holder, name)
+    except AttributeError:
+        pass
+    else:
+        raise AssertionError(f"{owner}.{name} still resolves")
 print(len(mpdagid.__all__))
 """
     done = fresh_python("-c", script)
