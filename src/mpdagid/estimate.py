@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -62,22 +62,45 @@ class Dataset:
         except StopIteration:
             raise EstimationError("empty CSV") from None
         header = [h.strip() for h in header]
-        body = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise EstimationError(
-                    f"line {reader.line_num}: {len(row)} cells, header has {len(header)}"
-                )
-            try:
-                body.append([float(cell) for cell in row])
-            except ValueError as exc:
-                raise EstimationError(f"non-numeric cell: {exc}") from exc
-        # Shaped (0, p) when no data row follows the header, so that the
-        # row count, not the shape, is what gets reported.
-        rows = np.array(body, dtype=float).reshape(len(body), len(header))
+        rows = _loadtxt_body(text, len(header))
+        if rows is None:
+            rows = _csv_body(reader, len(header))
         return cls(columns=header, rows=rows)
+
+
+def _loadtxt_body(text: str, width: int) -> Optional[np.ndarray]:
+    """The rows after the header line, parsed by ``np.loadtxt``; None when
+    the ``csv`` loop must decide, so that it gives every error message:
+    quotes (a quoted header may span lines), a body without data lines
+    (``loadtxt`` warns on it), any row ``loadtxt`` refuses, or a width
+    other than the header's."""
+    if '"' in text:
+        return None
+    body = text.partition("\n")[2]
+    if not body.strip("\r\n"):
+        return None
+    try:
+        rows = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None, dtype=float)
+    except ValueError:
+        return None
+    return rows if rows.shape[1] == width else None
+
+
+def _csv_body(reader, width: int) -> np.ndarray:
+    """The rows left in ``reader``, converted cell by cell with ``float``."""
+    body = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != width:
+            raise EstimationError(f"line {reader.line_num}: {len(row)} cells, header has {width}")
+        try:
+            body.append([float(cell) for cell in row])
+        except ValueError as exc:
+            raise EstimationError(f"non-numeric cell: {exc}") from exc
+    # Shaped (0, p) when no data row follows the header, so that the
+    # row count, not the shape, is what gets reported.
+    return np.array(body, dtype=float).reshape(len(body), width)
 
 
 def _ols(design: np.ndarray, response: np.ndarray) -> np.ndarray:

@@ -13,10 +13,18 @@ joint itself, the joint's marginals by node set and the conditionals
 formula factors take from them.  The tables built from the memo are
 bit-identical to building them afresh, since every product and sum keeps
 its operands and their order.
+
+Per-model costs are batched without changing a number: one Dirichlet
+call draws each run of nodes of one cardinality (the same generator
+stream), a model checks all its CPTs of one cardinality at once (still
+naming the first failing node), and the axis bookkeeping of refits and
+broadcast factors is cached per node tuple and family.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -63,18 +71,24 @@ def _depth_first(h: Pdag) -> Iterator[Pdag]:
     already directed, so leaves come in orientation-bitstring order.  A
     branch whose closure fails, there or further down, holds no leaf.  A
     leaf is a closure without undirected edges, re-tagged ``dag``
-    unchecked.
+    unchecked.  The stack holds a branch as its parent graph and the pair
+    to orient; it is closed only when popped, so a caller that stops early
+    closes no branch it did not reach.
     """
-    if not h.undirected:
-        yield h._retag("dag")
-        return
-    a, b = min(h.undirected)
-    for pair in ((a, b), (b, a)):
-        try:
-            branch = close(h, (pair,))
-        except InconsistentKnowledgeError:
+    stack: list[tuple[Pdag, Optional[tuple[str, str]]]] = [(h, None)]
+    while stack:
+        g, pair = stack.pop()
+        if pair is not None:
+            try:
+                g = close(g, (pair,))
+            except InconsistentKnowledgeError:
+                continue
+        if not g.undirected:
+            yield g._retag("dag")
             continue
-        yield from _depth_first(branch)
+        a, b = min(g.undirected)
+        stack.append((g, (b, a)))
+        stack.append((g, (a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +143,20 @@ class DiscreteModel:
         cards = MappingProxyType(dict(self.cards))
         cpts: dict[str, np.ndarray] = {}
         for v in self.dag.nodes:
-            if cards.get(v, 0) < 2:
-                raise GraphError(f"cardinality of {v} must be >= 2")
-            cpt = np.array(self.cpts[v])
-            expected = (cards[v],) + tuple(cards[p] for p in sorted(self.dag.parents_of(v)))
-            if cpt.shape != expected:
-                raise GraphError(f"cpt shape mismatch at {v}: {cpt.shape} != {expected}")
-            # A NaN anywhere fails both comparisons.
-            if not (cpt.min() >= 0 and np.abs(cpt.sum(axis=0) - 1.0).max() <= 1e-12):
-                raise GraphError(f"cpt columns at {v} must be distributions")
+            try:
+                if cards.get(v, 0) < 2:
+                    raise GraphError(f"cardinality of {v} must be >= 2")
+                cpt = np.array(self.cpts[v])
+                expected = (cards[v],) + tuple(cards[p] for p in sorted(self.dag.parents_of(v)))
+                if cpt.shape != expected:
+                    raise GraphError(f"cpt shape mismatch at {v}: {cpt.shape} != {expected}")
+            except Exception:
+                # The first failing node in node order is reported, so an
+                # earlier node's distribution check goes first.
+                _check_distributions(cpts)
+                raise
             cpts[v] = _read_only(cpt)
+        _check_distributions(cpts)
         object.__setattr__(self, "cards", cards)
         object.__setattr__(self, "cpts", MappingProxyType(cpts))
         object.__setattr__(self, "_memo", _Memo())
@@ -149,7 +167,7 @@ class DiscreteModel:
             nodes = self.dag.nodes
             _check_cap(self.cards, nodes)
             memo.factors = {
-                v: _read_only(_expand(nodes, self.cpts[v], [v] + sorted(self.dag.parents_of(v))))
+                v: _read_only(_expand(nodes, self.cpts[v], (v, *sorted(self.dag.parents_of(v)))))
                 for v in nodes
             }
         return memo.factors
@@ -186,6 +204,26 @@ class DiscreteModel:
         return conditionals[key]
 
 
+def _is_distribution(columns: np.ndarray) -> bool:
+    # A NaN anywhere fails both comparisons.
+    return bool(columns.min() >= 0 and np.abs(columns.sum(axis=0) - 1.0).max() <= 1e-12)
+
+
+def _check_distributions(cpts: Mapping[str, np.ndarray]) -> None:
+    """Raise :class:`GraphError` naming the first CPT, in mapping order,
+    with a column that is not a distribution.  The CPTs of one cardinality
+    are checked at once, side by side as ``(card, -1)`` column blocks; a
+    node is looked for only when a block fails."""
+    blocks: dict[int, list[np.ndarray]] = {}
+    for cpt in cpts.values():
+        blocks.setdefault(cpt.shape[0], []).append(cpt.reshape(cpt.shape[0], -1))
+    if all(_is_distribution(np.concatenate(b, axis=1)) for b in blocks.values()):
+        return
+    for v, cpt in cpts.items():
+        if not _is_distribution(cpt):
+            raise GraphError(f"cpt columns at {v} must be distributions")
+
+
 @dataclass(frozen=True)
 class InterventionalTable:
     """f(y | do(x)) for every configuration jointly.
@@ -212,17 +250,24 @@ def random_model(dag: Pdag, cardinalities: Mapping[str, int], seed: int) -> Disc
     """CPT entries drawn column-wise from a symmetric Dirichlet(1).
 
     The generator is ``numpy.random.Generator(PCG64(seed))``, pinned so
-    golden numbers stay stable across platforms.
+    golden numbers stay stable across platforms.  Each run of consecutive
+    nodes of one cardinality is drawn by one ``dirichlet`` call and sliced
+    per node; the generator draws the rows of a call in order, so this is
+    the stream of one call per node.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
+    shapes = {
+        v: (cardinalities[v], *(cardinalities[p] for p in sorted(dag.parents_of(v))))
+        for v in dag.nodes
+    }
     cpts: dict[str, np.ndarray] = {}
-    for v in dag.nodes:
-        pa = sorted(dag.parents_of(v))
-        n_cols = math.prod(cardinalities[p] for p in pa) if pa else 1
-        draw = rng.dirichlet(np.ones(cardinalities[v]), size=n_cols)
-        cpts[v] = np.ascontiguousarray(
-            draw.T.reshape((cardinalities[v],) + tuple(cardinalities[p] for p in pa))
-        )
+    for card, run in itertools.groupby(dag.nodes, key=lambda v: shapes[v][0]):
+        n_cols = {v: math.prod(shapes[v][1:]) for v in run}
+        draw = rng.dirichlet(np.ones(card), size=sum(n_cols.values()))
+        row = 0
+        for v, n in n_cols.items():
+            cpts[v] = np.ascontiguousarray(draw[row : row + n].T.reshape(shapes[v]))
+            row += n
     return DiscreteModel(dag=dag, cards=dict(cardinalities), cpts=cpts)
 
 
@@ -234,12 +279,21 @@ def _check_cap(cards: Mapping[str, int], nodes: Sequence[str]) -> None:
 
 def _expand(nodes: Sequence[str], table: np.ndarray, table_axes: Sequence[str]) -> np.ndarray:
     """Reshape ``table`` so it broadcasts over the full ``nodes`` space."""
-    pos = {n: i for i, n in enumerate(nodes)}
-    order = sorted(range(len(table_axes)), key=lambda i: pos[table_axes[i]])
+    order, slots = _expand_layout(tuple(nodes), tuple(table_axes))
     shape = [1] * len(nodes)
-    for i in order:
-        shape[pos[table_axes[i]]] = table.shape[i]
+    for i, slot in zip(order, slots):
+        shape[slot] = table.shape[i]
     return table.transpose(order).reshape(shape)
+
+
+@functools.lru_cache(maxsize=4096)
+def _expand_layout(
+    nodes: tuple[str, ...], table_axes: tuple[str, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The table axes in ``nodes`` order, and the ``nodes`` slot of each."""
+    pos = {n: i for i, n in enumerate(nodes)}
+    order = tuple(sorted(range(len(table_axes)), key=lambda i: pos[table_axes[i]]))
+    return order, tuple(pos[table_axes[i]] for i in order)
 
 
 def joint_table(m: DiscreteModel) -> np.ndarray:
@@ -256,19 +310,28 @@ def model_from_joint(
     Conditionals at zero-probability parent configurations are filled
     uniformly; they carry no mass.
     """
+    nodes = tuple(nodes)
     cpts: dict[str, np.ndarray] = {}
     for v in dag.nodes:
-        keep = [v] + sorted(dag.parents_of(v))
-        drop = tuple(i for i, n in enumerate(nodes) if n not in keep)
-        marg = joint.sum(axis=drop)
-        kept_in_order = [n for n in nodes if n in keep]
-        marg = np.transpose(marg, [kept_in_order.index(n) for n in keep])
+        drop, perm = _family_layout(nodes, (v, *sorted(dag.parents_of(v))))
+        marg = joint.sum(axis=drop).transpose(perm)
         den = marg.sum(axis=0, keepdims=True)
-        cpt = np.divide(
-            marg, den, out=np.full_like(marg, 1.0 / cards[v]), where=den > 0
-        )
-        cpts[v] = cpt
+        if den.all():
+            cpts[v] = marg / den
+        else:
+            cpts[v] = np.divide(marg, den, out=np.full_like(marg, 1.0 / cards[v]), where=den > 0)
     return DiscreteModel(dag=dag, cards=dict(cards), cpts=cpts)
+
+
+@functools.lru_cache(maxsize=4096)
+def _family_layout(
+    nodes: tuple[str, ...], keep: tuple[str, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The axes of ``nodes`` outside ``keep``, and the permutation that puts
+    the remaining axes in ``keep`` order."""
+    drop = tuple(i for i, n in enumerate(nodes) if n not in keep)
+    kept_in_order = [n for n in nodes if n in keep]
+    return drop, tuple(kept_in_order.index(n) for n in keep)
 
 
 def gformula_table(m: DiscreteModel, X: Iterable[str], Y: Iterable[str]) -> InterventionalTable:

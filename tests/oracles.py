@@ -6,7 +6,8 @@ classes come from filtering all edge orientations, the Meek closure
 re-derives every rule application from the edge sets after each
 orientation, orders come from rescanning what is left after each pick,
 discrete evaluation walks python dicts (or, for bit-exact
-comparison, rebuilds numpy tables from the CPTs on every call), and
+comparison, rebuilds numpy tables from the CPTs on every call, and draws
+and refits random models node by node), and
 Gaussian covariances come from a matrix solve or from summing coefficient
 products over every collider-free simple path.
 None of this shares code with the package under test.
@@ -717,6 +718,36 @@ def reference_gformula_table(m, X, Y) -> np.ndarray:
     kept = [n for n in nodes if n in xs | ys]
     target = sorted(xs) + sorted(ys)
     return np.transpose(table, [kept.index(n) for n in target])
+
+
+def reference_random_model(dag: Pdag, cardinalities, seed: int) -> dict:
+    """The CPTs of ``random_model``, drawn with one ``dirichlet`` call per
+    node."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cpts = {}
+    for v in dag.nodes:
+        pa = sorted(dag.parents_of(v))
+        n_cols = math.prod(cardinalities[p] for p in pa) if pa else 1
+        draw = rng.dirichlet(np.ones(cardinalities[v]), size=n_cols)
+        cpts[v] = np.ascontiguousarray(
+            draw.T.reshape((cardinalities[v],) + tuple(cardinalities[p] for p in pa))
+        )
+    return cpts
+
+
+def reference_model_from_joint(joint, nodes, cards, dag: Pdag) -> dict:
+    """The CPTs of ``model_from_joint``, every family's axes and division
+    worked out afresh."""
+    cpts = {}
+    for v in dag.nodes:
+        keep = [v] + sorted(dag.parents_of(v))
+        drop = tuple(i for i, n in enumerate(nodes) if n not in keep)
+        marg = joint.sum(axis=drop)
+        kept_in_order = [n for n in nodes if n in keep]
+        marg = np.transpose(marg, [kept_in_order.index(n) for n in keep])
+        den = marg.sum(axis=0, keepdims=True)
+        cpts[v] = np.divide(marg, den, out=np.full_like(marg, 1.0 / cards[v]), where=den > 0)
+    return cpts
 
 
 def reference_id_formula_table(f, m) -> np.ndarray:

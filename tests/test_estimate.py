@@ -1,3 +1,7 @@
+import csv
+import io
+import random
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,7 @@ from mpdagid import (
     parse_graph,
     simulate,
 )
+from mpdagid import estimate
 
 import oracles
 
@@ -156,3 +161,53 @@ def test_dataset_csv_round_trip():
         Dataset.from_csv("")
     with pytest.raises(EstimationError, match="need more data rows than columns: 0 rows"):
         Dataset.from_csv("A,B\n")
+
+
+def _csv_text(rng: random.Random) -> str:
+    """A header and rows drawn from a small grammar of cells and lines."""
+    cells = ["1", "-2.5", " 3 ", "1_000", "nan", "inf", "-inf", "1e5", "", "x", '"4"', "-0", "0.1"]
+
+    def cell():
+        return repr(rng.uniform(-9, 9)) if rng.random() < 0.9 else rng.choice(cells)
+
+    width = rng.choice([1, 2, 3])
+    lines = [",".join(rng.choice(["A", " B", "C "]) + str(i) for i in range(width))]
+    for _ in range(rng.choice([0, 1, 3, 6])):
+        kind = rng.random()
+        if kind < 0.1:
+            lines.append(rng.choice(["", " ", "\t"]))  # blank, whitespace only
+        else:
+            n = width if kind < 0.9 else rng.choice([width - 1, width + 1])  # ragged
+            lines.append(",".join(cell() for _ in range(n)) + ("," if rng.random() < 0.05 else ""))
+    eol = rng.choice(["\n", "\r\n"])
+    return eol.join(lines) + (eol if rng.random() < 0.7 else "")
+
+
+def _from_csv_outcome(text):
+    try:
+        d = Dataset.from_csv(text)
+    except EstimationError as exc:
+        return str(exc)
+    return d.columns, d.rows.shape, d.rows.tobytes()
+
+
+@pytest.mark.filterwarnings("error")  # loadtxt warns on a body without data lines
+def test_csv_fast_path_equals_csv_loop(monkeypatch):
+    """Wherever ``np.loadtxt`` parses the body, the ``csv`` loop gives the
+    same array, bit for bit; everywhere else ``from_csv`` falls back to the
+    loop, so data sets and error messages are those of the loop alone."""
+    rng = random.Random(61)
+    texts = [_csv_text(rng) for _ in range(3000)]
+    fast = 0
+    for text in texts:
+        reader = csv.reader(io.StringIO(text))
+        width = len(next(reader))
+        rows = estimate._loadtxt_body(text, width)
+        if rows is not None:
+            fast += 1
+            want = estimate._csv_body(reader, width)
+            assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+    assert fast > 500  # texts the fast path parsed
+    outcomes = [_from_csv_outcome(text) for text in texts]
+    monkeypatch.setattr(estimate, "_loadtxt_body", lambda text, width: None)
+    assert [_from_csv_outcome(text) for text in texts] == outcomes

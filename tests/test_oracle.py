@@ -147,6 +147,46 @@ def test_column_sums_must_be_one_within_1e_12():
             DiscreteModel(dag=g, cards={"A": 2, "B": 2}, cpts=dict(ok, A=bad_a))
 
 
+def _failing(check):
+    """A node's (cardinality, cpt) that fails ``check`` on a parentless node."""
+    return {
+        "distribution": (2, np.array([0.3, 0.6])),
+        "shape": (2, np.array([0.2, 0.3, 0.5])),
+        "cardinality": (1, np.array([1.0])),
+    }[check]
+
+
+@pytest.mark.parametrize(
+    "a_fails, b_fails, message",
+    [
+        ("distribution", "shape", "cpt columns at A must be distributions"),
+        ("distribution", "cardinality", "cpt columns at A must be distributions"),
+        ("shape", "distribution", "cpt shape mismatch at A: (3,) != (2,)"),
+        ("cardinality", "distribution", "cardinality of A must be >= 2"),
+    ],
+)
+def test_first_failing_node_in_node_order_is_named(a_fails, b_fails, message):
+    """Distribution checks run batched after the per-node checks, yet the
+    error names the first failing node in node order, whichever check it
+    fails."""
+    g = Pdag(["A", "B", "C"], [("B", "C")], (), "dag")
+    cards = {"A": 2, "B": 2, "C": 2}
+    cpts = {"A": np.array([0.5, 0.5]), "B": np.array([0.3, 0.7]), "C": np.full((2, 2), 0.5)}
+    cards["A"], cpts["A"] = _failing(a_fails)
+    cards["B"], cpts["B"] = _failing(b_fails)
+    with pytest.raises(GraphError) as info:
+        DiscreteModel(dag=g, cards=cards, cpts=cpts)
+    assert str(info.value) == message
+
+
+def test_distribution_check_names_first_node_across_cardinalities():
+    g = Pdag(["A", "B", "C"], [("A", "C")], (), "dag")
+    cards = {"A": 2, "B": 3, "C": 2}
+    cpts = {"A": np.array([0.5, 0.5]), "B": np.full(3, 0.3), "C": np.full((2, 2), 0.4)}
+    with pytest.raises(GraphError, match="^cpt columns at B must be distributions$"):
+        DiscreteModel(dag=g, cards=cards, cpts=cpts)
+
+
 def test_model_keeps_read_only_copies():
     g = parse_graph("A -> B")
     a = np.array([0.5, 0.5])
@@ -304,6 +344,48 @@ def test_sweep_models_pass_validation(sweep):
             m = random_model(dags[k % len(dags)], cards, seed=9000 + 37 * gi + k)
             for d in dags:
                 model_from_joint(joint_table(m), g.nodes, cards, d)
+
+
+CARD_PATTERNS = ((2,), (2, 3), (3, 3, 2), (2, 2, 4))
+
+
+def _assert_same_cpts(got, want):
+    # Equal strides too: later sums may follow memory layout.
+    assert got.keys() == want.keys()
+    for v, table in want.items():
+        table = np.array(table)
+        assert got[v].shape == table.shape and got[v].strides == table.strides
+        assert np.array_equal(got[v], table)
+
+
+def test_draws_and_refits_equal_per_node_reference(sweep):
+    """``random_model``'s batched draws and ``model_from_joint``'s cached
+    layouts give the CPTs of the per-node code bit for bit, under four
+    cardinality patterns, on the sweep and on 6-8-node MPDAGs, also on a
+    joint where some parent configurations have no mass."""
+    graphs = list(sweep)
+    graphs += [
+        (g, enumerate_dags(g))
+        for g in oracles.random_mpdags(seed=131, count=24, n_nodes=(6, 7, 8))
+    ]
+    filled = 0
+    for gi, (g, dags) in enumerate(graphs):
+        for pattern in CARD_PATTERNS:
+            cards = {v: pattern[i % len(pattern)] for i, v in enumerate(g.nodes)}
+            base = dags[gi % len(dags)]
+            m = random_model(base, cards, seed=gi)
+            _assert_same_cpts(m.cpts, oracles.reference_random_model(base, cards, seed=gi))
+            # No mass where the first node takes its first value.
+            starved = joint_table(m).copy()
+            starved[0] = 0.0
+            for joint in (joint_table(m), starved):
+                for d in dags[:6]:
+                    want = oracles.reference_model_from_joint(joint, g.nodes, cards, d)
+                    _assert_same_cpts(model_from_joint(joint, g.nodes, cards, d).cpts, want)
+                    filled += any(
+                        (table == 1.0 / cards[v]).all(axis=0).any() for v, table in want.items()
+                    )
+    assert filled > 1000  # refits that took the uniform fill
 
 
 def test_model_from_joint_round_trip(twotreat7):
