@@ -58,13 +58,17 @@ class Dataset:
         """Comma-separated, header row of node names, ``.`` decimal point."""
         reader = csv.reader(io.StringIO(text))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EstimationError("empty CSV") from None
-        header = [h.strip() for h in header]
-        rows = _loadtxt_body(text, len(header))
-        if rows is None:
-            rows = _csv_body(reader, len(header))
+            header = next(reader, None)
+            if header is None:
+                raise EstimationError("empty CSV")
+            header = [h.strip() for h in header]
+            rows = _loadtxt_body(text, len(header))
+            if rows is None:
+                rows = _csv_body(reader, len(header))
+        except csv.Error as exc:
+            # Such as a bare carriage return inside a line.  The module's
+            # hint about opening files in universal-newline mode is dropped.
+            raise EstimationError(f"line {reader.line_num}: {str(exc).split(' - ')[0]}") from None
         return cls(columns=header, rows=rows)
 
 

@@ -14,11 +14,14 @@ formula factors take from them.  The tables built from the memo are
 bit-identical to building them afresh, since every product and sum keeps
 its operands and their order.
 
-Per-model costs are batched without changing a number: one Dirichlet
-call draws each run of nodes of one cardinality (the same generator
-stream), a model checks all its CPTs of one cardinality at once (still
-naming the first failing node), and the axis bookkeeping of refits and
-broadcast factors is cached per node tuple and family.
+Models are batched without changing a number.  A model may be a batch
+of models over one DAG: its CPTs, and every table derived from it, carry
+a leading model axis, and row i is bit for bit the table of model i
+alone; a single model runs the same code without that axis.  Within a
+model, one Dirichlet call draws each run of nodes of one cardinality
+(the same generator stream), the CPTs of one cardinality are checked at
+once (still naming the first failing node), and the axis bookkeeping of
+refits and broadcast factors is cached per node tuple and family.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -127,39 +130,52 @@ class DiscreteModel:
     """Per-node conditional probability tables for a DAG.
 
     ``cpts[v]`` has axes ``(v, *sorted(parents))``; every column (fixed
-    parent configuration) sums to one within 1e-12.  The model keeps
-    read-only copies of ``cards`` and ``cpts``, so a caller's later change
-    to its own arrays cannot make the memoised tables stale.
+    parent configuration) sums to one within 1e-12.  With ``batch`` set,
+    the model is that many models over ``dag`` and every CPT has a leading
+    model axis of that length.  The model keeps read-only copies of
+    ``cards`` and ``cpts``, so a caller's later change to its own arrays
+    cannot make the memoised tables stale.
     """
 
     dag: Pdag
     cards: Mapping[str, int]
     cpts: Mapping[str, np.ndarray]
+    batch: Optional[int] = None
+    _lead: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _memo: _Memo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dag.undirected:
             raise GraphError("discrete models require a DAG")
+        if self.batch is not None and self.batch < 1:
+            raise GraphError("a batch holds at least one model")
         cards = MappingProxyType(dict(self.cards))
         cpts: dict[str, np.ndarray] = {}
+        lead = () if self.batch is None else (self.batch,)  # the model axis's shape
         for v in self.dag.nodes:
             try:
                 if cards.get(v, 0) < 2:
                     raise GraphError(f"cardinality of {v} must be >= 2")
                 cpt = np.array(self.cpts[v])
-                expected = (cards[v],) + tuple(cards[p] for p in sorted(self.dag.parents_of(v)))
+                expected = (*lead, cards[v], *[cards[p] for p in sorted(self.dag.parents_of(v))])
                 if cpt.shape != expected:
                     raise GraphError(f"cpt shape mismatch at {v}: {cpt.shape} != {expected}")
             except Exception:
                 # The first failing node in node order is reported, so an
                 # earlier node's distribution check goes first.
-                _check_distributions(cpts)
+                _check_distributions(cpts, len(lead))
                 raise
             cpts[v] = _read_only(cpt)
-        _check_distributions(cpts)
+        _check_distributions(cpts, len(lead))
         object.__setattr__(self, "cards", cards)
         object.__setattr__(self, "cpts", MappingProxyType(cpts))
+        object.__setattr__(self, "_lead", lead)
         object.__setattr__(self, "_memo", _Memo())
+
+    def _axes(self, keep) -> tuple[int, ...]:
+        """The axes of the joint that hold the nodes satisfying ``keep``."""
+        lead = len(self._lead)
+        return tuple(lead + i for i, n in enumerate(self.dag.nodes) if keep(n))
 
     def _factors(self) -> dict[str, np.ndarray]:
         memo = self._memo
@@ -177,7 +193,7 @@ class DiscreteModel:
         if memo.joint is None:
             nodes = self.dag.nodes
             factors = self._factors()
-            full = np.ones([self.cards[n] for n in nodes])
+            full = np.ones([*self._lead, *[self.cards[n] for n in nodes]])
             for v in nodes:
                 full = full * factors[v]
             memo.joint = _read_only(full)
@@ -187,49 +203,53 @@ class DiscreteModel:
         marginals = self._memo.marginals
         table = marginals.get(keep)
         if table is None:
-            drop = tuple(i for i, n in enumerate(self.dag.nodes) if n not in keep)
+            drop = self._axes(lambda n: n not in keep)
             table = marginals[keep] = _read_only(self._joint().sum(axis=drop, keepdims=True))
         return table
 
     def _conditional(self, targets: frozenset[str], given: frozenset[str]) -> Optional[np.ndarray]:
         """f(targets | given) laid out over the joint's axes; None when a
-        configuration of ``given`` has probability zero."""
+        configuration of ``given`` has probability zero in any model."""
         conditionals = self._memo.conditionals
         key = (targets, given)
         if key not in conditionals:
             num = self._marginal(targets | given)
-            nodes = self.dag.nodes
-            den = num.sum(axis=tuple(i for i, n in enumerate(nodes) if n in targets), keepdims=True)
+            den = num.sum(axis=self._axes(targets.__contains__), keepdims=True)
             conditionals[key] = None if (den == 0).any() else _read_only(num / den)
         return conditionals[key]
 
 
 def _is_distribution(columns: np.ndarray) -> bool:
-    # A NaN anywhere fails both comparisons.
-    return bool(columns.min() >= 0 and np.abs(columns.sum(axis=0) - 1.0).max() <= 1e-12)
+    # Axis -2 holds a node's values, so each column sums along it.  A NaN
+    # anywhere fails both comparisons.
+    return bool(columns.min() >= 0 and np.abs(columns.sum(axis=-2) - 1.0).max() <= 1e-12)
 
 
-def _check_distributions(cpts: Mapping[str, np.ndarray]) -> None:
-    """Raise :class:`GraphError` naming the first CPT, in mapping order,
-    with a column that is not a distribution.  The CPTs of one cardinality
-    are checked at once, side by side as ``(card, -1)`` column blocks; a
-    node is looked for only when a block fails."""
+def _check_distributions(cpts: Mapping[str, np.ndarray], lead: int) -> None:
+    """Raise :class:`GraphError` naming the first CPT, in model order and then
+    mapping order, with a column that is not a distribution; the CPTs have
+    ``lead`` model axes.  The CPTs of one cardinality are checked at once as
+    ``(card, -1)`` column blocks per model; a node is looked for only when
+    a block fails."""
+    columns = {v: cpt.reshape(*cpt.shape[: lead + 1], -1) for v, cpt in cpts.items()}
     blocks: dict[int, list[np.ndarray]] = {}
-    for cpt in cpts.values():
-        blocks.setdefault(cpt.shape[0], []).append(cpt.reshape(cpt.shape[0], -1))
-    if all(_is_distribution(np.concatenate(b, axis=1)) for b in blocks.values()):
+    for c in columns.values():
+        blocks.setdefault(c.shape[-2], []).append(c)
+    if all(_is_distribution(np.concatenate(b, axis=-1)) for b in blocks.values()):
         return
-    for v, cpt in cpts.items():
-        if not _is_distribution(cpt):
-            raise GraphError(f"cpt columns at {v} must be distributions")
+    for model in zip(*(c.reshape(-1, *c.shape[-2:]) for c in columns.values())):
+        for v, c in zip(columns, model):
+            if not _is_distribution(c):
+                raise GraphError(f"cpt columns at {v} must be distributions")
 
 
 @dataclass(frozen=True)
 class InterventionalTable:
     """f(y | do(x)) for every configuration jointly.
 
-    Axes are ``x_nodes + y_nodes`` (each sorted); an x axis of size one
-    means the quantity does not depend on that intervened variable.
+    Axes are ``x_nodes + y_nodes`` (each sorted), after the leading model
+    axis of a batch; an x axis of size one means the quantity does not
+    depend on that intervened variable.
     """
 
     x_nodes: tuple[str, ...]
@@ -246,16 +266,23 @@ class InterventionalTable:
         return float(tv.max())
 
 
-def random_model(dag: Pdag, cardinalities: Mapping[str, int], seed: int) -> DiscreteModel:
+def random_model(
+    dag: Pdag, cardinalities: Mapping[str, int], seed: Union[int, Sequence[int]]
+) -> DiscreteModel:
     """CPT entries drawn column-wise from a symmetric Dirichlet(1).
 
     The generator is ``numpy.random.Generator(PCG64(seed))``, pinned so
     golden numbers stay stable across platforms.  Each run of consecutive
     nodes of one cardinality is drawn by one ``dirichlet`` call and sliced
     per node; the generator draws the rows of a call in order, so this is
-    the stream of one call per node.
+    the stream of one call per node.  A sequence of seeds gives a batch,
+    one generator per seed: row i is the model of ``seed[i]``.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
+    batched = isinstance(seed, Sequence)
+    if batched and not seed:
+        raise GraphError("a batch holds at least one model")
+    rngs = [np.random.Generator(np.random.PCG64(s)) for s in (seed if batched else [seed])]
+    lead = (len(rngs),) if batched else ()
     shapes = {
         v: (cardinalities[v], *(cardinalities[p] for p in sorted(dag.parents_of(v))))
         for v in dag.nodes
@@ -263,12 +290,15 @@ def random_model(dag: Pdag, cardinalities: Mapping[str, int], seed: int) -> Disc
     cpts: dict[str, np.ndarray] = {}
     for card, run in itertools.groupby(dag.nodes, key=lambda v: shapes[v][0]):
         n_cols = {v: math.prod(shapes[v][1:]) for v in run}
-        draw = rng.dirichlet(np.ones(card), size=sum(n_cols.values()))
+        alpha, size = np.ones(card), sum(n_cols.values())
+        draws = [rng.dirichlet(alpha, size=size) for rng in rngs]
+        draw = np.stack(draws) if batched else draws[0]
         row = 0
         for v, n in n_cols.items():
-            cpts[v] = np.ascontiguousarray(draw[row : row + n].T.reshape(shapes[v]))
+            cpt = draw[..., row : row + n, :].swapaxes(-1, -2).reshape(*lead, *shapes[v])
+            cpts[v] = np.ascontiguousarray(cpt)
             row += n
-    return DiscreteModel(dag=dag, cards=dict(cardinalities), cpts=cpts)
+    return DiscreteModel(dag, dict(cardinalities), cpts, batch=len(rngs) if batched else None)
 
 
 def _check_cap(cards: Mapping[str, int], nodes: Sequence[str]) -> None:
@@ -278,22 +308,25 @@ def _check_cap(cards: Mapping[str, int], nodes: Sequence[str]) -> None:
 
 
 def _expand(nodes: Sequence[str], table: np.ndarray, table_axes: Sequence[str]) -> np.ndarray:
-    """Reshape ``table`` so it broadcasts over the full ``nodes`` space."""
-    order, slots = _expand_layout(tuple(nodes), tuple(table_axes))
-    shape = [1] * len(nodes)
-    for i, slot in zip(order, slots):
+    """Reshape ``table``, after its leading model axes, to broadcast over ``nodes``."""
+    lead = table.ndim - len(table_axes)
+    order, slots = _expand_layout(tuple(nodes), tuple(table_axes), lead)
+    shape = list(table.shape[:lead]) + [1] * len(nodes)
+    for i, slot in slots:
         shape[slot] = table.shape[i]
     return table.transpose(order).reshape(shape)
 
 
 @functools.lru_cache(maxsize=4096)
 def _expand_layout(
-    nodes: tuple[str, ...], table_axes: tuple[str, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The table axes in ``nodes`` order, and the ``nodes`` slot of each."""
+    nodes: tuple[str, ...], table_axes: tuple[str, ...], lead: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The axes of a table with ``lead`` model axes, the rest put in
+    ``nodes`` order, and each of the rest with its broadcast slot."""
     pos = {n: i for i, n in enumerate(nodes)}
-    order = tuple(sorted(range(len(table_axes)), key=lambda i: pos[table_axes[i]]))
-    return order, tuple(pos[table_axes[i]] for i in order)
+    order = sorted(range(len(table_axes)), key=lambda i: pos[table_axes[i]])
+    slots = tuple((lead + i, lead + pos[table_axes[i]]) for i in order)
+    return (*range(lead), *(lead + i for i in order)), slots
 
 
 def joint_table(m: DiscreteModel) -> np.ndarray:
@@ -307,51 +340,49 @@ def model_from_joint(
 ) -> DiscreteModel:
     """Refactor a joint according to another DAG over the same nodes.
 
+    A joint with a leading model axis gives a batch of that many models.
     Conditionals at zero-probability parent configurations are filled
     uniformly; they carry no mass.
     """
     nodes = tuple(nodes)
+    lead = joint.ndim - len(nodes)
     cpts: dict[str, np.ndarray] = {}
     for v in dag.nodes:
-        drop, perm = _family_layout(nodes, (v, *sorted(dag.parents_of(v))))
+        drop, perm = _family_layout(nodes, (v, *sorted(dag.parents_of(v))), lead)
         marg = joint.sum(axis=drop).transpose(perm)
-        den = marg.sum(axis=0, keepdims=True)
+        den = marg.sum(axis=lead, keepdims=True)
         if den.all():
             cpts[v] = marg / den
         else:
             cpts[v] = np.divide(marg, den, out=np.full_like(marg, 1.0 / cards[v]), where=den > 0)
-    return DiscreteModel(dag=dag, cards=dict(cards), cpts=cpts)
+    return DiscreteModel(dag, dict(cards), cpts, batch=joint.shape[0] if lead else None)
 
 
 @functools.lru_cache(maxsize=4096)
 def _family_layout(
-    nodes: tuple[str, ...], keep: tuple[str, ...]
+    nodes: tuple[str, ...], keep: tuple[str, ...], lead: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The axes of ``nodes`` outside ``keep``, and the permutation that puts
-    the remaining axes in ``keep`` order."""
-    drop = tuple(i for i, n in enumerate(nodes) if n not in keep)
+    """The axes outside ``keep`` of a joint with ``lead`` model axes, and the
+    permutation that puts the rest after the model axes in ``keep`` order."""
+    drop = tuple(lead + i for i, n in enumerate(nodes) if n not in keep)
     kept_in_order = [n for n in nodes if n in keep]
-    return drop, tuple(kept_in_order.index(n) for n in keep)
+    return drop, (*range(lead), *(lead + kept_in_order.index(n) for n in keep))
 
 
 def gformula_table(m: DiscreteModel, X: Iterable[str], Y: Iterable[str]) -> InterventionalTable:
     """Truncated factorization f(y | do(x)) for all (x, y) at once."""
-    xs = m.dag.require(X)
-    ys = m.dag.require(Y)
+    xs, ys = m.dag.require(X), m.dag.require(Y)
     if xs & ys:
         raise GraphError("X and Y must be disjoint")
     factors = m._factors()
     nodes = m.dag.nodes
-    full = np.ones([m.cards[n] for n in nodes])
+    full = np.ones([*m._lead, *[m.cards[n] for n in nodes]])
     for v in nodes:
         if v not in xs:
             full = full * factors[v]
-    xy = xs | ys
-    drop = tuple(i for i, n in enumerate(nodes) if n not in xy)
-    kept = [n for n in nodes if n in xy]
     x_nodes, y_nodes = tuple(sorted(xs)), tuple(sorted(ys))
-    table = full.sum(axis=drop).transpose([kept.index(n) for n in x_nodes + y_nodes])
-    return InterventionalTable(x_nodes, y_nodes, table)
+    drop, perm = _family_layout(nodes, x_nodes + y_nodes, len(m._lead))
+    return InterventionalTable(x_nodes, y_nodes, full.sum(axis=drop).transpose(perm))
 
 
 def id_formula_table(f: IdFormula, m: DiscreteModel) -> InterventionalTable:
@@ -370,25 +401,23 @@ def id_formula_table(f: IdFormula, m: DiscreteModel) -> InterventionalTable:
         if n not in m.dag:
             raise GraphError(f"formula node {n} missing from the model")
 
-    prod = np.ones([1] * len(nodes))
+    lead = len(m._lead)
+    prod = np.ones([1] * (lead + len(nodes)))
     for factor in f.factors:
         conditional = m._conditional(factor.targets, factor.given)
         if conditional is None:
             raise DegenerateConditioningError("conditioning on a zero-probability event")
         prod = prod * conditional
 
-    pos = {n: i for i, n in enumerate(nodes)}
+    pos = {n: lead + i for i, n in enumerate(nodes)}
     io_axes = tuple(pos[n] for n in f.integrate_over)
     table = prod.sum(axis=io_axes, keepdims=True) if io_axes else prod
-    keep_nodes = f.intervened | f.response
-    drop_axes = tuple(i for i, n in enumerate(nodes) if n not in keep_nodes)
+    x_nodes, y_nodes = tuple(sorted(f.intervened)), tuple(sorted(f.response))
+    drop_axes, perm = _family_layout(nodes, x_nodes + y_nodes, lead)
     assert all(table.shape[i] == 1 for i in drop_axes)
     if drop_axes:
         table = table.squeeze(axis=drop_axes)
-    kept = [n for n in nodes if n in keep_nodes]
-    x_nodes, y_nodes = tuple(sorted(f.intervened)), tuple(sorted(f.response))
-    table = table.transpose([kept.index(n) for n in x_nodes + y_nodes])
-    return InterventionalTable(x_nodes, y_nodes, table)
+    return InterventionalTable(x_nodes, y_nodes, table.transpose(perm))
 
 
 # ---------------------------------------------------------------------------
@@ -551,31 +580,39 @@ def cross_dag_agreement(
     """Check that every represented DAG assigns the same interventional law
     and that the formula reproduces it.
 
-    For each random model (built on DAGs round-robin), the joint is
-    refactored along every DAG in the class and the truncated
-    factorization is compared across DAGs and against the formula, over
-    all intervention configurations at once.
+    Random model k (seed ``seed + k``) is drawn on ``dags[k % len(dags)]``;
+    its joint is refactored along every other DAG in the class, and the
+    truncated factorization is compared across DAGs and against the
+    formula, over all intervention configurations at once.  The models of
+    one base DAG are drawn as one batch and each DAG refits all joints at
+    once, in passes of at most ``CONFIG_CAP`` stacked joint cells.
     """
     g = require_mpdag(g)
     xs, ys = g.require(X), g.require(Y)
     if dags is None:
         dags = enumerate_dags(g)
     cards = {n: card for n in g.nodes}
-    max_tv = 0.0
-    max_formula = 0.0
-    for k in range(n_models):
-        base = dags[k % len(dags)]
-        model = random_model(base, cards, seed=seed + k)
-        joint = joint_table(model)
-        reference: Optional[InterventionalTable] = None
-        for d in dags:
-            refit = model if d is base else model_from_joint(joint, g.nodes, cards, d)
-            table = gformula_table(refit, xs, ys)
-            if reference is None:
-                reference = table
+    max_tv = max_formula = 0.0
+    step = max(1, CONFIG_CAP // card ** len(g.nodes))
+    for start in range(0, n_models, step):
+        ks = range(start, min(start + step, n_models))
+        seeds = {b: [seed + k for k in ks if k % len(dags) == b] for b in range(len(dags))}
+        models = {b: random_model(dags[b], cards, s) for b, s in seeds.items() if s}
+        joints = np.concatenate([joint_table(m) for m in models.values()])
+        bounds = itertools.accumulate((m.batch for m in models.values()), initial=0)
+        rows = dict(zip(models, itertools.pairwise(bounds)))
+        tables = []
+        for b, d in enumerate(dags):
+            if len(models) == 1 and b in models:
+                table = gformula_table(models[b], xs, ys)
             else:
-                max_tv = max(max_tv, reference.max_tv(table))
-        assert reference is not None
-        formula_table = id_formula_table(formula, model)
-        max_formula = max(max_formula, reference.max_tv(formula_table))
+                table = gformula_table(model_from_joint(joints, g.nodes, cards, d), xs, ys)
+                if b in models:
+                    # A base model keeps its drawn CPTs, not their refit.
+                    table.table[slice(*rows[b])] = gformula_table(models[b], xs, ys).table
+            tables.append(table)
+        formulas = [id_formula_table(formula, m) for m in models.values()]
+        formula_table = replace(formulas[0], table=np.concatenate([t.table for t in formulas]))
+        max_tv = max([max_tv, *(tables[0].max_tv(t) for t in tables[1:])])
+        max_formula = max(max_formula, tables[0].max_tv(formula_table))
     return AgreementReport(len(dags), n_models, max_tv, max_formula)

@@ -777,6 +777,37 @@ def reference_id_formula_table(f, m) -> np.ndarray:
     return np.transpose(table, [kept.index(n) for n in target])
 
 
+def reference_cross_dag_agreement(g, X, Y, formula, *, n_models=20, seed=0, card=2, dags=None):
+    """``cross_dag_agreement`` one model at a time, as it was computed
+    before models were batched: model k is drawn on ``dags[k % len(dags)]``
+    with seed ``seed + k``, refitted along every other DAG, and compared.
+    The first error raised is that of the first failing model."""
+    from mpdagid import oracle  # here, so importing this module leaves the oracle unloaded
+
+    g = require_mpdag(g)
+    xs, ys = g.require(X), g.require(Y)
+    if dags is None:
+        dags = oracle.enumerate_dags(g)
+    cards = {n: card for n in g.nodes}
+    max_tv = 0.0
+    max_formula = 0.0
+    for k in range(n_models):
+        base = dags[k % len(dags)]
+        model = oracle.random_model(base, cards, seed=seed + k)
+        joint = oracle.joint_table(model)
+        reference = None
+        for d in dags:
+            refit = model if d is base else oracle.model_from_joint(joint, g.nodes, cards, d)
+            table = oracle.gformula_table(refit, xs, ys)
+            if reference is None:
+                reference = table
+            else:
+                max_tv = max(max_tv, reference.max_tv(table))
+        formula_table = oracle.id_formula_table(formula, model)
+        max_formula = max(max_formula, reference.max_tv(formula_table))
+    return oracle.AgreementReport(len(dags), n_models, max_tv, max_formula)
+
+
 # --------------------------------------------------------------------------
 # Gaussian covariance by matrix solve and by path sums
 # --------------------------------------------------------------------------

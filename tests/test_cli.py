@@ -279,6 +279,22 @@ def test_ragged_csv_exit_1(files, capsys, tmp_path):
     assert "line 6" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("A,B\n1,2\n3,4\r5,6\n7,8\n", 3), ("A,B\r1,2\r3,4\r5,6\r7,8\r", 1)],
+    ids=["stray-cr", "cr-line-endings"],
+)
+def test_csv_with_bare_carriage_return_exit_1(tmp_path, capsys, text, line):
+    graph = tmp_path / "g.txt"
+    graph.write_text("A -> B\n")
+    data = tmp_path / "data.csv"
+    data.write_bytes(text.encode())
+    code = main(["estimate", "-g", str(graph), "-X", "A", "-Y", "B", "--data", str(data)])
+    assert code == 1
+    err = _one_error_line(capsys)
+    assert err == f"mpdagid: line {line}: new-line character seen in unquoted field\n"
+
+
 def test_degenerate_conditioning_exit_1(files, capsys, monkeypatch):
     from mpdagid import DegenerateConditioningError
 

@@ -211,3 +211,21 @@ def test_csv_fast_path_equals_csv_loop(monkeypatch):
     outcomes = [_from_csv_outcome(text) for text in texts]
     monkeypatch.setattr(estimate, "_loadtxt_body", lambda text, width: None)
     assert [_from_csv_outcome(text) for text in texts] == outcomes
+
+
+def test_bare_carriage_return_is_an_estimation_error(monkeypatch):
+    """On texts with stray ``\\r`` characters, ``csv`` errors come out as
+    numbered :class:`EstimationError` lines, and the ``np.loadtxt`` fast
+    path agrees with the ``csv`` loop on every text."""
+    rng = random.Random(67)
+    texts = []
+    for _ in range(1500):
+        text = _csv_text(rng)
+        for _ in range(rng.choice([1, 2])):
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + "\r" + text[i:]
+        texts.append(text)
+    outcomes = [_from_csv_outcome(text) for text in texts]
+    assert sum(isinstance(o, str) and o.startswith("line ") for o in outcomes) > 500
+    monkeypatch.setattr(estimate, "_loadtxt_body", lambda text, width: None)
+    assert [_from_csv_outcome(text) for text in texts] == outcomes

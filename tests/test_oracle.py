@@ -28,7 +28,8 @@ from mpdagid import (
 )
 
 import oracles
-from conftest import query_pairs
+from conftest import COVAR5_TEXT, MPDAG4_TEXT, query_pairs
+from mpdagid import oracle
 from mpdagid.oracle import _first_dag
 
 
@@ -394,6 +395,233 @@ def test_model_from_joint_round_trip(twotreat7):
     joint = joint_table(m)
     back = model_from_joint(joint, twotreat7.nodes, cards, twotreat7)
     assert np.allclose(joint_table(back), joint)
+
+
+# -- batched models -------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def larger():
+    """MPDAGs with 6-8 nodes, each with its enumerated class."""
+    graphs = oracles.random_mpdags(seed=171, count=16, n_nodes=(6, 7, 8))
+    return [(g, enumerate_dags(g)) for g in graphs]
+
+
+def _identifiable(g):
+    return [
+        (xs, ys, res.formula)
+        for xs, ys in query_pairs(g.nodes)
+        if (res := identify(g, xs, ys)).identifiable
+    ]
+
+
+def test_batched_agreement_equals_per_model_reference(sweep, larger):
+    """``cross_dag_agreement`` reports exactly what the per-model loop
+    reports, on the sweep and on 6-8-node MPDAGs, with ``card`` 2 and 3
+    and ``n_models`` 20 and below ``len(dags)``: one query per graph, the
+    settings taken in turn."""
+    settings = list(itertools.product((2, 3), (20, "fewer")))
+    checked = fewer = 0
+    for gi, (g, dags) in enumerate([*sweep, *larger]):
+        queries = _identifiable(g)
+        if not queries:
+            continue
+        xs, ys, f = queries[gi % len(queries)]
+        card, n_models = settings[gi % len(settings)]
+        if n_models == "fewer":
+            n_models = max(1, len(dags) - 1)
+            fewer += n_models < len(dags)
+        kwargs = dict(n_models=n_models, seed=gi, card=card, dags=dags)
+        got = cross_dag_agreement(g, xs, ys, f, **kwargs)
+        assert got == oracles.reference_cross_dag_agreement(g, xs, ys, f, **kwargs), (gi, xs, ys)
+        checked += 1
+    assert checked > 250 and fewer > 25
+
+
+def test_batched_agreement_in_passes_equals_reference(sweep, monkeypatch):
+    """Under a small cap the models are taken in several passes; the
+    reports still equal the per-model loop's."""
+    monkeypatch.setattr(oracle, "CONFIG_CAP", 64)
+    checked = 0
+    for gi, (g, dags) in enumerate(sweep[::5]):
+        queries = _identifiable(g)
+        if queries and 2 ** len(g.nodes) > 4:  # more than one pass
+            xs, ys, f = queries[gi % len(queries)]
+            kwargs = dict(n_models=20, seed=gi, dags=dags)
+            want = oracles.reference_cross_dag_agreement(g, xs, ys, f, **kwargs)
+            assert cross_dag_agreement(g, xs, ys, f, **kwargs) == want
+            checked += 1
+    assert checked > 30
+
+
+def test_batched_tables_equal_per_model_rows(sweep, larger):
+    """Each row of a batched ``random_model``, ``joint_table``,
+    ``model_from_joint``, ``gformula_table`` and ``id_formula_table`` is
+    the single model's table, bit for bit, also for refits of a stack of
+    joints in which one model has no mass at some parent configurations."""
+    rows = 0
+    for gi, (g, dags) in enumerate([*sweep[::3], *larger]):
+        pattern = CARD_PATTERNS[gi % len(CARD_PATTERNS)]
+        cards = {v: pattern[i % len(pattern)] for i, v in enumerate(g.nodes)}
+        base = dags[gi % len(dags)]
+        seeds = [gi, 1000 + gi, 2000 + gi]
+        batch = random_model(base, cards, seeds)
+        singles = [random_model(base, cards, s) for s in seeds]
+        assert batch.batch == len(seeds) and all(m.batch is None for m in singles)
+        joints = joint_table(batch).copy()
+        joints[1, 0] = 0.0  # no mass where model 1's first node takes its first value
+        single_joints = [joint_table(m) for m in singles]
+        single_joints[1] = joints[1]
+        queries = _identifiable(g)[:2]
+        for i, m in enumerate(singles):
+            for v in g.nodes:
+                assert np.array_equal(batch.cpts[v][i], m.cpts[v])
+            assert np.array_equal(joint_table(batch)[i], joint_table(m))
+            for xs, ys, f in queries:
+                want = gformula_table(m, xs, ys).table
+                assert np.array_equal(gformula_table(batch, xs, ys).table[i], want)
+                want = id_formula_table(f, m).table
+                assert np.array_equal(id_formula_table(f, batch).table[i], want)
+        for d in dags[:4]:
+            refit = model_from_joint(joints, g.nodes, cards, d)
+            for i, joint in enumerate(single_joints):
+                single = model_from_joint(joint, g.nodes, cards, d)
+                for v in g.nodes:
+                    assert np.array_equal(refit.cpts[v][i], single.cpts[v])
+                assert np.array_equal(joint_table(refit)[i], joint_table(single))
+                for xs, ys, _ in queries:
+                    want = gformula_table(single, xs, ys).table
+                    assert np.array_equal(gformula_table(refit, xs, ys).table[i], want)
+                rows += 1
+    assert rows > 500
+
+
+def test_batched_model_checks():
+    """A batch is checked model by model: shapes include the model axis,
+    and the first failing model's first failing node is named."""
+    g = parse_graph("A -> B")
+    cards = {"A": 2, "B": 2}
+    ok = {"A": np.array([0.5, 0.5]), "B": np.array([[0.25, 0.5], [0.75, 0.5]])}
+    stacked = {v: np.stack([t, t, t]) for v, t in ok.items()}
+    assert DiscreteModel(g, cards, stacked, batch=3).batch == 3
+    with pytest.raises(GraphError, match=r"^cpt shape mismatch at A: \(3, 2\) != \(2, 2\)$"):
+        DiscreteModel(g, cards, stacked, batch=2)
+    with pytest.raises(GraphError, match="at least one model"):
+        DiscreteModel(g, cards, {v: t[:0] for v, t in stacked.items()}, batch=0)
+    with pytest.raises(GraphError, match="at least one model"):
+        random_model(g, cards, [])
+    bad = {v: t.copy() for v, t in stacked.items()}
+    bad["B"][1, 0, 0] = 0.5  # model 1 fails at B
+    bad["A"][2, 0] = 0.7  # model 2 fails at A
+    with pytest.raises(GraphError, match="^cpt columns at B must be distributions$"):
+        DiscreteModel(g, cards, bad, batch=3)
+
+
+class _SeededPCG64(np.random.PCG64):
+    """A PCG64 that remembers its seed."""
+
+    def __init__(self, seed=None):
+        super().__init__(seed)
+        self.seed = seed
+
+
+def _no_mass_off_zero(draw):
+    draw[...] = 0.0
+    draw[..., 0] = 1.0  # every column puts all mass on the first value
+
+
+def _not_a_distribution(draw):
+    draw[0, 0] += 0.5
+
+
+@pytest.mark.parametrize(
+    "corrupt, error",
+    [(_no_mass_off_zero, DegenerateConditioningError), (_not_a_distribution, GraphError)],
+    ids=["zero-mass", "distribution"],
+)
+@pytest.mark.parametrize(
+    "text, X, Y",
+    [("X -> Y\n", "X", "Y"), (COVAR5_TEXT, "X", "Y"), (MPDAG4_TEXT, "X", "Y1,Y2")],
+    ids=["chain", "covar5", "mpdag4"],
+)
+def test_batched_agreement_raises_the_reference_error(monkeypatch, corrupt, error, text, X, Y):
+    """A failure forced into model 7 alone (no mass off each node's first
+    value, so a conditional of the formula is undefined, or a CPT column
+    that does not sum to one) raises in the batched agreement the class and
+    message the per-model loop raises."""
+    g = parse_graph(text)
+    xs, ys = set(X.split(",")), set(Y.split(","))
+    f = identify(g, xs, ys).formula
+    seed, k = 40, 7
+
+    class Corrupting(np.random.Generator):
+        def dirichlet(self, alpha, size=None):
+            draw = super().dirichlet(alpha, size)
+            if self.bit_generator.seed == seed + k:
+                corrupt(draw)
+            return draw
+
+    monkeypatch.setattr(np.random, "PCG64", _SeededPCG64)
+    monkeypatch.setattr(np.random, "Generator", Corrupting)
+    with pytest.raises(error) as want:
+        oracles.reference_cross_dag_agreement(g, xs, ys, f, seed=seed)
+    with pytest.raises(error) as got:
+        cross_dag_agreement(g, xs, ys, f, seed=seed)
+    assert str(got.value) == str(want.value)
+
+
+def test_batched_agreement_over_the_cap_raises_the_reference_error():
+    """The cap applies to every model alike, so the first model raises it."""
+    names = [f"N{i}" for i in range(21)]
+    g = parse_graph("\n".join(f"node {n}" for n in names))
+    f = identify(g, {"N0"}, {"N1"}).formula
+    with pytest.raises(GraphError) as want:
+        oracles.reference_cross_dag_agreement(g, {"N0"}, {"N1"}, f)
+    with pytest.raises(GraphError) as got:
+        cross_dag_agreement(g, {"N0"}, {"N1"}, f)
+    assert str(got.value) == str(want.value) == "joint has 2097152 configurations; cap is 1048576"
+
+
+COUNTED = ("random_model", "joint_table", "model_from_joint", "gformula_table", "id_formula_table")
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Counts calls of the oracle's model functions by name."""
+    calls = dict.fromkeys(COUNTED, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in COUNTED:
+        monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+    return calls
+
+
+def test_agreement_calls_per_base_dag_not_per_model(oracle_calls, covar5):
+    """The 20 models of a one-DAG query are one batch, and a query over n
+    DAGs refits at most n times, never once per model."""
+    g = parse_graph("Z -> X\nZ -> Y\nX -> Y\n")
+    cross_dag_agreement(g, {"X"}, {"Y"}, identify(g, {"X"}, {"Y"}).formula, n_models=20)
+    assert oracle_calls == {
+        "random_model": 1,
+        "joint_table": 1,
+        "model_from_joint": 0,
+        "gformula_table": 1,
+        "id_formula_table": 1,
+    }
+    oracle_calls.update(dict.fromkeys(COUNTED, 0))
+    n = len(enumerate_dags(covar5))
+    assert n > 1
+    cross_dag_agreement(covar5, {"X"}, {"Y"}, identify(covar5, {"X"}, {"Y"}).formula, n_models=20)
+    assert oracle_calls["model_from_joint"] <= n
+    for name in ("random_model", "joint_table", "id_formula_table"):
+        assert oracle_calls[name] == n
+    assert oracle_calls["gformula_table"] <= 2 * n
 
 
 # -- gaussian models ----------------------------------------------------------
