@@ -50,6 +50,29 @@ class DegenerateConditioningError(ValueError):
     """A formula factor conditions on a zero-probability event."""
 
 
+class _Adjacency(dict):
+    """Closed neighbourhoods ``N(n) | {n}`` of one skeleton, computed on
+    first lookup.
+
+    Orienting an edge never changes adjacency (Meek 1995), so every graph
+    derived from ``pa``, ``ch`` and ``und`` by orientation shares the map.
+    An entry is stored only once complete: concurrent fills of one node
+    write equal sets.  The sets are read, never changed.
+    """
+
+    __slots__ = ("pa", "ch", "und")
+
+    def __init__(self, pa: dict[str, set[str]], ch: dict[str, set[str]], und: dict[str, set[str]]):
+        super().__init__()
+        self.pa, self.ch, self.und = pa, ch, und
+
+    def __missing__(self, n: str) -> set[str]:
+        out = self.pa[n] | self.ch[n] | self.und[n]
+        out.add(n)
+        self[n] = out
+        return out
+
+
 def _check_name(name: str) -> str:
     if not isinstance(name, str) or not NODE_NAME.match(name):
         raise GraphError(f"invalid node name: {name!r}")
@@ -92,6 +115,13 @@ class Pdag:
     ``_rank``, the Dor-Tarsi removal rank of one DAG it represents: that
     DAG points every edge from the higher rank to the lower.  The slot is
     ``None`` on every graph ``close`` did not build.
+
+    The private ``_adj`` maps each node to its closed neighbourhood
+    ``N(n) | {n}``, filled on first lookup.  Orientation keeps the
+    skeleton, so the graphs derived by orientation (closures, enumeration
+    branches and leaves, re-tagged graphs) share one lazily filled map
+    with the graph they came from; this constructor and
+    :meth:`induced_subgraph` start a fresh one.
     """
 
     __slots__ = (
@@ -103,6 +133,7 @@ class Pdag:
         "_children",
         "_und",
         "_rank",
+        "_adj",
         "_hash",
     )
 
@@ -180,18 +211,20 @@ class Pdag:
                 )
 
     def _lay_out(
-        self, nodes, directed, undirected, parents, children, und, class_tag, rank=None
+        self, nodes, directed, undirected, parents, children, und, class_tag, rank=None, adj=None
     ) -> None:
-        """Set every field; the one place that lays out a graph."""
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "directed", directed)
-        object.__setattr__(self, "undirected", undirected)
-        object.__setattr__(self, "_parents", parents)
-        object.__setattr__(self, "_children", children)
-        object.__setattr__(self, "_und", und)
-        object.__setattr__(self, "class_tag", class_tag)
-        object.__setattr__(self, "_rank", rank)
-        object.__setattr__(self, "_hash", None)
+        """Set every field; the one place that lays out a graph.  Without
+        ``adj`` the graph starts a fresh neighbourhood map."""
+        self.nodes = nodes
+        self.directed = directed
+        self.undirected = undirected
+        self._parents = parents
+        self._children = children
+        self._und = und
+        self.class_tag = class_tag
+        self._rank = rank
+        self._adj = _Adjacency(parents, children, und) if adj is None else adj
+        self._hash = None
 
     @classmethod
     def _trusted(
@@ -203,6 +236,7 @@ class Pdag:
         class_tag: ClassTag,
         edges: Optional[tuple[frozenset, frozenset]] = None,
         rank: Optional[dict[str, int]] = None,
+        adj: Optional[_Adjacency] = None,
     ) -> "Pdag":
         """A graph that adopts the caller's parent, child and undirected
         neighbour sets (keyed by every node) and checks nothing.
@@ -210,7 +244,9 @@ class Pdag:
         The caller vouches for everything ``class_tag`` asserts and hands
         the sets over: they must not change afterwards.  ``edges``, the
         ``(directed, undirected)`` frozensets, is derived from the sets
-        when not given; ``rank`` becomes the graph's ``_rank``.
+        when not given; ``rank`` becomes the graph's ``_rank``; ``adj``,
+        the neighbourhood map of a graph with the same skeleton, becomes
+        its ``_adj`` (a fresh map when not given).
         """
         g = object.__new__(cls)
         if edges is None:
@@ -218,12 +254,12 @@ class Pdag:
                 frozenset((p, n) for n, ps in parents.items() for p in ps),
                 frozenset((a, b) for a, bs in und.items() for b in bs if a < b),
             )
-        g._lay_out(nodes, *edges, parents, children, und, class_tag, rank)
+        g._lay_out(nodes, *edges, parents, children, und, class_tag, rank, adj)
         return g
 
     def _retag(self, class_tag: ClassTag) -> "Pdag":
-        """This graph under ``class_tag``, sharing its fields, unchecked:
-        the caller vouches for the tag."""
+        """This graph under ``class_tag``, sharing its fields and its
+        neighbourhood map, unchecked: the caller vouches for the tag."""
         g = object.__new__(type(self))
         g._lay_out(
             self.nodes,
@@ -234,6 +270,7 @@ class Pdag:
             self._und,
             class_tag,
             self._rank,
+            self._adj,
         )
         return g
 
@@ -292,8 +329,7 @@ class Pdag:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((frozenset(self.nodes), self.directed, self.undirected))
-            object.__setattr__(self, "_hash", h)
+            h = self._hash = hash((frozenset(self.nodes), self.directed, self.undirected))
         return h
 
     def __repr__(self) -> str:
@@ -441,14 +477,13 @@ class Pdag:
 
     def to_edgelist(self) -> str:
         """Render in the edge-list text format (parse round-trips)."""
+        pa, ch, und, directed = self._parents, self._children, self._und, self.directed
+        lines = [f"node {n}" for n in sorted(self.nodes) if not (pa[n] or ch[n] or und[n])]
         # Sorted by endpoints: a pair has one edge, so (a, b) decides the order.
-        edges = sorted(
-            [(a, b, "->") for a, b in self.directed]
-            + [(a, b, "--") for a, b in self.undirected]
-        )
-        linked = {n for a, b, _ in edges for n in (a, b)}
-        lines = [f"node {n}" for n in sorted(set(self.nodes) - linked)]
-        lines += [f"{a} {mark} {b}" for a, b, mark in edges]
+        lines += [
+            f"{a} -> {b}" if (a, b) in directed else f"{a} -- {b}"
+            for a, b in sorted(directed | self.undirected)
+        ]
         return "\n".join(lines) + ("\n" if lines else "")
 
 

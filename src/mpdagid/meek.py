@@ -39,6 +39,7 @@ from .graphs import (
     GraphParseError,
     Pdag,
     UnknownNodeError,
+    _Adjacency,
     _token_lines,
     has_directed_cycle,
     parse_graph,
@@ -52,25 +53,6 @@ NodeSets = dict[str, set[str]]
 
 class InconsistentKnowledgeError(GraphError):
     """Background knowledge conflicts with the graph or with itself."""
-
-
-class _Adjacency(dict):
-    """Closed neighbourhoods ``N(n) | {n}``, computed on first lookup.
-
-    Orienting an edge never changes adjacency, so an entry stays valid
-    while the closure mutates ``pa``, ``ch`` and ``und``.
-    """
-
-    __slots__ = ("pa", "ch", "und")
-
-    def __init__(self, pa: NodeSets, ch: NodeSets, und: NodeSets):
-        super().__init__()
-        self.pa, self.ch, self.und = pa, ch, und
-
-    def __missing__(self, n: str) -> set[str]:
-        out = self[n] = self.pa[n] | self.ch[n] | self.und[n]
-        out.add(n)
-        return out
 
 
 def _which_rule(
@@ -156,7 +138,7 @@ def consistent_extension(g: Pdag) -> tuple[NodeSets, NodeSets]:
     checks an untagged graph, so the raise guards that invariant.
     """
     pa, ch, und = g._parents, g._children, g._und
-    order = _sink_order(g.nodes, pa, ch, und, _Adjacency(pa, ch, und))
+    order = _sink_order(g.nodes, pa, ch, und, g._adj)
     if order is None:
         raise GraphError("closure represents no DAG (no consistent extension exists)")
     rank = {v: i for i, v in enumerate(order)}
@@ -171,15 +153,13 @@ def has_consistent_extension(g: Pdag) -> bool:
     a new unshielded collider."""
     if not g.undirected:
         return True
-    pa, ch, und = g._parents, g._children, g._und
-    return _sink_order(g.nodes, pa, ch, und, _Adjacency(pa, ch, und)) is not None
+    return _sink_order(g.nodes, g._parents, g._children, g._und, g._adj) is not None
 
 
 def is_mpdag(g: Pdag) -> bool:
     """True when no orientation rule fires, i.e. no forbidden induced
     subgraph occurs.  Assumes ``g`` is acyclic (enforced by ``Pdag``)."""
-    pa, ch, und = g._parents, g._children, g._und
-    adj = _Adjacency(pa, ch, und)
+    pa, ch, und, adj = g._parents, g._children, g._und, g._adj
     for a, b in g.undirected:
         if _which_rule(pa, ch, und, adj, a, b) is not None:
             return False
@@ -215,7 +195,8 @@ def close(
     The closure of an untagged ``g`` is built by the public ``Pdag``
     constructor, which checks it once more; that of a tagged ``g`` adopts
     the closure's sets unchecked, since the checks below establish
-    everything the tag asserts.
+    everything the tag asserts.  Either way the closure has ``g``'s
+    skeleton and shares ``g``'s lazily filled neighbourhood map.
 
     The result carries the Dor-Tarsi removal rank of one DAG D it
     represents (``Pdag._rank``).  When ``g`` carries one and every edge
@@ -246,11 +227,12 @@ def close(
     # Shallow copies of the graph's maps.  Orienting an edge replaces the
     # sets it changes instead of writing into them, so the graph's own sets
     # stay untouched and the closure shares every set it does not change.
+    # Orienting keeps adjacency, so the closure shares ``g``'s map of it.
     nodes = g.nodes
     pa: NodeSets = dict(g._parents)
     ch: NodeSets = dict(g._children)
     und: NodeSets = dict(g._und)
-    adj = _Adjacency(pa, ch, und)
+    adj = g._adj
     # Orientations made here, in order; the position picks which demand
     # is reported when several conflict at once.
     oriented: dict[tuple[str, str], int] = {}
@@ -348,7 +330,7 @@ def close(
         directed = [(p, n) for n, ps in pa.items() for p in ps]
         undirected = [(a, b) for a, bs in und.items() for b in bs if a < b]
         h = Pdag(nodes, directed, undirected, "mpdag")
-        h._rank = rank
+        h._rank, h._adj = rank, adj
         return h
     # Reached the rule fixpoint from a closed graph, acyclic and extendable:
     # an MPDAG (Meek 1995), so the closure's sets become the graph's own.
@@ -356,7 +338,7 @@ def close(
         g.directed.union(oriented),
         g.undirected.difference((t, h) if t < h else (h, t) for t, h in oriented),
     )
-    return Pdag._trusted(nodes, pa, ch, und, "mpdag", edges, rank)
+    return Pdag._trusted(nodes, pa, ch, und, "mpdag", edges, rank, adj)
 
 
 def _check_no_reverse_demand(

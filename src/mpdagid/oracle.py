@@ -273,10 +273,14 @@ def random_model(
 
     The generator is ``numpy.random.Generator(PCG64(seed))``, pinned so
     golden numbers stay stable across platforms.  Each run of consecutive
-    nodes of one cardinality is drawn by one ``dirichlet`` call and sliced
-    per node; the generator draws the rows of a call in order, so this is
-    the stream of one call per node.  A sequence of seeds gives a batch,
-    one generator per seed: row i is the model of ``seed[i]``.
+    nodes of one cardinality is drawn by one ``standard_exponential`` call
+    and sliced per node; the generator draws the rows of a call in order,
+    so this is the stream of one call per node.  Each row is summed left
+    to right and multiplied by the reciprocal of its sum, which is how
+    numpy's ``dirichlet`` draws Dirichlet(1): the draws are bit-identical
+    to one ``dirichlet(np.ones(card), n_columns)`` call per node.  A
+    sequence of seeds gives a batch, one generator per seed: row i is the
+    model of ``seed[i]``.
     """
     batched = isinstance(seed, Sequence)
     if batched and not seed:
@@ -290,9 +294,13 @@ def random_model(
     cpts: dict[str, np.ndarray] = {}
     for card, run in itertools.groupby(dag.nodes, key=lambda v: shapes[v][0]):
         n_cols = {v: math.prod(shapes[v][1:]) for v in run}
-        alpha, size = np.ones(card), sum(n_cols.values())
-        draws = [rng.dirichlet(alpha, size=size) for rng in rngs]
+        size = (sum(n_cols.values()), card)
+        draws = [rng.standard_exponential(size) for rng in rngs]
         draw = np.stack(draws) if batched else draws[0]
+        total = draw[..., 0].copy()
+        for i in range(1, card):
+            total += draw[..., i]
+        draw *= (1 / total)[..., None]
         row = 0
         for v, n in n_cols.items():
             cpt = draw[..., row : row + n, :].swapaxes(-1, -2).reshape(*lead, *shapes[v])

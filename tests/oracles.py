@@ -463,6 +463,18 @@ def dag_d_separated(dag: Pdag, X, Y, Z) -> bool:
     return nx.is_d_separator(to_networkx(dag), set(X), set(Y), set(Z))
 
 
+def reference_to_edgelist(g: Pdag) -> str:
+    """``Pdag.to_edgelist`` as marked ``(a, b, mark)`` triples, sorted,
+    after the isolated nodes, sorted."""
+    edges = sorted(
+        [(a, b, "->") for a, b in g.directed] + [(a, b, "--") for a, b in g.undirected]
+    )
+    linked = {n for a, b, _ in edges for n in (a, b)}
+    lines = [f"node {n}" for n in sorted(set(g.nodes) - linked)]
+    lines += [f"{a} {mark} {b}" for a, b, mark in edges]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
 # --------------------------------------------------------------------------
 # Closure by full rescan
 # --------------------------------------------------------------------------

@@ -128,6 +128,25 @@ def test_edgelist_isolated_nodes():
     assert parse_graph(g.to_edgelist()) == g
 
 
+EDGELIST_CASES = [
+    "",
+    "node A",
+    "node B\nnode A\nB -> C",
+    "X1 -> X10\nX1_b -- X1\nnode X1.c\nX10 -- X1_b\nnode X",
+    "X10 -> X1\nX1 -> X1_b\nX10 -- X1_b\nX1_b -> X2\nnode X100\nX2 -- X20",
+    "b -- a\nc -> a\nB -> c\nnode A\nb -> B",
+]
+
+
+def test_edgelist_matches_the_triple_sorting_reference(sweep):
+    graphs = [h for g, dags in sweep for h in (g, *dags)]
+    for g in oracles.random_mpdags(seed=41, count=40, n_nodes=(6, 7, 8)):
+        graphs += [g, *enumerate_dags(g)]
+    graphs += [parse_graph(text) for text in EDGELIST_CASES]
+    for g in graphs:
+        assert g.to_edgelist() == oracles.reference_to_edgelist(g), g.to_edgelist()
+
+
 def test_induced_subgraph_drops_removed_nodes(mpdag4):
     h = mpdag4.induced_subgraph({"V1", "Y1", "Y2"})
     assert h.undirected == {("V1", "Y1")}

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from mpdagid import meek
+from mpdagid import graphs, meek
 from mpdagid import (
     GraphError,
     GraphParseError,
@@ -349,7 +349,7 @@ def test_sink_order_matches_rescanning_reference(sweep):
     outcomes = collections.Counter()
     for nodes, pa, ch, und in _sink_order_cases(sweep):
         expected = oracles.reference_sink_order(nodes, pa, ch, und)
-        got = meek._sink_order(nodes, pa, ch, und, meek._Adjacency(pa, ch, und))
+        got = meek._sink_order(nodes, pa, ch, und, graphs._Adjacency(pa, ch, und))
         assert got == expected, (nodes, pa, und)
         outcomes["stuck" if got is None else "order"] += 1
     print(dict(outcomes))

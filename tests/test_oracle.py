@@ -531,7 +531,8 @@ def _no_mass_off_zero(draw):
 
 
 def _not_a_distribution(draw):
-    draw[0, 0] += 0.5
+    # A negative draw leaves a negative entry in its normalised row.
+    draw[0, 0] = -1.0
 
 
 @pytest.mark.parametrize(
@@ -547,7 +548,7 @@ def _not_a_distribution(draw):
 def test_batched_agreement_raises_the_reference_error(monkeypatch, corrupt, error, text, X, Y):
     """A failure forced into model 7 alone (no mass off each node's first
     value, so a conditional of the formula is undefined, or a CPT column
-    that does not sum to one) raises in the batched agreement the class and
+    with a negative entry) raises in the batched agreement the class and
     message the per-model loop raises."""
     g = parse_graph(text)
     xs, ys = set(X.split(",")), set(Y.split(","))
@@ -555,8 +556,8 @@ def test_batched_agreement_raises_the_reference_error(monkeypatch, corrupt, erro
     seed, k = 40, 7
 
     class Corrupting(np.random.Generator):
-        def dirichlet(self, alpha, size=None):
-            draw = super().dirichlet(alpha, size)
+        def standard_exponential(self, size=None):
+            draw = super().standard_exponential(size)
             if self.bit_generator.seed == seed + k:
                 corrupt(draw)
             return draw

@@ -14,6 +14,8 @@ from mpdagid import (
     parse_graph,
     pco,
 )
+from mpdagid.meek import require_mpdag
+from mpdagid.oracle import _depth_first
 
 import oracles
 
@@ -134,3 +136,55 @@ def test_carried_rank_stands_for_a_represented_dag(g):
         assert h.directed <= dag.directed
         assert nx.is_directed_acyclic_graph(oracles.to_networkx(dag))
         assert oracles.unshielded_colliders(dag) == oracles.unshielded_colliders(h)
+
+
+def _derived_by_orientation(g):
+    """Graphs that ``close``, ``_retag`` and ``_depth_first`` derive from
+    the MPDAG ``g``, plus the closure of ``g`` rebuilt untagged, which the
+    checking constructor builds; each paired with the graph it came from."""
+    untagged = Pdag(g.nodes, g.directed, g.undirected)
+    pairs = [(untagged, close(untagged)), (untagged, require_mpdag(untagged))]
+    pairs += [(g, close(g)), (g, g._retag("cpdag"))]
+    for a, b in sorted(g.undirected):
+        for pair in ((a, b), (b, a)):
+            try:
+                pairs.append((g, close(g, (pair,))))
+            except InconsistentKnowledgeError:
+                pass
+    pairs += [(g, h) for h in itertools.islice(_depth_first(g), 64)]
+    return pairs
+
+
+def _assert_true_map(h):
+    for n in h.nodes:
+        assert h._adj[n] == h._parents[n] | h._children[n] | h._und[n] | {n}
+
+
+def _assert_own_subgraph_map(g, keep):
+    sub = g.induced_subgraph(keep)
+    assert sub._adj is not g._adj
+    _assert_true_map(sub)
+    assert set(sub._adj).union(*sub._adj.values()) <= set(keep)
+
+
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(mpdags(), st.data())
+def test_derived_graphs_share_one_true_adjacency_map(g, data):
+    for parent, h in _derived_by_orientation(g):
+        assert h._adj is parent._adj
+        _assert_true_map(h)
+    _assert_own_subgraph_map(g, data.draw(st.sets(st.sampled_from(g.nodes))))
+
+
+def test_derived_graphs_share_one_true_adjacency_map_on_the_sweep(sweep):
+    for g, dags in sweep:
+        for parent, h in _derived_by_orientation(g) + [(g, d) for d in dags]:
+            assert h._adj is parent._adj
+            _assert_true_map(h)
+        _assert_own_subgraph_map(g, g.nodes[1:])
