@@ -76,37 +76,6 @@ class IdFormula:
         return frozenset(out) - self.response
 
 
-def _names(xs: Iterable[str]) -> list[str]:
-    return sorted(x.lower() for x in xs)
-
-
-def _given_order(factor: Factor, intervened: frozenset[str]) -> list[str]:
-    """Intervened conditioners first, then the rest, each sorted."""
-    fixed = sorted(x.lower() for x in factor.given & intervened)
-    rest = sorted(x.lower() for x in factor.given - intervened)
-    return fixed + rest
-
-
-def _render_text(f: IdFormula) -> str:
-    lhs = "f(" + ",".join(_names(f.response))
-    if f.intervened:
-        lhs += "|do(" + ",".join(_names(f.intervened)) + ")"
-    lhs += ")"
-    parts = []
-    for factor in f.factors:
-        s = "f(" + ",".join(_names(factor.targets))
-        given = _given_order(factor, f.intervened)
-        if given:
-            s += "|" + ",".join(given)
-        s += ")"
-        parts.append(s)
-    rhs = " ".join(parts)
-    io = f.integrate_over
-    if io:
-        rhs = "∫ " + rhs + " d(" + ",".join(_names(io)) + ")"
-    return lhs + " = " + rhs
-
-
 def _tex_name(x: str) -> str:
     base = x.lower()
     head = base.rstrip("0123456789")
@@ -115,26 +84,39 @@ def _tex_name(x: str) -> str:
     return base
 
 
-def _render_latex(f: IdFormula) -> str:
-    def group(xs):
-        return ",".join(sorted(_tex_name(x) for x in xs))
+# Per style: the name transform, then the tokens that open the conditioners,
+# the intervention, the next factor, the integral and its measure.
+_STYLES = {
+    "text": (str.lower, "|", "|do(", " ", "∫ ", " d("),
+    "latex": (_tex_name, r" \mid ", r" \mid do(", r"\, ", r"\int ", r"\, d("),
+}
+
+
+def _render_styled(f: IdFormula, name, given_sep, do, times, integral, measure) -> str:
+    """A node group is sorted by its rendered names; the conditioners of a
+    factor come intervened first, then the rest, each sorted by lower-case
+    name."""
+
+    def group(xs: Iterable[str]) -> str:
+        return ",".join(sorted(map(name, xs)))
 
     lhs = "f(" + group(f.response)
     if f.intervened:
-        lhs += r" \mid do(" + group(f.intervened) + ")"
+        lhs += do + group(f.intervened) + ")"
     lhs += ")"
     parts = []
     for factor in f.factors:
         s = "f(" + group(factor.targets)
-        given = [_tex_name(x) for x in _given_order(factor, f.intervened)]
+        given = sorted(factor.given & f.intervened, key=str.lower)
+        given += sorted(factor.given - f.intervened, key=str.lower)
         if given:
-            s += r" \mid " + ",".join(given)
+            s += given_sep + ",".join(map(name, given))
         s += ")"
         parts.append(s)
-    rhs = r"\, ".join(parts)
+    rhs = times.join(parts)
     io = f.integrate_over
     if io:
-        rhs = r"\int " + rhs + r"\, d(" + group(io) + ")"
+        rhs = integral + rhs + measure + group(io) + ")"
     return lhs + " = " + rhs
 
 
@@ -153,11 +135,10 @@ def _render_json(f: IdFormula) -> str:
 
 def render(f: IdFormula, style: Style = "text") -> str:
     """Deterministic rendering; identical inputs give identical strings."""
-    if style == "text":
-        return _render_text(f)
-    if style == "latex":
-        return _render_latex(f)
     if style == "json":
         return _render_json(f)
+    for known, tokens in _STYLES.items():
+        if style == known:
+            return _render_styled(f, *tokens)
     raise FormulaError(f"unknown style: {style!r}")
 

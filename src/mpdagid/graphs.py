@@ -100,16 +100,16 @@ class Pdag:
         constructor checks the tag in full, eagerly.
 
     Graphs the package derives from graphs it already holds skip the
-    checks through :meth:`_trusted` and :meth:`_retag`: the closure of a
-    tagged graph (``meek.close`` reached its rule fixpoint and certified
-    acyclicity and the extension, either by agreement with the DAG its
-    input carries or by Kahn's and Dor-Tarsi's passes), the DAGs at the
-    leaves of enumeration (a closure without undirected edges), an
-    untagged graph that ``meek.require_mpdag`` has just checked, and
-    induced subgraphs (dropping nodes adds no cycle and no second edge to
-    a pair).  The closure of an untagged graph, the way every input
-    enters, is built by this constructor, so each input is checked once
-    at the boundary.
+    checks through :meth:`_trusted` and :meth:`_retag`: every closure
+    (``meek.close`` reached its rule fixpoint and certified acyclicity
+    and the extension, either by agreement with the DAG its input carries
+    or by Kahn's and Dor-Tarsi's passes), the DAGs at the leaves of
+    enumeration (a closure without undirected edges), an untagged graph
+    that ``meek.require_mpdag`` has just checked, and induced subgraphs
+    (dropping nodes adds no cycle and no second edge to a pair).  The
+    closure of an untagged graph, the way every input enters, is checked
+    by ``require_mpdag`` with this constructor's rule and Dor-Tarsi
+    checks, so each input is checked once at the boundary.
 
     A graph that ``meek.close`` returns also carries, in the private
     ``_rank``, the Dor-Tarsi removal rank of one DAG it represents: that

@@ -158,7 +158,8 @@ def has_consistent_extension(g: Pdag) -> bool:
 
 def is_mpdag(g: Pdag) -> bool:
     """True when no orientation rule fires, i.e. no forbidden induced
-    subgraph occurs.  Assumes ``g`` is acyclic (enforced by ``Pdag``)."""
+    subgraph occurs.  Assumes ``g`` is acyclic (enforced by ``Pdag`` and,
+    on the closures it builds, by :func:`close`)."""
     pa, ch, und, adj = g._parents, g._children, g._und, g._adj
     for a, b in g.undirected:
         if _which_rule(pa, ch, und, adj, a, b) is not None:
@@ -192,10 +193,11 @@ def close(
     Each ``(tail, head)`` pair in ``bk`` must be an adjacency of ``g`` and
     is oriented as ``tail -> head`` before the rules run.  The result
     contains every directed edge of the input and is tagged ``"mpdag"``.
-    The closure of an untagged ``g`` is built by the public ``Pdag``
-    constructor, which checks it once more; that of a tagged ``g`` adopts
-    the closure's sets unchecked, since the checks below establish
-    everything the tag asserts.  Either way the closure has ``g``'s
+    Every closure adopts the sets built here through ``Pdag._trusted``:
+    ``g``'s constructor checked names and edge pairs, and the checks below
+    establish everything the tag asserts.  The closure of an untagged
+    ``g``, the way every input enters, is checked once more by
+    :func:`require_mpdag` before it is tagged.  The closure has ``g``'s
     skeleton and shares ``g``'s lazily filled neighbourhood map.
 
     The result carries the Dor-Tarsi removal rank of one DAG D it
@@ -326,19 +328,15 @@ def close(
                 "closure represents no DAG (no consistent extension exists)"
             )
         rank = {v: i for i, v in enumerate(order)}
-    if g.class_tag == "pdag":
-        directed = [(p, n) for n, ps in pa.items() for p in ps]
-        undirected = [(a, b) for a, bs in und.items() for b in bs if a < b]
-        h = Pdag(nodes, directed, undirected, "mpdag")
-        h._rank, h._adj = rank, adj
-        return h
-    # Reached the rule fixpoint from a closed graph, acyclic and extendable:
-    # an MPDAG (Meek 1995), so the closure's sets become the graph's own.
+    # Reached the rule fixpoint, acyclic and extendable: an MPDAG (Meek
+    # 1995).  An untagged input's closure stays untagged for the boundary
+    # check of ``require_mpdag``, which returns a tagged closure as it is.
     edges = (
         g.directed.union(oriented),
         g.undirected.difference((t, h) if t < h else (h, t) for t, h in oriented),
     )
-    return Pdag._trusted(nodes, pa, ch, und, "mpdag", edges, rank, adj)
+    tag = "pdag" if g.class_tag == "pdag" else "mpdag"
+    return require_mpdag(Pdag._trusted(nodes, pa, ch, und, tag, edges, rank, adj))
 
 
 def _check_no_reverse_demand(

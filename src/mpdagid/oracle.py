@@ -104,27 +104,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _Memo:
-    """Tables derived from one model, each built on first use.
-
-    ``factors[v]`` is ``cpts[v]`` laid out to broadcast over the axes of
-    ``dag.nodes``; ``joint`` is their product; ``marginals[keep]`` is the
-    joint summed over the nodes outside ``keep``, with every axis kept;
-    ``conditionals[(targets, given)]`` is the marginal of ``targets | given``
-    over its sum over ``targets``, or None when that sum has a zero.  Every
-    array is read-only.  The memo holds no reference to its model, so no
-    reference cycle outlives the model.
-    """
-
-    __slots__ = ("factors", "joint", "marginals", "conditionals")
-
-    def __init__(self):
-        self.factors: Optional[dict[str, np.ndarray]] = None
-        self.joint: Optional[np.ndarray] = None
-        self.marginals: dict[frozenset[str], np.ndarray] = {}
-        self.conditionals: dict[tuple[frozenset[str], frozenset[str]], Optional[np.ndarray]] = {}
-
-
 @dataclass(frozen=True)
 class DiscreteModel:
     """Per-node conditional probability tables for a DAG.
@@ -142,7 +121,10 @@ class DiscreteModel:
     cpts: Mapping[str, np.ndarray]
     batch: Optional[int] = None
     _lead: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _memo: _Memo = field(init=False, repr=False, compare=False)
+    # Memos of ``_marginal`` by the node set kept and of ``_conditional``
+    # by (targets, given); the joint and the factors are cached properties.
+    _marginals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _conditionals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dag.undirected:
@@ -170,53 +152,53 @@ class DiscreteModel:
         object.__setattr__(self, "cards", cards)
         object.__setattr__(self, "cpts", MappingProxyType(cpts))
         object.__setattr__(self, "_lead", lead)
-        object.__setattr__(self, "_memo", _Memo())
 
     def _axes(self, keep) -> tuple[int, ...]:
         """The axes of the joint that hold the nodes satisfying ``keep``."""
         lead = len(self._lead)
         return tuple(lead + i for i, n in enumerate(self.dag.nodes) if keep(n))
 
+    @functools.cached_property
     def _factors(self) -> dict[str, np.ndarray]:
-        memo = self._memo
-        if memo.factors is None:
-            nodes = self.dag.nodes
-            _check_cap(self.cards, nodes)
-            memo.factors = {
-                v: _read_only(_expand(nodes, self.cpts[v], (v, *sorted(self.dag.parents_of(v)))))
-                for v in nodes
-            }
-        return memo.factors
+        """Each node's CPT laid out to broadcast over the joint's axes."""
+        nodes = self.dag.nodes
+        _check_cap(self.cards, nodes)
+        return {
+            v: _read_only(_expand(nodes, self.cpts[v], (v, *sorted(self.dag.parents_of(v)))))
+            for v in nodes
+        }
 
+    @functools.cached_property
     def _joint(self) -> np.ndarray:
-        memo = self._memo
-        if memo.joint is None:
-            nodes = self.dag.nodes
-            factors = self._factors()
-            full = np.ones([*self._lead, *[self.cards[n] for n in nodes]])
-            for v in nodes:
+        return _read_only(self._product(()))
+
+    def _product(self, skip) -> np.ndarray:
+        """The product of the factors of the nodes outside ``skip``, in
+        node order, over the full joint's shape."""
+        factors = self._factors
+        full = np.ones([*self._lead, *[self.cards[n] for n in self.dag.nodes]])
+        for v in self.dag.nodes:
+            if v not in skip:
                 full = full * factors[v]
-            memo.joint = _read_only(full)
-        return memo.joint
+        return full
 
     def _marginal(self, keep: frozenset[str]) -> np.ndarray:
-        marginals = self._memo.marginals
-        table = marginals.get(keep)
+        """The joint summed over the nodes outside ``keep``, every axis kept."""
+        table = self._marginals.get(keep)
         if table is None:
             drop = self._axes(lambda n: n not in keep)
-            table = marginals[keep] = _read_only(self._joint().sum(axis=drop, keepdims=True))
+            table = self._marginals[keep] = _read_only(self._joint.sum(axis=drop, keepdims=True))
         return table
 
     def _conditional(self, targets: frozenset[str], given: frozenset[str]) -> Optional[np.ndarray]:
         """f(targets | given) laid out over the joint's axes; None when a
         configuration of ``given`` has probability zero in any model."""
-        conditionals = self._memo.conditionals
         key = (targets, given)
-        if key not in conditionals:
+        if key not in self._conditionals:
             num = self._marginal(targets | given)
             den = num.sum(axis=self._axes(targets.__contains__), keepdims=True)
-            conditionals[key] = None if (den == 0).any() else _read_only(num / den)
-        return conditionals[key]
+            self._conditionals[key] = None if (den == 0).any() else _read_only(num / den)
+        return self._conditionals[key]
 
 
 def _is_distribution(columns: np.ndarray) -> bool:
@@ -340,7 +322,7 @@ def _expand_layout(
 def joint_table(m: DiscreteModel) -> np.ndarray:
     """The observational joint, axes following ``m.dag.nodes``; the
     model's memoised, read-only array."""
-    return m._joint()
+    return m._joint
 
 
 def model_from_joint(
@@ -382,14 +364,9 @@ def gformula_table(m: DiscreteModel, X: Iterable[str], Y: Iterable[str]) -> Inte
     xs, ys = m.dag.require(X), m.dag.require(Y)
     if xs & ys:
         raise GraphError("X and Y must be disjoint")
-    factors = m._factors()
-    nodes = m.dag.nodes
-    full = np.ones([*m._lead, *[m.cards[n] for n in nodes]])
-    for v in nodes:
-        if v not in xs:
-            full = full * factors[v]
+    full = m._product(xs)
     x_nodes, y_nodes = tuple(sorted(xs)), tuple(sorted(ys))
-    drop, perm = _family_layout(nodes, x_nodes + y_nodes, len(m._lead))
+    drop, perm = _family_layout(m.dag.nodes, x_nodes + y_nodes, len(m._lead))
     return InterventionalTable(x_nodes, y_nodes, full.sum(axis=drop).transpose(perm))
 
 

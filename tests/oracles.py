@@ -9,7 +9,8 @@ discrete evaluation walks python dicts (or, for bit-exact
 comparison, rebuilds numpy tables from the CPTs on every call, and draws
 and refits random models node by node), and
 Gaussian covariances come from a matrix solve or from summing coefficient
-products over every collider-free simple path.
+products over every collider-free simple path, and formulas are rendered
+by one separate renderer per style.
 None of this shares code with the package under test.
 
 It also holds the few helpers tests need that the package does not
@@ -21,6 +22,7 @@ table, and a dataset written as CSV.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from collections import deque
@@ -639,6 +641,84 @@ def structurally_equal(a: IdFormula, b: IdFormula) -> bool:
         )
 
     return canon(a) == canon(b)
+
+
+def _lower_names(xs) -> list:
+    return sorted(x.lower() for x in xs)
+
+
+def _given_order(factor: Factor, intervened) -> list:
+    """Intervened conditioners first, then the rest, each sorted."""
+    fixed = sorted(x.lower() for x in factor.given & intervened)
+    rest = sorted(x.lower() for x in factor.given - intervened)
+    return fixed + rest
+
+
+def _render_text(f: IdFormula) -> str:
+    lhs = "f(" + ",".join(_lower_names(f.response))
+    if f.intervened:
+        lhs += "|do(" + ",".join(_lower_names(f.intervened)) + ")"
+    lhs += ")"
+    parts = []
+    for factor in f.factors:
+        s = "f(" + ",".join(_lower_names(factor.targets))
+        given = _given_order(factor, f.intervened)
+        if given:
+            s += "|" + ",".join(given)
+        s += ")"
+        parts.append(s)
+    rhs = " ".join(parts)
+    io = f.integrate_over
+    if io:
+        rhs = "∫ " + rhs + " d(" + ",".join(_lower_names(io)) + ")"
+    return lhs + " = " + rhs
+
+
+def _tex_name(x: str) -> str:
+    base = x.lower()
+    head = base.rstrip("0123456789")
+    if head and head != base:
+        return head + "_{" + base[len(head):] + "}"
+    return base
+
+
+def _render_latex(f: IdFormula) -> str:
+    def group(xs):
+        return ",".join(sorted(_tex_name(x) for x in xs))
+
+    lhs = "f(" + group(f.response)
+    if f.intervened:
+        lhs += r" \mid do(" + group(f.intervened) + ")"
+    lhs += ")"
+    parts = []
+    for factor in f.factors:
+        s = "f(" + group(factor.targets)
+        given = [_tex_name(x) for x in _given_order(factor, f.intervened)]
+        if given:
+            s += r" \mid " + ",".join(given)
+        s += ")"
+        parts.append(s)
+    rhs = r"\, ".join(parts)
+    io = f.integrate_over
+    if io:
+        rhs = r"\int " + rhs + r"\, d(" + group(io) + ")"
+    return lhs + " = " + rhs
+
+
+def _render_json(f: IdFormula) -> str:
+    payload = {
+        "factors": [{"targets": sorted(fc.targets), "given": sorted(fc.given)} for fc in f.factors],
+        "integrate_over": sorted(f.integrate_over),
+        "do": sorted(f.intervened),
+        "response": sorted(f.response),
+    }
+    return json.dumps(payload, sort_keys=True)
+
+
+def reference_render(f: IdFormula, style: str) -> str:
+    """``render`` written out once per style: a separate text and LaTeX
+    renderer, each with its own sort of names."""
+    return {"text": _render_text, "latex": _render_latex, "json": _render_json}[style](f)
 
 
 def adjustment_formula(X, Y, Z) -> IdFormula:

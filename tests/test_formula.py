@@ -2,9 +2,12 @@ import json
 
 import pytest
 
-from mpdagid import Factor, FormulaError, IdFormula, render
+from mpdagid import Factor, FormulaError, IdFormula, identify, render
 
 import oracles
+from conftest import query_pairs
+
+STYLES = ("text", "latex", "json")
 
 
 def two_response_formula():
@@ -71,6 +74,45 @@ def test_render_deterministic():
 def test_latex_render_subscripts():
     s = render(integral_formula(), "latex")
     assert "v_{1}" in s and r"\int" in s and r"\mid" in s
+
+
+def test_mixed_names_sort_per_style():
+    f = IdFormula(
+        factors=(
+            Factor(targets={"A_b", "x10"}, given={"X1", "x_b", "Z2"}),
+            Factor(targets={"Z2"}, given={"x_b"}),
+        ),
+        intervened={"X1", "x_b"},
+        response={"A_b", "x10"},
+    )
+    for style in STYLES:
+        assert render(f, style) == oracles.reference_render(f, style)
+    assert render(f, "text") == (
+        "f(a_b,x10|do(x1,x_b)) = ∫ f(a_b,x10|x1,x_b,z2) f(z2|x_b) d(z2)"
+    )
+    assert render(f, "latex") == (
+        r"f(a_b,x_{10} \mid do(x_b,x_{1})) = "
+        r"\int f(a_b,x_{10} \mid x_{1},x_b,z_{2})\, f(z_{2} \mid x_b)\, d(z_{2})"
+    )
+
+
+def _identified_formulas(graphs):
+    for g in graphs:
+        for xs, ys in query_pairs(g.nodes):
+            res = identify(g, xs, ys)
+            if res.identifiable:
+                yield res.formula
+
+
+def test_render_matches_reference_on_identified_formulas(sweep):
+    larger = oracles.random_mpdags(seed=88, count=12, n_nodes=(6, 7, 8))
+    checked = 0
+    for graphs in ([g for g, _ in sweep], larger):
+        for f in _identified_formulas(graphs):
+            for style in STYLES:
+                assert render(f, style) == oracles.reference_render(f, style)
+            checked += 1
+    assert checked > 2000
 
 
 def test_json_round_trip_structural():

@@ -188,11 +188,31 @@ def test_distribution_check_names_first_node_across_cardinalities():
         DiscreteModel(dag=g, cards=cards, cpts=cpts)
 
 
+def _equal_models(a, b):
+    """Dataclass equality, with CPT arrays compared by value."""
+    for f in dataclasses.fields(DiscreteModel):
+        if f.compare:
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if f.name == "cpts":
+                if x.keys() != y.keys() or not all(np.array_equal(x[v], y[v]) for v in x):
+                    return False
+            elif x != y:
+                return False
+    return True
+
+
 def test_model_keeps_read_only_copies():
     g = parse_graph("A -> B")
     a = np.array([0.5, 0.5])
-    m = DiscreteModel(dag=g, cards={"A": 2, "B": 2}, cpts={"A": a, "B": np.full((2, 2), 0.5)})
+    args = dict(dag=g, cards={"A": 2, "B": 2}, cpts={"A": a, "B": np.full((2, 2), 0.5)})
+    m = DiscreteModel(**args)
+    twin = DiscreteModel(**args)
+    shown = repr(m)
     before = joint_table(m).copy()
+    assert m._marginal(frozenset("A")) is not None
+    assert m._conditional(frozenset("B"), frozenset("A")) is not None
+    assert repr(m) == shown == repr(twin)
+    assert _equal_models(m, twin)
     a[:] = [0.9, 0.1]  # the caller's array, not the model's
     assert np.array_equal(m.cpts["A"], [0.5, 0.5])
     assert np.array_equal(joint_table(m), before)
@@ -202,9 +222,14 @@ def test_model_keeps_read_only_copies():
         m.cpts["B"][0, 0] = 1.0
     with pytest.raises(ValueError):
         joint_table(m)[0, 0] = 1.0
-    memo = [f for f in dataclasses.fields(DiscreteModel) if f.name == "_memo"]
-    assert memo and not memo[0].compare and not memo[0].repr
-    assert "_memo" not in repr(m)
+
+
+def test_cap_check_raises_on_every_call(monkeypatch):
+    monkeypatch.setattr(oracle, "CONFIG_CAP", 4)
+    m = random_model(parse_graph("A -> B\nB -> C"), {"A": 2, "B": 2, "C": 2}, seed=1)
+    for call in (lambda: joint_table(m), lambda: gformula_table(m, {"A"}, {"C"})) * 2:
+        with pytest.raises(GraphError, match="^joint has 8 configurations; cap is 4$"):
+            call()
 
 
 def test_gformula_single_edge_is_cpt_column():

@@ -32,6 +32,9 @@ RETIRED = [
     ("mpdagid.oracle", "MarginalTable"),
     ("mpdagid.oracle", "interventional_means"),
     ("mpdagid.meek", "_Scratch"),
+    ("mpdagid.oracle", "_Memo"),
+    ("mpdagid.formula", "_render_text"),
+    ("mpdagid.formula", "_render_latex"),
     ("Pdag", "validate_as"),
     ("Pdag", "undirected_subgraph"),
     ("Dataset", "to_csv"),

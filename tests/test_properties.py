@@ -71,6 +71,50 @@ def closures(draw):
         assume(False)
 
 
+@st.composite
+def untagged_closures(draw):
+    """An untagged random PDAG, the way input enters, and its closure
+    under 0-2 drawn knowledge pairs over its adjacencies; an inconsistent
+    closure is rejected."""
+    g = oracles.random_pdag(draw(st.randoms(use_true_random=False)), draw(st.integers(2, 7)))
+    pairs = sorted(g.directed | g.undirected)
+    bk = []
+    if pairs:
+        for a, b in draw(st.lists(st.sampled_from(pairs), max_size=2, unique=True)):
+            bk.append(draw(st.sampled_from(((a, b), (b, a)))))
+    try:
+        return g, close(g, bk)
+    except InconsistentKnowledgeError:
+        assume(False)
+
+
+def _assert_passes_the_public_checks(h):
+    public = Pdag(h.nodes, h.directed, h.undirected, "mpdag")
+    assert h == public and h.nodes == public.nodes and h.class_tag == "mpdag"
+    for n in h.nodes:
+        assert h.parents_of(n) == public.parents_of(n)
+        assert h.children_of(n) == public.children_of(n)
+        assert h.und_neighbors(n) == public.und_neighbors(n)
+    assert parse_graph(h.to_edgelist()) == h
+    assert close(h) == h
+
+
+def _assert_rank_stands_for_a_represented_dag(h):
+    dag = oracles.carried_dag(h)
+    assert {frozenset(e) for e in dag.directed} == {
+        frozenset(e) for e in h.directed | h.undirected
+    }
+    assert h.directed <= dag.directed
+    assert nx.is_directed_acyclic_graph(oracles.to_networkx(dag))
+    assert oracles.unshielded_colliders(dag) == oracles.unshielded_colliders(h)
+
+
+def _assert_untagged_closure(g, h):
+    assert g.class_tag == "pdag" and h._adj is g._adj
+    _assert_passes_the_public_checks(h)
+    _assert_rank_stands_for_a_represented_dag(h)
+
+
 @settings(
     derandomize=True,
     max_examples=150,
@@ -80,14 +124,36 @@ def closures(draw):
 )
 @given(closures())
 def test_unchecked_closure_passes_the_public_checks(h):
-    public = Pdag(h.nodes, h.directed, h.undirected, "mpdag")
-    assert h == public and h.nodes == public.nodes
-    for n in h.nodes:
-        assert h.parents_of(n) == public.parents_of(n)
-        assert h.children_of(n) == public.children_of(n)
-        assert h.und_neighbors(n) == public.und_neighbors(n)
-    assert parse_graph(h.to_edgelist()) == h
-    assert close(h) == h
+    _assert_passes_the_public_checks(h)
+
+
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(untagged_closures())
+def test_closure_of_untagged_input_passes_the_public_checks(pair):
+    _assert_untagged_closure(*pair)
+
+
+def test_closures_of_untagged_sweep_graphs_pass_the_public_checks(sweep):
+    # Each sweep MPDAG rebuilt untagged, closed as it is and with each
+    # orientation of each undirected edge as knowledge.
+    checked = 0
+    for g, _ in sweep:
+        untagged = Pdag(g.nodes, g.directed, g.undirected)
+        bks = [()] + [((t, h),) for a, b in sorted(g.undirected) for t, h in ((a, b), (b, a))]
+        for bk in bks:
+            try:
+                h = close(untagged, bk)
+            except InconsistentKnowledgeError:
+                continue
+            _assert_untagged_closure(untagged, h)
+            checked += 1
+    assert checked > 600
 
 
 @settings(
@@ -129,19 +195,13 @@ def test_carried_rank_stands_for_a_represented_dag(g):
     for a, b in sorted(g.undirected):
         closures += [close(g, (pair,)) for pair in ((a, b), (b, a))]
     for h in closures:
-        dag = oracles.carried_dag(h)
-        assert {frozenset(e) for e in dag.directed} == {
-            frozenset(e) for e in h.directed | h.undirected
-        }
-        assert h.directed <= dag.directed
-        assert nx.is_directed_acyclic_graph(oracles.to_networkx(dag))
-        assert oracles.unshielded_colliders(dag) == oracles.unshielded_colliders(h)
+        _assert_rank_stands_for_a_represented_dag(h)
 
 
 def _derived_by_orientation(g):
     """Graphs that ``close``, ``_retag`` and ``_depth_first`` derive from
-    the MPDAG ``g``, plus the closure of ``g`` rebuilt untagged, which the
-    checking constructor builds; each paired with the graph it came from."""
+    the MPDAG ``g``, plus the closure of ``g`` rebuilt untagged, which
+    ``require_mpdag`` re-checks; each paired with the graph it came from."""
     untagged = Pdag(g.nodes, g.directed, g.undirected)
     pairs = [(untagged, close(untagged)), (untagged, require_mpdag(untagged))]
     pairs += [(g, close(g)), (g, g._retag("cpdag"))]
