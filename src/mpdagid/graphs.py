@@ -111,10 +111,14 @@ class Pdag:
     by ``require_mpdag`` with this constructor's rule and Dor-Tarsi
     checks, so each input is checked once at the boundary.
 
-    A graph that ``meek.close`` returns also carries, in the private
-    ``_rank``, the Dor-Tarsi removal rank of one DAG it represents: that
-    DAG points every edge from the higher rank to the lower.  The slot is
-    ``None`` on every graph ``close`` did not build.
+    A graph that ``meek.close`` returns, and each copy that enumeration
+    hands a branch (``oracle._carrying``), also carries in the private
+    ``_rank`` a rank of one DAG it represents: a strict order of the
+    nodes, gaps allowed, and that DAG points every edge from the higher
+    rank to the lower.  It is the removal order of ``close``'s full check,
+    a rank inherited from the input of ``close``, or such a rank with one
+    covered edge of its DAG reversed.  The slot is ``None`` on every other
+    graph.
 
     The private ``_adj`` maps each node to its closed neighbourhood
     ``N(n) | {n}``, filled on first lookup.  Orientation keeps the

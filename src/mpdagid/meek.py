@@ -19,14 +19,19 @@ knowledge").  The consistent-extension check is Dor-Tarsi sink
 elimination over the same sets; its removal order also gives the one
 represented DAG that :func:`consistent_extension` returns.
 
-Every closure carries the removal rank of one DAG D it represents.  A
-closure of a graph with a rank that orients each edge from the higher
-rank to the lower keeps all its directed edges inside D, so D, which has
-the input's skeleton and unshielded colliders, is a consistent extension
-of the closure too: the closure is acyclic and extendable without
-Kahn's or Dor-Tarsi's pass, and keeps the rank.  By maximality every
-branch on an undirected edge of an MPDAG has a consistent closure, so
-in enumeration the branch that agrees with D always takes this path.
+Every closure carries a rank of one DAG D it represents: a strict
+order, possibly with gaps, in which every edge of D points from the
+higher rank to the lower.  A closure of a graph with a rank that orients
+each edge from the higher rank to the lower keeps all its directed edges
+inside D, so D, which has the input's skeleton and unshielded colliders,
+is a consistent extension of the closure too: the closure is acyclic and
+extendable without Kahn's or Dor-Tarsi's pass, and keeps the rank.
+Otherwise the full check's removal order becomes the rank.  By
+maximality every branch on an undirected edge of an MPDAG has a
+consistent closure, so in enumeration the branch that agrees with D
+always takes this path.  So does the other branch when the edge is
+covered in D: enumeration hands it D with that edge reversed, which the
+parent represents too (``oracle._carrying``).
 """
 
 from __future__ import annotations
@@ -172,12 +177,16 @@ def is_mpdag(g: Pdag) -> bool:
 def require_mpdag(g: Pdag) -> Pdag:
     """``g`` itself when its tag vouches for closure, else ``g`` checked
     and re-tagged ``"mpdag"``; raises :class:`GraphError` if a rule still
-    fires or if ``g`` represents no DAG (no consistent extension)."""
+    fires or if ``g`` represents no DAG (no consistent extension).
+
+    An untagged graph that carries a rank is a closure of an untagged
+    input, and :func:`close`'s own sink-elimination or Kahn pass found
+    that rank, which proves the extension; only the rule check runs."""
     if g.class_tag != "pdag":
         return g
     if not is_mpdag(g):
         raise GraphError("graph is not maximally oriented; close it first")
-    if not has_consistent_extension(g):
+    if g._rank is None and not has_consistent_extension(g):
         raise GraphError("closure represents no DAG (no consistent extension exists)")
     return g._retag("mpdag")
 
@@ -196,12 +205,13 @@ def close(
     Every closure adopts the sets built here through ``Pdag._trusted``:
     ``g``'s constructor checked names and edge pairs, and the checks below
     establish everything the tag asserts.  The closure of an untagged
-    ``g``, the way every input enters, is checked once more by
-    :func:`require_mpdag` before it is tagged.  The closure has ``g``'s
-    skeleton and shares ``g``'s lazily filled neighbourhood map.
+    ``g``, the way every input enters, runs the full check below and then
+    :func:`require_mpdag`'s rule check before it is tagged.  The closure
+    has ``g``'s skeleton and shares ``g``'s lazily filled neighbourhood
+    map.
 
-    The result carries the Dor-Tarsi removal rank of one DAG D it
-    represents (``Pdag._rank``).  When ``g`` carries one and every edge
+    The result carries the rank of one DAG D it represents
+    (``Pdag._rank``).  When ``g`` carries one and every edge
     the closure orients, ``t -> h``, has ``rank[t] > rank[h]``, every
     directed edge of the closure lies in ``g``'s D.  D then has the
     closure's skeleton and, since it has ``g``'s unshielded colliders and

@@ -2,7 +2,9 @@
 
 Deliberately dumb implementations: path predicates follow the raw
 definitions over exhaustively enumerated node sequences, equivalence
-classes come from filtering all edge orientations, the Meek closure
+classes come from filtering all edge orientations (or, for an
+element-wise comparison, from the plain depth-first walk that re-closes
+each branch from its parent), the Meek closure
 re-derives every rule application from the edge sets after each
 orientation, orders come from rescanning what is left after each pick,
 discrete evaluation walks python dicts (or, for bit-exact
@@ -400,8 +402,9 @@ def unshielded_colliders(g: Pdag) -> frozenset:
 
 
 def carried_dag(h: Pdag) -> Pdag:
-    """The DAG that the removal rank carried by a closure stands for: each
-    skeleton edge points from the higher rank to the lower.  A strict
+    """The DAG that the rank carried by a closure, or by a copy that
+    enumeration hands a branch, stands for: each skeleton edge points from
+    the higher rank to the lower.  A strict
     order leaves no directed cycle; whether the DAG keeps the directed
     edges and the unshielded colliders of ``h`` is for the caller to check."""
     rank = h._rank
@@ -452,6 +455,28 @@ def all_represented_dags(g: Pdag) -> set[frozenset]:
         if unshielded_colliders(cand) == target_colliders:
             out.add(frozenset(edges))
     return out
+
+
+def reference_depth_first(h: Pdag):
+    """The DAGs represented by the closed ``h``, depth first, as the
+    enumeration walked them before branches were handed a represented DAG:
+    branch ``a -> b`` before ``b -> a`` on the least undirected edge and
+    re-close the parent itself, so only the branch that agrees with the
+    parent's carried DAG skips the full check."""
+    stack = [(h, None)]
+    while stack:
+        g, pair = stack.pop()
+        if pair is not None:
+            try:
+                g = close(g, (pair,))
+            except InconsistentKnowledgeError:
+                continue
+        if not g.undirected:
+            yield g._retag("dag")
+            continue
+        a, b = min(g.undirected)
+        stack.append((g, (b, a)))
+        stack.append((g, (a, b)))
 
 
 def to_networkx(dag: Pdag) -> nx.DiGraph:
@@ -1054,6 +1079,24 @@ def random_dag(rng: random.Random, n_nodes: int, p_edge: float) -> Pdag:
     order = rng.sample(names, n_nodes)
     edges = [(a, b) for a, b in itertools.combinations(order, 2) if rng.random() < p_edge]
     return Pdag(names, edges, class_tag="dag")
+
+
+def random_chordal(rng: random.Random, n_nodes: int) -> Pdag:
+    """Untagged undirected chordal graph: each new node joins a clique of
+    up to 4 earlier nodes, grown greedily from a random node's
+    neighbourhood, so the reverse insertion order eliminates perfectly."""
+    names = [f"N{i}" for i in range(n_nodes)]
+    adj = {names[0]: set()}
+    for v in names[1:]:
+        start = rng.choice(sorted(adj))
+        clique = {start}
+        for u in rng.sample(sorted(adj[start]), len(adj[start])):
+            if len(clique) < 4 and all(u in adj[c] for c in clique):
+                clique.add(u)
+        adj[v] = set(clique)
+        for c in clique:
+            adj[c].add(v)
+    return Pdag(names, undirected={tuple(sorted((a, b))) for a in adj for b in adj[a]})
 
 
 def random_mpdags(seed: int, count: int, n_nodes=(2, 3, 4, 5), p_edge: float = 0.5):

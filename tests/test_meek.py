@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from mpdagid import graphs, meek
+from mpdagid import graphs, meek, oracle
 from mpdagid import (
     GraphError,
     GraphParseError,
@@ -147,6 +147,41 @@ def test_graph_without_consistent_extension_is_refused_like_close():
         g.possible_descendants({"A"})
 
 
+def test_untagged_close_runs_sink_elimination_once(monkeypatch):
+    # The removal order that close's own full check finds proves the
+    # extension, so require_mpdag runs only its rule check on the closure.
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(meek, "_sink_order", counted("_sink_order", meek._sink_order))
+    monkeypatch.setattr(meek, "is_mpdag", counted("is_mpdag", meek.is_mpdag))
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(200):
+        g = oracles.random_pdag(rng, rng.randint(3, 8), 0.6)
+        calls.clear()
+        try:
+            h = close(g)
+        except InconsistentKnowledgeError:
+            continue
+        if h.undirected:
+            assert calls == {"_sink_order": 1, "is_mpdag": 1}, g.to_edgelist()
+            checked += 1
+    assert checked > 50
+    # An untagged graph that close did not build carries no rank, so the
+    # boundary check still runs sink elimination on it.
+    calls.clear()
+    path = Pdag(["A", "B", "C"], (), [("A", "B"), ("B", "C")])
+    assert meek.require_mpdag(path).class_tag == "mpdag"
+    assert calls == {"_sink_order": 1, "is_mpdag": 1}
+
+
 def test_parse_background_knowledge_directed_only():
     assert parse_background_knowledge("A -> B\nC -> D") == {("A", "B"), ("C", "D")}
     with pytest.raises(GraphParseError):
@@ -279,10 +314,11 @@ def _assert_carries_an_extension(h):
 
 def test_close_with_a_carried_dag_matches_full_rescan(sweep):
     # Every graph of the enumeration walk carries the rank of a DAG it
-    # represents; closing it with knowledge either keeps that rank (the
-    # agreement path) or checks in full (the fallback path).  Both must
-    # give the reference's closure or its exact message, and a closure's
-    # rank must stand for a DAG it represents.
+    # represents, some of them a rank made by reversing a covered edge;
+    # closing it with knowledge either keeps that rank (the agreement
+    # path) or checks in full (the fallback path).  Both must give the
+    # reference's closure or its exact message, and a closure's rank must
+    # stand for a DAG it represents.
     rng = random.Random(17)
     paths = collections.Counter()
     messages = collections.Counter()
@@ -304,7 +340,7 @@ def test_close_with_a_carried_dag_matches_full_rescan(sweep):
         if g.undirected:
             a, b = min(g.undirected)
             for pair in ((a, b), (b, a)):
-                walk(close(g, (pair,)))
+                walk(close(oracle._carrying(g, *pair), (pair,)))
 
     graphs = [g for g, _ in sweep]
     graphs += oracles.random_mpdags(seed=88, count=60, n_nodes=(6, 7, 8), p_edge=0.6)

@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from mpdagid import (
     GaussianModel,
     GraphError,
     IdFormula,
+    InconsistentKnowledgeError,
     amenability_witness,
+    close,
     cross_dag_agreement,
     enumerate_dags,
     gformula_table,
@@ -29,8 +33,8 @@ from mpdagid import (
 
 import oracles
 from conftest import COVAR5_TEXT, MPDAG4_TEXT, query_pairs
-from mpdagid import oracle
-from mpdagid.oracle import _first_dag
+from mpdagid import graphs, meek, oracle
+from mpdagid.oracle import _depth_first, _first_dag
 
 
 # -- enumeration ------------------------------------------------------------
@@ -95,6 +99,79 @@ def test_enumerate_canonical_order(cpdag4):
     once = [d.directed for d in enumerate_dags(cpdag4)]
     again = [d.directed for d in enumerate_dags(cpdag4)]
     assert once == again
+
+
+def _roots_with_knowledge(sweep):
+    """The sweep graphs and random 6-8-node MPDAGs, each also closed under
+    1-2 drawn orientations of its undirected edges, all carrying the rank
+    ``close`` gave them; then each of them rebuilt by the public
+    constructor, which carries no rank."""
+    rng = random.Random(173)
+    roots = [g for g, _ in sweep]
+    for g in oracles.random_mpdags(seed=173, count=60, n_nodes=(6, 7, 8), p_edge=0.6):
+        roots.append(g)
+        und = sorted(g.undirected)
+        for _ in range(2 if und else 0):
+            picked = rng.sample(und, min(len(und), rng.randint(1, 2)))
+            bk = [pair if rng.random() < 0.5 else pair[::-1] for pair in picked]
+            try:
+                roots.append(close(g, bk))
+            except InconsistentKnowledgeError:
+                pass
+    return roots + [Pdag(g.nodes, g.directed, g.undirected, "mpdag") for g in roots]
+
+
+def test_depth_first_matches_the_reference_walk(sweep, monkeypatch):
+    # Handing a branch a copy that carries a reversed covered edge changes
+    # which check close runs, never what it returns: the same DAGs in the
+    # same order as re-closing every branch from its parent.
+    carrying = oracle._carrying
+    copies = collections.Counter()
+
+    def counted(g, t, h):
+        out = carrying(g, t, h)
+        copies["reversed" if out is not g else "as is"] += 1
+        return out
+
+    monkeypatch.setattr(oracle, "_carrying", counted)
+    roots = _roots_with_knowledge(sweep)
+    for g in roots:
+        got = list(_depth_first(g))
+        expected = list(oracles.reference_depth_first(g))
+        assert [(d.nodes, d.directed, d.undirected) for d in got] == [
+            (d.nodes, d.directed, d.undirected) for d in expected
+        ], g.to_edgelist()
+        assert all(d.class_tag == "dag" for d in got)
+    print(len(roots), dict(copies))
+    assert sum(g._rank is None for g in roots) * 2 == len(roots)
+    assert copies["reversed"] > 1000
+
+
+def test_most_branch_closes_skip_the_full_check(monkeypatch):
+    # A full check inside close is one sink elimination or one Kahn pass;
+    # every other branch close takes the agreement path.  Re-closing each
+    # branch from its parent ran it on about half of them.  The roots are
+    # chordal CPDAGs with 8-10 nodes, closed untagged as the CLI closes
+    # its input.
+    rng = random.Random(59)
+    roots = [close(oracles.random_chordal(rng, rng.randint(8, 10))) for _ in range(10)]
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(oracle, "close", counted("branch", oracle.close))
+    monkeypatch.setattr(meek, "_sink_order", counted("full", meek._sink_order))
+    # meek binds the graphs function by name, so that is the name to wrap.
+    monkeypatch.setattr(meek, "topological_order", counted("full", graphs.topological_order))
+    n_dags = sum(len(enumerate_dags(g)) for g in roots)
+    print(n_dags, dict(calls))
+    assert n_dags > 1000
+    assert calls["full"] * 3 <= calls["branch"]
 
 
 # -- discrete models ---------------------------------------------------------

@@ -165,22 +165,9 @@ def test_factorize_and_identify_on_400_nodes_finish_within_5_seconds(tmp_path, c
 
 
 def _chordal_mpdag(rng, n):
-    """Each new node joins a clique of up to 4 earlier nodes, grown greedily
-    from a random node's neighbourhood; closed with the knowledge N0 -> v."""
-    names = [f"N{i}" for i in range(n)]
-    adj = {names[0]: set()}
-    for v in names[1:]:
-        start = rng.choice(sorted(adj))
-        clique = {start}
-        for u in rng.sample(sorted(adj[start]), len(adj[start])):
-            if len(clique) < 4 and all(u in adj[c] for c in clique):
-                clique.add(u)
-        adj[v] = set(clique)
-        for c in clique:
-            adj[c].add(v)
-    edges = {tuple(sorted((a, b))) for a in adj for b in adj[a]}
-    g = Pdag(names, undirected=edges)
-    return close(g, [("N0", min(adj["N0"]))])
+    """A random chordal graph closed with the knowledge N0 -> v."""
+    g = oracles.random_chordal(rng, n)
+    return close(g, [("N0", min(g.neighbors("N0")))])
 
 
 def test_witness_requires_nonempty_disjoint(pair):

@@ -15,7 +15,7 @@ from mpdagid import (
     pco,
 )
 from mpdagid.meek import require_mpdag
-from mpdagid.oracle import _depth_first
+from mpdagid.oracle import _carrying, _depth_first
 
 import oracles
 
@@ -100,6 +100,8 @@ def _assert_passes_the_public_checks(h):
 
 
 def _assert_rank_stands_for_a_represented_dag(h):
+    assert set(h._rank) == set(h.nodes)
+    assert len(set(h._rank.values())) == len(h.nodes)  # strict
     dag = oracles.carried_dag(h)
     assert {frozenset(e) for e in dag.directed} == {
         frozenset(e) for e in h.directed | h.undirected
@@ -196,6 +198,38 @@ def test_carried_rank_stands_for_a_represented_dag(g):
         closures += [close(g, (pair,)) for pair in ((a, b), (b, a))]
     for h in closures:
         _assert_rank_stands_for_a_represented_dag(h)
+        _assert_covered_reversals_stand_for_represented_dags(h)
+
+
+def test_covered_reversals_stand_for_represented_dags_on_the_sweep(sweep):
+    reversed_ = sum(_assert_covered_reversals_stand_for_represented_dags(g) for g, _ in sweep)
+    assert reversed_ > 100
+
+
+def _assert_covered_reversals_stand_for_represented_dags(h):
+    """For each undirected edge of the closure ``h``, the branch that its
+    carried DAG D agrees with gets ``h`` itself.  When the edge is covered
+    in D, the other branch gets a copy whose rank must stand for D with
+    that edge reversed, and closing the branch must keep that rank (the
+    agreement path); otherwise it gets ``h``.  Returns how many edges were
+    reversed."""
+    dag = oracles.carried_dag(h)
+    reversed_ = 0
+    for a, b in sorted(h.undirected):
+        t, s = (a, b) if (a, b) in dag.directed else (b, a)  # t -> s in D
+        assert _carrying(h, t, s) is h
+        copy = _carrying(h, s, t)
+        if dag.parents_of(s) != dag.parents_of(t) | {t}:
+            assert copy is h
+            continue
+        assert copy is not h and copy._adj is h._adj
+        _assert_rank_stands_for_a_represented_dag(copy)
+        assert oracles.carried_dag(copy).directed == dag.directed - {(t, s)} | {(s, t)}
+        branch = close(copy, ((s, t),))
+        assert branch._rank is copy._rank
+        _assert_rank_stands_for_a_represented_dag(branch)
+        reversed_ += 1
+    return reversed_
 
 
 def _derived_by_orientation(g):
