@@ -136,13 +136,18 @@ def _cmd_close(args) -> int:
     return 0
 
 
+def _not_identifiable(g: Pdag, res) -> int:
+    """The verdict on stdout, the witness path on stderr, exit code 2."""
+    print("not identifiable")
+    print("witness:", _render_path(g, res.witness), file=sys.stderr)
+    return 2
+
+
 def _cmd_identify(args) -> int:
     g = _load_graph(args)
     res = identify(g, _nodes(args.X), _nodes(args.Y))
     if not res.identifiable:
-        print("not identifiable")
-        print("witness:", _render_path(g, res.witness), file=sys.stderr)
-        return 2
+        return _not_identifiable(g, res)
     print(render(res.formula, args.format))
     return 0
 
@@ -238,9 +243,7 @@ def _cmd_estimate(args) -> int:
     ys = _nodes(args.Y)
     res = identify(g, frozenset(xs_order), ys)
     if not res.identifiable:
-        print("not identifiable")
-        print("witness:", _render_path(g, res.witness), file=sys.stderr)
-        return 2
+        return _not_identifiable(g, res)
     data = estimate.Dataset.from_csv(_read_text(args.data))
     effect = estimate.gaussian_effect(res.formula, data, xs_order, ys)
     payload = {

@@ -95,30 +95,31 @@ class Pdag:
         ``"dag"`` additionally forbids undirected edges, and
         ``"cpdag"``/``"mpdag"`` additionally require closure under the
         orientation rules (none of the four forbidden induced subgraphs
-        occurs) and a consistent extension (Dor-Tarsi sink elimination
-        succeeds, so the graph represents at least one DAG).  This
-        constructor checks the tag in full, eagerly.
+        occurs) and a consistent extension (the graph represents at least
+        one DAG).  This constructor checks the tag in full, eagerly.
 
     Graphs the package derives from graphs it already holds skip the
     checks through :meth:`_trusted` and :meth:`_retag`: every closure
     (``meek.close`` reached its rule fixpoint and certified acyclicity
     and the extension, either by agreement with the DAG its input carries
-    or by Kahn's and Dor-Tarsi's passes), the DAGs at the leaves of
-    enumeration (a closure without undirected edges), an untagged graph
-    that ``meek.require_mpdag`` has just checked, and induced subgraphs
+    or by a removal-order pass), the DAGs at the leaves of enumeration (a
+    closure without undirected edges), an untagged graph that
+    ``meek.require_mpdag`` has just checked, the DAG that
+    ``meek.consistent_extension`` reads off a rank, and induced subgraphs
     (dropping nodes adds no cycle and no second edge to a pair).  The
     closure of an untagged graph, the way every input enters, is checked
-    by ``require_mpdag`` with this constructor's rule and Dor-Tarsi
-    checks, so each input is checked once at the boundary.
+    by ``require_mpdag`` with this constructor's rule check, so each input
+    is checked once at the boundary.
 
-    A graph that ``meek.close`` returns, and each copy that enumeration
-    hands a branch (``oracle._carrying``), also carries in the private
-    ``_rank`` a rank of one DAG it represents: a strict order of the
-    nodes, gaps allowed, and that DAG points every edge from the higher
-    rank to the lower.  It is the removal order of ``close``'s full check,
-    a rank inherited from the input of ``close``, or such a rank with one
-    covered edge of its DAG reversed.  The slot is ``None`` on every other
-    graph.
+    Every graph tagged ``dag``, ``cpdag`` or ``mpdag``, and every graph
+    ``meek.require_mpdag`` returns, carries in the private ``_rank`` a
+    rank of one DAG it represents: a strict order of the nodes, gaps
+    allowed, in which that DAG points every edge from the higher rank to
+    the lower.  It is the removal order that this constructor's check,
+    ``close``'s full check or ``require_mpdag`` found
+    (``meek._removal_order``), a rank ``close`` inherited from its input,
+    or such a rank with one covered edge reversed (``oracle._carrying``).
+    Untagged graphs that ``close`` did not build carry ``None``.
 
     The private ``_adj`` maps each node to its closed neighbourhood
     ``N(n) | {n}``, filled on first lookup.  Orientation keeps the
@@ -197,18 +198,21 @@ class Pdag:
             class_tag,
         )
 
-        if d_edges and has_directed_cycle(self.nodes, self._parents, self._children):
+        # A tagged graph keeps the removal order of its check as its rank.
+        from . import meek
+
+        if class_tag != "pdag":
+            self._rank = meek._removal_order(self.nodes, parents, children, und, self._adj)
+        if self._rank is None and d_edges and has_directed_cycle(self.nodes, parents, children):
             raise GraphError("graph contains a directed cycle")
         if class_tag == "dag" and u_edges:
             raise GraphError("dag tag forbids undirected edges")
         if class_tag in ("cpdag", "mpdag"):
-            from . import meek
-
             if not meek.is_mpdag(self):
                 raise GraphError(
                     f"{class_tag} tag rejected: an orientation rule still fires"
                 )
-            if not meek.has_consistent_extension(self):
+            if self._rank is None:
                 raise GraphError(
                     f"{class_tag} tag rejected: the graph represents no DAG "
                     "(no consistent extension exists)"

@@ -15,18 +15,19 @@ The closure is a worklist over parent, child and undirected-neighbour
 sets.  It keeps the map of every fireable orientation and, after each
 orientation, re-evaluates only the edges whose rule inputs it changed
 (Meek 1995, "Causal inference and causal explanation with background
-knowledge").  The consistent-extension check is Dor-Tarsi sink
-elimination over the same sets; its removal order also gives the one
-represented DAG that :func:`consistent_extension` returns.
+knowledge").
 
-Every closure carries a rank of one DAG D it represents: a strict
-order, possibly with gaps, in which every edge of D points from the
-higher rank to the lower.  A closure of a graph with a rank that orients
-each edge from the higher rank to the lower keeps all its directed edges
-inside D, so D, which has the input's skeleton and unshielded colliders,
-is a consistent extension of the closure too: the closure is acyclic and
-extendable without Kahn's or Dor-Tarsi's pass, and keeps the rank.
-Otherwise the full check's removal order becomes the rank.  By
+Every graph tagged ``dag``, ``cpdag`` or ``mpdag``, and every graph that
+:func:`require_mpdag` returns, carries a rank of one DAG D it represents:
+a strict order, possibly with gaps, in which every edge of D points from
+the higher rank to the lower.  The checking constructor, the full check
+of :func:`close` and :func:`require_mpdag` find it by one
+:func:`_removal_order` pass, and :func:`consistent_extension` reads D
+off it.  A closure of a graph with a rank that orients each edge from
+the higher rank to the lower keeps all its directed edges inside D, so
+D, which has the input's skeleton and unshielded colliders, is a
+consistent extension of the closure too: the closure is acyclic and
+extendable without a removal-order pass, and keeps the rank.  By
 maximality every branch on an undirected edge of an MPDAG has a
 consistent closure, so in enumeration the branch that agrees with D
 always takes this path.  So does the other branch when the edge is
@@ -36,7 +37,6 @@ parent represents too (``oracle._carrying``).
 
 from __future__ import annotations
 
-import random
 from typing import Iterable, Optional, Sequence
 
 from .graphs import (
@@ -133,32 +133,37 @@ def _sink_order(
     return order
 
 
-def consistent_extension(g: Pdag) -> tuple[NodeSets, NodeSets]:
-    """Parents and children of one DAG that the MPDAG ``g`` represents.
+def _removal_order(
+    nodes: Sequence[str], pa: NodeSets, ch: NodeSets, und: NodeSets, adj: _Adjacency
+) -> Optional[dict[str, int]]:
+    """Each node's position in a sinks-first removal order of one DAG that
+    the graph represents, or ``None`` when it represents none (a directed
+    cycle, or no consistent extension).
 
-    Each undirected edge points into the endpoint that sink elimination
-    removes first.  Raises :class:`GraphError` when ``g`` represents no
-    DAG.  A graph tagged ``cpdag`` or ``mpdag`` by the public constructor
-    or by :func:`close` always represents one, and :func:`require_mpdag`
-    checks an untagged graph, so the raise guards that invariant.
+    With undirected edges this is Dor-Tarsi sink elimination; without
+    them a reversed topological order removes sinks first, and its keyed
+    pick keeps it independent of string hashing.  The only code that
+    picks between the two passes.
     """
-    pa, ch, und = g._parents, g._children, g._und
-    order = _sink_order(g.nodes, pa, ch, und, g._adj)
-    if order is None:
-        raise GraphError("closure represents no DAG (no consistent extension exists)")
-    rank = {v: i for i, v in enumerate(order)}
+    if any(und.values()):
+        order = _sink_order(nodes, pa, ch, und, adj)
+    else:
+        order = topological_order(nodes, pa, ch)[::-1]
+        if len(order) < len(nodes):
+            order = None
+    return None if order is None else {v: i for i, v in enumerate(order)}
+
+
+def consistent_extension(g: Pdag) -> Pdag:
+    """The DAG that the checked MPDAG ``g`` carries, tagged ``dag``: each
+    undirected edge points from its higher-ranked end to its lower.  It
+    shares ``g``'s rank and neighbourhood map; ``g`` must be tagged or
+    returned by :func:`require_mpdag`."""
+    pa, ch, und, rank = g._parents, g._children, g._und, g._rank
     parents = {v: pa[v] | {w for w in und[v] if rank[w] > rank[v]} for v in g.nodes}
     children = {v: ch[v] | {w for w in und[v] if rank[w] < rank[v]} for v in g.nodes}
-    return parents, children
-
-
-def has_consistent_extension(g: Pdag) -> bool:
-    """True when ``g`` represents at least one DAG: Dor-Tarsi sink
-    elimination orients its undirected edges without a directed cycle or
-    a new unshielded collider."""
-    if not g.undirected:
-        return True
-    return _sink_order(g.nodes, g._parents, g._children, g._und, g._adj) is not None
+    no_und = dict.fromkeys(g.nodes, frozenset())
+    return Pdag._trusted(g.nodes, parents, children, no_und, "dag", None, rank, g._adj)
 
 
 def is_mpdag(g: Pdag) -> bool:
@@ -176,27 +181,27 @@ def is_mpdag(g: Pdag) -> bool:
 
 def require_mpdag(g: Pdag) -> Pdag:
     """``g`` itself when its tag vouches for closure, else ``g`` checked
-    and re-tagged ``"mpdag"``; raises :class:`GraphError` if a rule still
-    fires or if ``g`` represents no DAG (no consistent extension).
+    and re-tagged ``"mpdag"``, carrying a rank; raises :class:`GraphError`
+    if a rule still fires or if ``g`` represents no DAG (no consistent
+    extension).
 
     An untagged graph that carries a rank is a closure of an untagged
-    input, and :func:`close`'s own sink-elimination or Kahn pass found
-    that rank, which proves the extension; only the rule check runs."""
+    input, and :func:`close`'s own removal-order pass found that rank,
+    which proves the extension; only the rule check runs."""
     if g.class_tag != "pdag":
         return g
     if not is_mpdag(g):
         raise GraphError("graph is not maximally oriented; close it first")
-    if g._rank is None and not has_consistent_extension(g):
-        raise GraphError("closure represents no DAG (no consistent extension exists)")
-    return g._retag("mpdag")
+    rank = g._rank
+    if rank is None:
+        rank = _removal_order(g.nodes, g._parents, g._children, g._und, g._adj)
+        if rank is None:
+            raise GraphError("closure represents no DAG (no consistent extension exists)")
+    edges = (g.directed, g.undirected)
+    return Pdag._trusted(g.nodes, g._parents, g._children, g._und, "mpdag", edges, rank, g._adj)
 
 
-def close(
-    g: Pdag,
-    bk: Iterable[tuple[str, str]] = (),
-    *,
-    rng: random.Random | None = None,
-) -> Pdag:
+def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
     """Close ``g`` plus background knowledge into its maximal orientation.
 
     Each ``(tail, head)`` pair in ``bk`` must be an adjacency of ``g`` and
@@ -221,9 +226,8 @@ def close(
     the closure is checked in full, and the removal order found becomes
     its rank.
 
-    ``rng`` randomizes which fireable rule is applied at each step; the
-    default applies the least (rule index, then edge) application, which
-    is deterministic.  The closure itself is order-independent.
+    Each step applies the least (rule index, then edge) application; the
+    closure itself does not depend on the order.
 
     Raises
     ------
@@ -295,10 +299,7 @@ def close(
                     pending[(a, b)] = rule
         if not pending:
             break
-        if rng is None:
-            _, tail, head = min((r, t, h) for (t, h), r in pending.items())
-        else:
-            _, tail, head = rng.choice(sorted((r, t, h) for (t, h), r in pending.items()))
+        _, tail, head = min((r, t, h) for (t, h), r in pending.items())
         und[tail] = und[tail] - {head}
         und[head] = und[head] - {tail}
         ch[tail] = ch[tail] | {head}
@@ -319,17 +320,10 @@ def close(
 
     rank = g._rank
     if rank is None or any(rank[t] < rank[h] for t, h in oriented):
-        # Sink elimination also gets stuck on a directed cycle, so it
-        # decides alone; the cycle test only picks the message.  Without
-        # undirected edges a reversed topological order removes sinks
-        # first; its keyed pick keeps the rank independent of string hashing.
-        if any(und.values()):
-            order = _sink_order(nodes, pa, ch, und, adj)
-        else:
-            order = topological_order(nodes, pa, ch)[::-1]
-            if len(order) < len(nodes):
-                order = None
-        if order is None:
+        # The removal-order pass also gets stuck on a directed cycle, so it
+        # decides alone; the cycle test only picks the message.
+        rank = _removal_order(nodes, pa, ch, und, adj)
+        if rank is None:
             if has_directed_cycle(nodes, pa, ch):
                 raise InconsistentKnowledgeError(
                     "closure creates a directed cycle; knowledge is inconsistent"
@@ -337,7 +331,6 @@ def close(
             raise InconsistentKnowledgeError(
                 "closure represents no DAG (no consistent extension exists)"
             )
-        rank = {v: i for i, v in enumerate(order)}
     # Reached the rule fixpoint, acyclic and extendable: an MPDAG (Meek
     # 1995).  An untagged input's closure stays untagged for the boundary
     # check of ``require_mpdag``, which returns a tagged closure as it is.

@@ -39,7 +39,7 @@ from . import paths
 from .estimate import Dataset
 from .formula import IdFormula
 from .graphs import DegenerateConditioningError, GraphError, Pdag, topological_order
-from .meek import InconsistentKnowledgeError, close, require_mpdag
+from .meek import InconsistentKnowledgeError, close, consistent_extension, require_mpdag
 
 CONFIG_CAP = 2**20
 
@@ -58,12 +58,6 @@ def enumerate_dags(g: Pdag) -> list[Pdag]:
     ``g`` and contains all its directed edges.
     """
     return list(_depth_first(require_mpdag(g)))
-
-
-def _first_dag(h: Pdag) -> Pdag:
-    """``enumerate_dags(h)[0]`` for a closed ``h``, without enumerating
-    past its first leaf."""
-    return next(_depth_first(h))
 
 
 def _depth_first(h: Pdag) -> Iterator[Pdag]:
@@ -114,12 +108,11 @@ def _carrying(g: Pdag, t: str, h: str) -> Pdag:
     As a rank, D' is D with ``t`` moved just above ``h`` and the ranks
     above shifted up by one: the parents of ``t`` other than ``h`` rank
     above ``h``, so the new rank is strict and orders exactly D'.  The
-    copy shares ``g``'s sets and neighbourhood map.  Without a rank, when
-    D has ``t -> h`` already, or when the edge is not covered, ``g`` is
-    returned as it is.
+    copy shares ``g``'s sets and neighbourhood map.  When D has ``t -> h``
+    already, or when the edge is not covered, ``g`` is returned as it is.
     """
     rank = g._rank
-    if rank is None or rank[t] > rank[h]:
+    if rank[t] > rank[h]:
         return g
     r = rank[h]
     pa, und = g._parents, g._und
@@ -520,20 +513,18 @@ def simulate(m: GaussianModel, n: int, seed: int) -> Dataset:
 
 
 def nonid_witness(
-    g: Pdag,
-    X: Iterable[str],
-    Y: Iterable[str],
-    coeffs: Union[float, Sequence[float]] = 0.5,
+    g: Pdag, X: Iterable[str], Y: Iterable[str]
 ) -> tuple[GaussianModel, GaussianModel, float]:
     """Two unit-variance Gaussian models with identical observational law
     and different interventional means.
 
     The amenability witness q = <X, V1, ..., Y> is realized as
-    X -> V1 -> ... -> Y in one represented DAG and as X <- V1 -> ... -> Y
-    in another (:class:`GraphError` when either closure fails); edge
-    coefficients off the path are zero, so both models share the same
-    covariance while E[Y | do(x)] differs by the product of the path
-    coefficients (returned as ``delta``).
+    X -> V1 -> ... -> Y in the DAG that the closure of ``g`` under that
+    orientation carries, and as X <- V1 -> ... -> Y in the one the other
+    closure carries (:class:`GraphError` when either closure fails).  Each
+    path edge has coefficient 0.5 and every other edge zero, so both
+    models share the same covariance while E[Y | do(x)] differs by the
+    product of the path coefficients (returned as ``delta``).
     """
     g = require_mpdag(g)
     xs = g.require(X)
@@ -544,37 +535,19 @@ def nonid_witness(
     forward = list(zip(q, q[1:]))
     flipped = [(q[1], q[0])] + forward[1:]
     try:
-        d1 = _first_dag(close(g, forward))
-        d2 = _first_dag(close(g, flipped))
+        d1 = consistent_extension(close(g, forward))
+        d2 = consistent_extension(close(g, flipped))
     except InconsistentKnowledgeError:
         raise GraphError("the witness path is not realizable in both orientations") from None
 
-    k = len(q) - 1
-    if isinstance(coeffs, (int, float)):
-        cs = [float(coeffs)] * k
-    else:
-        cs = [float(c) for c in coeffs]
-        if len(cs) != k:
-            raise GraphError(f"need {k} coefficients for a {k}-edge path")
-    if any(not 0.0 < abs(c) < 1.0 for c in cs):
-        raise GraphError("path coefficients must lie in (0, 1) in magnitude")
+    def build(dag: Pdag, edges: list[tuple[str, str]]) -> GaussianModel:
+        # A path gives each node at most one parent, so a path edge's head
+        # keeps variance one with noise 1 - 0.5 ** 2.
+        heads = {h for _, h in edges}
+        noise = {v: 0.75 if v in heads else 1.0 for v in dag.nodes}
+        return GaussianModel(dag=dag, coeffs=dict.fromkeys(edges, 0.5), noise_vars=noise)
 
-    def build(dag: Pdag, edges: Sequence[tuple[str, str]]) -> GaussianModel:
-        coeff_map = {e: c for e, c in zip(edges, cs)}
-        for e in coeff_map:
-            if e not in dag.directed:
-                raise GraphError(f"witness edge {e} missing after closure")
-        noise = {}
-        for v in dag.nodes:
-            into = [c for (t, h), c in coeff_map.items() if h == v]
-            assert len(into) <= 1, "witness path gives each node one parent"
-            noise[v] = 1.0 - (into[0] ** 2 if into else 0.0)
-        return GaussianModel(dag=dag, coeffs=coeff_map, noise_vars=noise)
-
-    m1 = build(d1, forward)
-    m2 = build(d2, flipped)
-    delta = math.prod(abs(c) for c in cs)
-    return m1, m2, delta
+    return build(d1, forward), build(d2, flipped), 0.5 ** len(forward)
 
 
 # ---------------------------------------------------------------------------

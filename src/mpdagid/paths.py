@@ -7,8 +7,8 @@ path exists, the forbidden set) are answered by the one search behind
 The separation questions (d-separation, and the blocked non-causal
 paths of the adjustment criterion) are answered by one Bayes-ball
 reachability (Shachter 1998, "Bayes-Ball: the rational pastime") over
-one DAG the MPDAG represents, since Markov equivalent DAGs share their
-d-separations.
+the DAG that the checked MPDAG carries (``meek.consistent_extension``),
+since Markov equivalent DAGs share their d-separations.
 """
 
 from __future__ import annotations
@@ -143,8 +143,8 @@ def d_separated(g: Pdag, X, Y, Z) -> bool:
     represents, i.e. blocks every definite-status path between them."""
     g = require_mpdag(g)
     xs, ys, zs = _validate_separation(g, X, Y, Z)
-    pa, ch = consistent_extension(g)
-    return not _d_connected(pa, ch, xs, ys, zs)
+    d = consistent_extension(g)
+    return not _d_connected(d._parents, d._children, xs, ys, zs)
 
 
 def unblocked_proper_noncausal_path(g: Pdag, X, Y, Z) -> bool:
@@ -165,9 +165,11 @@ def unblocked_proper_noncausal_path(g: Pdag, X, Y, Z) -> bool:
     forbidden = forbidden_set(g, xs, ys)
     if zs & forbidden:
         raise GraphError("Z meets the forbidden set")
-    pa, ch = consistent_extension(g)
+    d = consistent_extension(g)
+    pa, ch = dict(d._parents), dict(d._children)
     for x in xs:
-        for w in ch[x] & forbidden:
-            ch[x].discard(w)
-            pa[w].discard(x)
+        cut = ch[x] & forbidden
+        ch[x] = ch[x] - cut
+        for w in cut:
+            pa[w] = pa[w] - {x}
     return _d_connected(pa, ch, xs, ys, zs)

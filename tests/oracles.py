@@ -601,7 +601,8 @@ def reference_close(g: Pdag, bk=(), *, rng: random.Random | None = None):
     each orientation; returns ``(directed, undirected)`` frozensets.
 
     Raises ``InconsistentKnowledgeError`` in the same cases and with the
-    same messages as ``mpdagid.close``, and consumes ``rng`` the same way.
+    same messages as ``mpdagid.close``.  With ``rng`` each step applies a
+    random fireable rule application instead of the least one.
     """
     scratch = EdgeSets(g)
     oriented = []

@@ -111,21 +111,23 @@ def test_closure_monotone_random():
 
 
 def test_closure_confluent_under_random_rule_orders():
-    # Identical closure for every rule-application order; inconsistent
-    # inputs must fail identically under every order.
+    # The reference closure applies the fireable rules in random orders;
+    # every order must give close's closure, and an inconsistent input
+    # must fail under every order.
     rng = random.Random(9)
     for trial in range(60):
         g = oracles.random_pdag(rng, rng.choice((4, 5, 6)))
         try:
-            reference = close(g, ())
+            closed = close(g, ())
+            expected = (closed.directed, closed.undirected)
         except InconsistentKnowledgeError:
-            reference = None
+            expected = None
         for k in range(6):
             try:
-                alt = close(g, (), rng=random.Random(1000 * trial + k))
+                alt = oracles.reference_close(g, (), rng=random.Random(1000 * trial + k))
             except InconsistentKnowledgeError:
                 alt = None
-            assert alt == reference
+            assert alt == expected
 
 
 def test_no_rule_fires_after_closure_random():
@@ -188,10 +190,10 @@ def test_parse_background_knowledge_directed_only():
         parse_background_knowledge("A -- B")
 
 
-def _outcome(closer, g, bk, **kw):
+def _outcome(closer, g, bk):
     """``(directed, undirected)`` of a closure, or the error message."""
     try:
-        res = closer(g, bk, **kw)
+        res = closer(g, bk)
     except InconsistentKnowledgeError as exc:
         return str(exc)
     return res if isinstance(res, tuple) else (res.directed, res.undirected)
@@ -211,15 +213,11 @@ def _random_knowledge(rng, g):
 def test_close_matches_full_rescan_on_random_pdags():
     rng = random.Random(41)
     failures = 0
-    for trial in range(1500):
+    for _ in range(1500):
         g = oracles.random_pdag(rng, rng.randint(3, 8), rng.choice((0.3, 0.5, 0.7)))
         bk = _random_knowledge(rng, g)
         expected = _outcome(oracles.reference_close, g, bk)
         assert _outcome(close, g, bk) == expected, (g.to_edgelist(), bk)
-        # Same random rule order: both must consume the rng identically.
-        assert _outcome(close, g, bk, rng=random.Random(trial)) == _outcome(
-            oracles.reference_close, g, bk, rng=random.Random(trial)
-        )
         failures += isinstance(expected, str)
     assert 200 < failures < 1300  # both outcomes are exercised
 

@@ -34,7 +34,7 @@ from mpdagid import (
 import oracles
 from conftest import COVAR5_TEXT, MPDAG4_TEXT, query_pairs
 from mpdagid import graphs, meek, oracle
-from mpdagid.oracle import _depth_first, _first_dag
+from mpdagid.oracle import _depth_first
 
 
 # -- enumeration ------------------------------------------------------------
@@ -105,7 +105,7 @@ def _roots_with_knowledge(sweep):
     """The sweep graphs and random 6-8-node MPDAGs, each also closed under
     1-2 drawn orientations of its undirected edges, all carrying the rank
     ``close`` gave them; then each of them rebuilt by the public
-    constructor, which carries no rank."""
+    constructor, which carries the rank its own check found."""
     rng = random.Random(173)
     roots = [g for g, _ in sweep]
     for g in oracles.random_mpdags(seed=173, count=60, n_nodes=(6, 7, 8), p_edge=0.6):
@@ -143,7 +143,9 @@ def test_depth_first_matches_the_reference_walk(sweep, monkeypatch):
         ], g.to_edgelist()
         assert all(d.class_tag == "dag" for d in got)
     print(len(roots), dict(copies))
-    assert sum(g._rank is None for g in roots) * 2 == len(roots)
+    assert all(g._rank is not None for g in roots)
+    closed, rebuilt = roots[: len(roots) // 2], roots[len(roots) // 2 :]
+    assert any(a._rank != b._rank for a, b in zip(closed, rebuilt))
     assert copies["reversed"] > 1000
 
 
@@ -808,8 +810,8 @@ def test_nonid_witness_pair(pair):
 
 def test_nonid_witness_two_edges_override():
     g = parse_graph("X -- V\nV -- Y")
-    m1, m2, delta = nonid_witness(g, {"X"}, {"Y"}, coeffs=(0.5, 0.4))
-    assert abs(delta - 0.2) < 1e-15
+    m1, m2, delta = nonid_witness(g, {"X"}, {"Y"})
+    assert delta == 0.25
     e1 = oracles.interventional_means(m1, {"X": 1.0})
     e2 = oracles.interventional_means(m2, {"X": 1.0})
     assert abs(abs(e1["Y"] - e2["Y"]) - delta) < 1e-12
@@ -818,13 +820,6 @@ def test_nonid_witness_two_edges_override():
 def test_nonid_witness_requires_witness(chain3):
     with pytest.raises(GraphError):
         nonid_witness(chain3, {"X1", "X2"}, {"Y"})
-
-
-def test_first_dag_is_first_enumerated(sweep):
-    graphs = [g for g, _ in sweep]
-    graphs += oracles.random_mpdags(seed=141, count=150, n_nodes=(6, 7, 8))
-    for g in graphs:
-        assert _first_dag(g) == enumerate_dags(g)[0]
 
 
 def test_nonid_witness_random_sweep(sweep):

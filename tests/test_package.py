@@ -35,6 +35,8 @@ RETIRED = [
     ("mpdagid.oracle", "_Memo"),
     ("mpdagid.formula", "_render_text"),
     ("mpdagid.formula", "_render_latex"),
+    ("mpdagid.meek", "has_consistent_extension"),
+    ("mpdagid.oracle", "_first_dag"),
     ("Pdag", "validate_as"),
     ("Pdag", "undirected_subgraph"),
     ("Dataset", "to_csv"),

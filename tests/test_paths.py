@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import itertools
 import random
@@ -5,7 +6,7 @@ import signal
 
 import pytest
 
-from mpdagid import cli
+from mpdagid import cli, meek
 from mpdagid import (
     GraphError,
     Pdag,
@@ -301,6 +302,30 @@ def test_condition_3_matches_path_walk(sweep):
                 with pytest.raises(GraphError, match="forbidden set"):
                     unblocked_proper_noncausal_path(g, xs, ys, {min(forb - ys)})
     assert checked > 5_000 and 0 < blocked < checked
+
+
+def test_separation_queries_run_no_removal_order_pass(sweep, monkeypatch):
+    # A checked graph carries its represented DAG, so neither query runs
+    # Dor-Tarsi or Kahn to find one again.
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(meek, "_sink_order", counted("_sink_order", meek._sink_order))
+    monkeypatch.setattr(meek, "_removal_order", counted("_removal_order", meek._removal_order))
+    queries = 0
+    for g, _ in sweep:
+        for xs, ys in query_pairs(g.nodes):
+            d_separated(g, xs, ys, set())
+            if amenability_witness(g, xs, ys) is None:
+                unblocked_proper_noncausal_path(g, xs, ys, set())
+                queries += 1
+    assert not calls and queries > 1000
 
 
 def test_find_adjustment_set_matches_subset_search(sweep):

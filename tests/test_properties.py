@@ -14,7 +14,7 @@ from mpdagid import (
     parse_graph,
     pco,
 )
-from mpdagid.meek import require_mpdag
+from mpdagid.meek import consistent_extension, require_mpdag
 from mpdagid.oracle import _carrying, _depth_first
 
 import oracles
@@ -199,6 +199,52 @@ def test_carried_rank_stands_for_a_represented_dag(g):
     for h in closures:
         _assert_rank_stands_for_a_represented_dag(h)
         _assert_covered_reversals_stand_for_represented_dags(h)
+
+
+def _checked_versions(g):
+    """The MPDAG ``g`` rebuilt by the public constructor under the
+    ``cpdag`` and ``mpdag`` tags, ``require_mpdag`` of ``g`` and of ``g``
+    rebuilt untagged, and the first leaves of its enumeration rebuilt
+    under the ``dag`` tag: every way a graph gets checked."""
+    untagged = Pdag(g.nodes, g.directed, g.undirected)
+    checked = [Pdag(g.nodes, g.directed, g.undirected, tag) for tag in ("cpdag", "mpdag")]
+    checked += [require_mpdag(untagged), require_mpdag(g)]
+    checked += [Pdag(d.nodes, d.directed, (), "dag") for d in itertools.islice(_depth_first(g), 4)]
+    return checked
+
+
+def _assert_carries_its_extension(h):
+    """``h`` carries a rank that stands for a DAG it represents, and
+    ``consistent_extension`` returns that DAG, tagged ``dag``, sharing the
+    rank and the neighbourhood map."""
+    _assert_rank_stands_for_a_represented_dag(h)
+    d = consistent_extension(h)
+    assert d == oracles.carried_dag(h) and d.nodes == h.nodes
+    assert d.class_tag == "dag" and d._rank is h._rank and d._adj is h._adj
+    _assert_rank_stands_for_a_represented_dag(d)
+
+
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(mpdags())
+def test_every_checked_graph_carries_a_represented_dag(g):
+    for h in _checked_versions(g):
+        _assert_carries_its_extension(h)
+
+
+def test_every_checked_graph_carries_a_represented_dag_on_the_sweep(sweep):
+    checked = 0
+    for g, _ in sweep:
+        for h in _checked_versions(g):
+            _assert_carries_its_extension(h)
+            assert consistent_extension(h).directed in oracles.all_represented_dags(h)
+            checked += 1
+    assert checked > 1500
 
 
 def test_covered_reversals_stand_for_represented_dags_on_the_sweep(sweep):
