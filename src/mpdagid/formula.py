@@ -137,8 +137,7 @@ def render(f: IdFormula, style: Style = "text") -> str:
     """Deterministic rendering; identical inputs give identical strings."""
     if style == "json":
         return _render_json(f)
-    for known, tokens in _STYLES.items():
-        if style == known:
-            return _render_styled(f, *tokens)
-    raise FormulaError(f"unknown style: {style!r}")
+    if style not in _STYLES:
+        raise FormulaError(f"unknown style: {style!r}")
+    return _render_styled(f, *_STYLES[style])
 

@@ -99,27 +99,12 @@ class Pdag:
         one DAG).  This constructor checks the tag in full, eagerly.
 
     Graphs the package derives from graphs it already holds skip the
-    checks through :meth:`_trusted` and :meth:`_retag`: every closure
-    (``meek.close`` reached its rule fixpoint and certified acyclicity
-    and the extension, either by agreement with the DAG its input carries
-    or by a removal-order pass), the DAGs at the leaves of enumeration (a
-    closure without undirected edges), an untagged graph that
-    ``meek.require_mpdag`` has just checked, the DAG that
-    ``meek.consistent_extension`` reads off a rank, and induced subgraphs
-    (dropping nodes adds no cycle and no second edge to a pair).  The
-    closure of an untagged graph, the way every input enters, is checked
-    by ``require_mpdag`` with this constructor's rule check, so each input
-    is checked once at the boundary.
-
-    Every graph tagged ``dag``, ``cpdag`` or ``mpdag``, and every graph
-    ``meek.require_mpdag`` returns, carries in the private ``_rank`` a
-    rank of one DAG it represents: a strict order of the nodes, gaps
-    allowed, in which that DAG points every edge from the higher rank to
-    the lower.  It is the removal order that this constructor's check,
-    ``close``'s full check or ``require_mpdag`` found
-    (``meek._removal_order``), a rank ``close`` inherited from its input,
-    or such a rank with one covered edge reversed (``oracle._carrying``).
-    Untagged graphs that ``close`` did not build carry ``None``.
+    checks through :meth:`_trusted` and :meth:`_retag`, their maker
+    vouching for the tag: closures, enumeration leaves, graphs
+    ``meek.require_mpdag`` has just checked, the DAG
+    ``meek.consistent_extension`` reads off a rank, and induced subgraphs.
+    A graph tagged other than ``pdag`` carries in the private ``_rank``
+    one DAG it represents; ``meek`` makes and reads it.
 
     The private ``_adj`` maps each node to its closed neighbourhood
     ``N(n) | {n}``, filled on first lookup.  Orientation keeps the
@@ -164,27 +149,23 @@ class Pdag:
         # One edge per pair: every pair is keyed as (min, max).
         pairs: set[tuple[str, str]] = set()
         d_edges: set[tuple[str, str]] = set()
-        for a, b in directed:
-            if a not in seen or b not in seen or a == b:
-                self._reject_endpoints(seen, a, b)
-            key = (a, b) if a < b else (b, a)
-            if key in pairs:
-                raise GraphError(f"more than one edge between {a} and {b}")
-            pairs.add(key)
-            d_edges.add((a, b))
-            parents[b].add(a)
-            children[a].add(b)
         u_edges: set[tuple[str, str]] = set()
-        for a, b in undirected:
-            if a not in seen or b not in seen or a == b:
-                self._reject_endpoints(seen, a, b)
-            key = (a, b) if a < b else (b, a)
-            if key in pairs:
-                raise GraphError(f"more than one edge between {a} and {b}")
-            pairs.add(key)
-            u_edges.add(key)
-            und[a].add(b)
-            und[b].add(a)
+        for is_directed, edges in ((True, directed), (False, undirected)):
+            for a, b in edges:
+                if a not in seen or b not in seen or a == b:
+                    self._reject_endpoints(seen, a, b)
+                key = (a, b) if a < b else (b, a)
+                if key in pairs:
+                    raise GraphError(f"more than one edge between {a} and {b}")
+                pairs.add(key)
+                if is_directed:
+                    d_edges.add((a, b))
+                    parents[b].add(a)
+                    children[a].add(b)
+                else:
+                    u_edges.add(key)
+                    und[a].add(b)
+                    und[b].add(a)
 
         if class_tag not in ("pdag", "dag", "cpdag", "mpdag"):
             raise GraphError(f"unknown class tag: {class_tag!r}")
@@ -203,8 +184,9 @@ class Pdag:
 
         if class_tag != "pdag":
             self._rank = meek._removal_order(self.nodes, parents, children, und, self._adj)
-        if self._rank is None and d_edges and has_directed_cycle(self.nodes, parents, children):
-            raise GraphError("graph contains a directed cycle")
+        if self._rank is None and d_edges:
+            if len(topological_order(self.nodes, parents, children)) < len(self.nodes):
+                raise GraphError("graph contains a directed cycle")
         if class_tag == "dag" and u_edges:
             raise GraphError("dag tag forbids undirected edges")
         if class_tag in ("cpdag", "mpdag"):
@@ -493,13 +475,6 @@ class Pdag:
             for a, b in sorted(directed | self.undirected)
         ]
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-def has_directed_cycle(
-    nodes: tuple[str, ...], parents: dict[str, set[str]], children: dict[str, set[str]]
-) -> bool:
-    """True when :func:`topological_order` leaves some node out."""
-    return len(topological_order(nodes, parents, children)) < len(nodes)
 
 
 def topological_order(

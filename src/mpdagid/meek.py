@@ -17,22 +17,19 @@ orientation, re-evaluates only the edges whose rule inputs it changed
 (Meek 1995, "Causal inference and causal explanation with background
 knowledge").
 
-Every graph tagged ``dag``, ``cpdag`` or ``mpdag``, and every graph that
-:func:`require_mpdag` returns, carries a rank of one DAG D it represents:
-a strict order, possibly with gaps, in which every edge of D points from
-the higher rank to the lower.  The checking constructor, the full check
-of :func:`close` and :func:`require_mpdag` find it by one
-:func:`_removal_order` pass, and :func:`consistent_extension` reads D
-off it.  A closure of a graph with a rank that orients each edge from
-the higher rank to the lower keeps all its directed edges inside D, so
-D, which has the input's skeleton and unshielded colliders, is a
-consistent extension of the closure too: the closure is acyclic and
-extendable without a removal-order pass, and keeps the rank.  By
-maximality every branch on an undirected edge of an MPDAG has a
-consistent closure, so in enumeration the branch that agrees with D
-always takes this path.  So does the other branch when the edge is
-covered in D: enumeration hands it D with that edge reversed, which the
-parent represents too (``oracle._carrying``).
+A graph carries a rank exactly when its tag is not ``pdag``: the
+private ``Pdag._rank`` of one DAG D it represents, a strict order with
+gaps allowed in which D points every edge from the higher rank to the
+lower.  ``graphs`` only stores it; this module makes and reads it.  The
+checking constructor, :func:`require_mpdag` and the full check of
+:func:`close` find it by one :func:`_removal_order` pass, and
+:func:`consistent_extension` reads D off it.  When every orientation of
+a closure agrees with the input's D, the closure's directed edges lie in
+D; D has the input's skeleton and unshielded colliders, so the closure's
+too, and the closure is acyclic and extendable without a pass and keeps
+the rank.
+For one knowledge pair against a covered edge of D, :func:`close`
+starts from D with that edge reversed (:func:`_covered_reversal`).
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ from .graphs import (
     UnknownNodeError,
     _Adjacency,
     _token_lines,
-    has_directed_cycle,
     parse_graph,
     topological_order,
 )
@@ -155,10 +151,8 @@ def _removal_order(
 
 
 def consistent_extension(g: Pdag) -> Pdag:
-    """The DAG that the checked MPDAG ``g`` carries, tagged ``dag``: each
-    undirected edge points from its higher-ranked end to its lower.  It
-    shares ``g``'s rank and neighbourhood map; ``g`` must be tagged or
-    returned by :func:`require_mpdag`."""
+    """The DAG that the MPDAG ``g``, tagged other than ``pdag``, carries,
+    tagged ``dag`` and sharing ``g``'s rank and neighbourhood map."""
     pa, ch, und, rank = g._parents, g._children, g._und, g._rank
     parents = {v: pa[v] | {w for w in und[v] if rank[w] > rank[v]} for v in g.nodes}
     children = {v: ch[v] | {w for w in und[v] if rank[w] < rank[v]} for v in g.nodes}
@@ -181,53 +175,55 @@ def is_mpdag(g: Pdag) -> bool:
 
 def require_mpdag(g: Pdag) -> Pdag:
     """``g`` itself when its tag vouches for closure, else ``g`` checked
-    and re-tagged ``"mpdag"``, carrying a rank; raises :class:`GraphError`
-    if a rule still fires or if ``g`` represents no DAG (no consistent
-    extension).
-
-    An untagged graph that carries a rank is a closure of an untagged
-    input, and :func:`close`'s own removal-order pass found that rank,
-    which proves the extension; only the rule check runs."""
+    and re-tagged ``"mpdag"``; raises :class:`GraphError` if a rule still
+    fires or ``g`` represents no DAG."""
     if g.class_tag != "pdag":
         return g
     if not is_mpdag(g):
         raise GraphError("graph is not maximally oriented; close it first")
-    rank = g._rank
+    rank = _removal_order(g.nodes, g._parents, g._children, g._und, g._adj)
     if rank is None:
-        rank = _removal_order(g.nodes, g._parents, g._children, g._und, g._adj)
-        if rank is None:
-            raise GraphError("closure represents no DAG (no consistent extension exists)")
+        raise GraphError("closure represents no DAG (no consistent extension exists)")
     edges = (g.directed, g.undirected)
     return Pdag._trusted(g.nodes, g._parents, g._children, g._und, "mpdag", edges, rank, g._adj)
 
 
+def _covered_reversal(g: Pdag, t: str, h: str) -> dict[str, int]:
+    """``g``'s rank, or, when its DAG D has ``h -> t`` and that edge is
+    covered (pa_D(t) = pa_D(h) ∪ {h}), the rank of D with it reversed.
+
+    The reversal is Markov equivalent to D (Chickering 1995, "A
+    transformational characterization of equivalent Bayesian network
+    structures") and keeps every directed edge of ``g``, so ``g``
+    represents it too.  It is D's rank with ``t`` moved just above ``h``
+    and the ranks above shifted up by one; the other parents of ``t``
+    rank above ``h``, so the order stays strict.
+    """
+    rank = g._rank
+    if rank[t] > rank[h]:
+        return rank
+    r = rank[h]
+    pa, und = g._parents, g._und
+    pa_t = pa[t] | {w for w in und[t] if rank[w] > rank[t]}  # pa_D(t)
+    pa_h = pa[h] | {w for w in und[h] if rank[w] > r}  # pa_D(h)
+    if pa_t != pa_h | {h}:
+        return rank
+    moved = {v: s + 1 if s > r else s for v, s in rank.items()}
+    moved[t] = r + 1
+    return moved
+
+
 def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
-    """Close ``g`` plus background knowledge into its maximal orientation.
+    """Close ``g`` plus background knowledge into its maximal orientation,
+    tagged ``"mpdag"``.
 
     Each ``(tail, head)`` pair in ``bk`` must be an adjacency of ``g`` and
     is oriented as ``tail -> head`` before the rules run.  The result
-    contains every directed edge of the input and is tagged ``"mpdag"``.
-    Every closure adopts the sets built here through ``Pdag._trusted``:
-    ``g``'s constructor checked names and edge pairs, and the checks below
-    establish everything the tag asserts.  The closure of an untagged
-    ``g``, the way every input enters, runs the full check below and then
-    :func:`require_mpdag`'s rule check before it is tagged.  The closure
-    has ``g``'s skeleton and shares ``g``'s lazily filled neighbourhood
-    map.
-
-    The result carries the rank of one DAG D it represents
-    (``Pdag._rank``).  When ``g`` carries one and every edge
-    the closure orients, ``t -> h``, has ``rank[t] > rank[h]``, every
-    directed edge of the closure lies in ``g``'s D.  D then has the
-    closure's skeleton and, since it has ``g``'s unshielded colliders and
-    the closure has at least those, the closure's too: D is a consistent
-    extension of the closure, which is therefore acyclic.  The closure
-    inherits the rank and skips Kahn's and Dor-Tarsi's passes.  Otherwise
-    the closure is checked in full, and the removal order found becomes
-    its rank.
-
-    Each step applies the least (rule index, then edge) application; the
-    closure itself does not depend on the order.
+    contains every directed edge of the input, has ``g``'s skeleton and
+    shares ``g``'s neighbourhood map.  An untagged ``g``, the way every
+    input enters, is checked in full; the module docstring says when a
+    rank spares the full check.  Each step applies the least (rule index,
+    then edge) application; the closure does not depend on the order.
 
     Raises
     ------
@@ -276,6 +272,11 @@ def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
         ch[tail] = ch[tail] | {head}
         pa[head] = pa[head] | {tail}
         oriented[(tail, head)] = len(oriented)
+    # One pair against a covered edge of the carried DAG starts from that
+    # DAG with the edge reversed.
+    rank = g._rank
+    if rank is not None and len(pairs) == 1:
+        rank = _covered_reversal(g, *pairs[0])
 
     _check_no_reverse_demand(pa, ch, und, adj, list(oriented))
     # Orienting t -> h changes only pa[h], ch[t], und[t] and und[h].  By what
@@ -318,13 +319,12 @@ def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
         suspects += [(head, v) for v in ch[head] if (head, v) in oriented]
         _check_no_reverse_demand(pa, ch, und, adj, sorted(suspects, key=oriented.__getitem__))
 
-    rank = g._rank
     if rank is None or any(rank[t] < rank[h] for t, h in oriented):
         # The removal-order pass also gets stuck on a directed cycle, so it
         # decides alone; the cycle test only picks the message.
         rank = _removal_order(nodes, pa, ch, und, adj)
         if rank is None:
-            if has_directed_cycle(nodes, pa, ch):
+            if len(topological_order(nodes, pa, ch)) < len(nodes):
                 raise InconsistentKnowledgeError(
                     "closure creates a directed cycle; knowledge is inconsistent"
                 )
@@ -332,14 +332,15 @@ def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
                 "closure represents no DAG (no consistent extension exists)"
             )
     # Reached the rule fixpoint, acyclic and extendable: an MPDAG (Meek
-    # 1995).  An untagged input's closure stays untagged for the boundary
-    # check of ``require_mpdag``, which returns a tagged closure as it is.
+    # 1995).  An untagged input still gets the boundary rule check.
     edges = (
         g.directed.union(oriented),
         g.undirected.difference((t, h) if t < h else (h, t) for t, h in oriented),
     )
-    tag = "pdag" if g.class_tag == "pdag" else "mpdag"
-    return require_mpdag(Pdag._trusted(nodes, pa, ch, und, tag, edges, rank, adj))
+    closed = Pdag._trusted(nodes, pa, ch, und, "mpdag", edges, rank, adj)
+    if g.class_tag == "pdag" and not is_mpdag(closed):
+        raise GraphError("closure is not maximally oriented")
+    return closed
 
 
 def _check_no_reverse_demand(

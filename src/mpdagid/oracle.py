@@ -64,20 +64,12 @@ def _depth_first(h: Pdag) -> Iterator[Pdag]:
     """The DAGs represented by the closed ``h``, depth first.
 
     It branches ``a -> b`` before ``b -> a`` on the least undirected edge
-    ``(a, b)`` and re-closes.  Every skeleton edge below that one is
-    already directed, so leaves come in orientation-bitstring order.  A
-    branch whose closure fails, there or further down, holds no leaf.  A
-    leaf is a closure without undirected edges, re-tagged ``dag``
-    unchecked.  The stack holds a branch as its parent graph and the pair
-    to orient; it is closed only when popped, so a caller that stops early
-    closes no branch it did not reach.
-
-    Each branch is handed a parent that carries a represented DAG with the
-    branch's orientation whenever one is cheap to find, so that ``close``
-    takes its agreement path and skips Kahn's and Dor-Tarsi's passes: the
-    parent itself for the branch its carried DAG agrees with, and for the
-    other branch a copy carrying that DAG with the edge reversed when the
-    edge is covered in it (:func:`_carrying`).
+    ``(a, b)`` and closes the parent with that pair.  Every skeleton edge
+    below that one is already directed, so leaves come in
+    orientation-bitstring order.  A branch whose closure fails holds no
+    leaf.  A leaf is a closure without undirected edges, re-tagged
+    ``dag`` unchecked.  A branch is closed only when popped, so a caller
+    that stops early closes no branch it did not reach.
     """
     stack: list[tuple[Pdag, Optional[tuple[str, str]]]] = [(h, None)]
     while stack:
@@ -91,39 +83,8 @@ def _depth_first(h: Pdag) -> Iterator[Pdag]:
             yield g._retag("dag")
             continue
         a, b = min(g.undirected)
-        stack.append((_carrying(g, b, a), (b, a)))
-        stack.append((_carrying(g, a, b), (a, b)))
-
-
-def _carrying(g: Pdag, t: str, h: str) -> Pdag:
-    """``g``, or a copy of it whose carried DAG orients the undirected
-    edge ``t - h`` as ``t -> h``.
-
-    When ``g``'s carried DAG D has ``h -> t`` and that edge is covered,
-    pa_D(t) = pa_D(h) ∪ {h}, reversing it gives a DAG D' that is Markov
-    equivalent to D (Chickering 1995, "A transformational characterization
-    of equivalent Bayesian network structures").  D' keeps every directed
-    edge of ``g``, and an MPDAG's unshielded colliders are those of its
-    CPDAG, so D' is represented by ``g`` and orients the edge as ``t -> h``.
-    As a rank, D' is D with ``t`` moved just above ``h`` and the ranks
-    above shifted up by one: the parents of ``t`` other than ``h`` rank
-    above ``h``, so the new rank is strict and orders exactly D'.  The
-    copy shares ``g``'s sets and neighbourhood map.  When D has ``t -> h``
-    already, or when the edge is not covered, ``g`` is returned as it is.
-    """
-    rank = g._rank
-    if rank[t] > rank[h]:
-        return g
-    r = rank[h]
-    pa, und = g._parents, g._und
-    pa_t = pa[t] | {w for w in und[t] if rank[w] > rank[t]}  # pa_D(t)
-    pa_h = pa[h] | {w for w in und[h] if rank[w] > r}  # pa_D(h)
-    if pa_t != pa_h | {h}:
-        return g
-    moved = {v: s + 1 if s > r else s for v, s in rank.items()}
-    moved[t] = r + 1
-    edges = (g.directed, g.undirected)
-    return Pdag._trusted(g.nodes, pa, g._children, und, g.class_tag, edges, moved, g._adj)
+        stack.append((g, (b, a)))
+        stack.append((g, (a, b)))
 
 
 # ---------------------------------------------------------------------------

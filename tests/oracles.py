@@ -458,17 +458,16 @@ def all_represented_dags(g: Pdag) -> set[frozenset]:
 
 
 def reference_depth_first(h: Pdag):
-    """The DAGs represented by the closed ``h``, depth first, as the
-    enumeration walked them before branches were handed a represented DAG:
-    branch ``a -> b`` before ``b -> a`` on the least undirected edge and
-    re-close the parent itself, so only the branch that agrees with the
-    parent's carried DAG skips the full check."""
+    """The DAGs represented by the closed ``h``, depth first: branch
+    ``a -> b`` before ``b -> a`` on the least undirected edge and close
+    the parent rebuilt untagged, so every branch close runs the full
+    check and no carried DAG is consulted."""
     stack = [(h, None)]
     while stack:
         g, pair = stack.pop()
         if pair is not None:
             try:
-                g = close(g, (pair,))
+                g = close(Pdag(g.nodes, g.directed, g.undirected), (pair,))
             except InconsistentKnowledgeError:
                 continue
         if not g.undirected:

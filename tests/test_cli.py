@@ -1,7 +1,14 @@
+import contextlib
+import io
+import itertools
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mpdagid import Factor, GaussianModel, IdFormula, Pdag, parse_graph, render, simulate
 from mpdagid.cli import main
@@ -386,3 +393,142 @@ def test_parser_reused_across_calls(files, capsys):
     assert reused == fresh
     assert [code for code, _, _ in fresh] == [1, 0, 0, 0, 1, 0]
     assert cli._build_parser() is cli._build_parser()
+
+
+# -- input grammar property ---------------------------------------------------
+
+_NAMES = ("A", "B", "X", "Y", "C", "N.1")  # at most six valid nodes
+_NEAR_NAMES = ("a-b", "Ä", "A B", "->", "--", "node", "#", "")
+_LINE_ENDINGS = ("\n", "\r\n", "\r")
+
+
+@st.composite
+def _edge_lines(draw, clean, directed_only=False):
+    """One line of the edge-list grammar, or when not ``clean`` possibly a
+    near miss of it."""
+    name = st.sampled_from(_NAMES)
+    any_name = name if clean else st.one_of(name, name, st.sampled_from(_NEAR_NAMES))
+    mark = st.sampled_from(("->",) if directed_only else ("->", "--"))
+    kinds = ["edge"] * 6 + ["node", "comment", "blank"]
+    if not clean:
+        kinds += ["near mark", "arity", "loop"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "edge":
+        line = f"{draw(any_name)} {draw(mark)} {draw(any_name)}"
+    elif kind == "node":
+        line = " ".join(["node", draw(any_name)] + draw(st.lists(name, max_size=0 if clean else 1)))
+    elif kind == "comment":
+        line = "# " + draw(st.sampled_from(("knowledge", "A -> B", "")))
+    elif kind == "blank":
+        line = draw(st.sampled_from(("", "  ", "\t")))
+    elif kind == "near mark":
+        line = f"{draw(name)} {draw(st.sampled_from(('=>', '-', '<-', '->>', '- -')))} {draw(name)}"
+    elif kind == "arity":
+        line = " ".join(draw(st.lists(st.one_of(name, mark), min_size=1, max_size=5)))
+    else:
+        a = draw(name)
+        line = f"{a} {draw(mark)} {a}"
+    if kind != "comment" and draw(st.booleans()):
+        line += " # " + draw(st.sampled_from(("note", "A -- B")))
+    return line
+
+
+def _join(draw, lines, endings=_LINE_ENDINGS):
+    """Lines joined by drawn line endings, possibly with a byte-order mark."""
+    text = "".join(line + draw(st.sampled_from(endings)) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line ending
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+@st.composite
+def _csv_texts(draw, clean):
+    """A CSV of observations over every node, or when not ``clean`` over
+    drawn columns with near misses: ragged rows, cells that are not
+    numbers, a missing header and a bare carriage return."""
+    number = st.floats(-10, 10, allow_nan=False).map(lambda v: f"{v:.4g}")
+    if clean:
+        cols, cell, n_rows = list(_NAMES), number, draw(st.integers(8, 12))
+    else:
+        cols = draw(st.lists(st.sampled_from(_NAMES + ("extra",)), max_size=7))
+        cell = st.one_of(number, st.sampled_from(("", "x", "nan", "1e400", " 2 ")))
+        n_rows = draw(st.integers(0, 12))
+    lines = [",".join(cols)] if clean or draw(st.integers(0, 9)) else []
+    for _ in range(n_rows):
+        width = len(cols) if clean or draw(st.integers(0, 5)) else draw(st.integers(0, 8))
+        lines.append(",".join(draw(cell) for _ in range(width)))
+    return _join(draw, lines, ("\n", "\r\n") if clean else _LINE_ENDINGS)
+
+
+@st.composite
+def _graph_lines(draw, clean):
+    """Lines of a graph file.  A clean one declares every node X and Y are
+    drawn from and has at most one edge per pair."""
+    if not clean:
+        return draw(st.lists(_edge_lines(clean), max_size=9))
+    pairs = list(itertools.combinations(_NAMES, 2))
+    lines = [f"node {n}" for n in _NAMES[:4]]
+    for a, b in draw(st.lists(st.sampled_from(pairs), max_size=8, unique=True)):
+        if draw(st.booleans()):
+            a, b = b, a
+        mark = draw(st.sampled_from(("->", "--")))
+        lines.append(f"{a} {mark} {b}" + draw(st.sampled_from(("", " # note"))))
+    lines += draw(st.lists(st.sampled_from(("# note", "", "  ")), max_size=2))
+    return draw(st.permutations(lines))
+
+
+@st.composite
+def _cli_inputs(draw):
+    """Graph, knowledge (or ``None``), X, Y and CSV text.  A clean input
+    keeps to the grammar; the others may hold near misses anywhere."""
+    clean = draw(st.booleans())
+    graph = _join(draw, draw(_graph_lines(clean)))
+    bk = None
+    if draw(st.booleans()):
+        bk = _join(draw, draw(st.lists(_edge_lines(clean, directed_only=True), max_size=2)))
+    picked = draw(st.permutations(_NAMES[:4]))
+    cut = draw(st.integers(1, 2))
+    xs, ys = ",".join(picked[:cut]), ",".join(picked[cut : cut + draw(st.integers(1, 2))])
+    if draw(st.integers(0, 9)) == 9:
+        ys += ",Q"  # a node the graph lacks
+    return graph, bk, xs, ys, draw(_csv_texts(clean))
+
+
+@settings(
+    derandomize=True,
+    max_examples=120,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_cli_inputs())
+def test_every_input_exits_0_1_or_2_and_exit_1_prints_one_line(inputs):
+    graph, bk, xs, ys, csv = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in (("g", graph), ("bk", bk), ("csv", csv)):
+            if text is not None:
+                paths[name] = os.path.join(tmp, name)
+                with open(paths[name], "wb") as fh:
+                    fh.write(text.encode("utf-8"))
+        common = ["-g", paths["g"]] + (["-b", paths["bk"]] if bk is not None else [])
+        xy = ["-X", xs, "-Y", ys]
+        for argv in (
+            ["close"],
+            ["identify", *xy],
+            ["factorize", "-X", xs],
+            ["adjust", *xy],
+            ["enumerate"],
+            ["verify", *xy, "--models", "2"],
+            ["estimate", *xy, "--data", paths["csv"]],
+        ):
+            argv = argv[:1] + common + argv[1:]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, graph, bk, csv)
+            if code == 1:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("mpdagid: "), (
+                    argv, graph, bk, csv, err.getvalue()
+                )

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from mpdagid import graphs, meek, oracle
+from mpdagid import graphs, meek
 from mpdagid import (
     GraphError,
     GraphParseError,
@@ -151,7 +151,7 @@ def test_graph_without_consistent_extension_is_refused_like_close():
 
 def test_untagged_close_runs_sink_elimination_once(monkeypatch):
     # The removal order that close's own full check finds proves the
-    # extension, so require_mpdag runs only its rule check on the closure.
+    # extension, and close runs the rule check on the closure once.
     calls = collections.Counter()
 
     def counted(name, f):
@@ -176,8 +176,8 @@ def test_untagged_close_runs_sink_elimination_once(monkeypatch):
             assert calls == {"_sink_order": 1, "is_mpdag": 1}, g.to_edgelist()
             checked += 1
     assert checked > 50
-    # An untagged graph that close did not build carries no rank, so the
-    # boundary check still runs sink elimination on it.
+    # An untagged graph carries no rank, so the boundary check runs sink
+    # elimination on it.
     calls.clear()
     path = Pdag(["A", "B", "C"], (), [("A", "B"), ("B", "C")])
     assert meek.require_mpdag(path).class_tag == "mpdag"
@@ -338,7 +338,7 @@ def test_close_with_a_carried_dag_matches_full_rescan(sweep):
         if g.undirected:
             a, b = min(g.undirected)
             for pair in ((a, b), (b, a)):
-                walk(close(oracle._carrying(g, *pair), (pair,)))
+                walk(close(g, (pair,)))
 
     graphs = [g for g, _ in sweep]
     graphs += oracles.random_mpdags(seed=88, count=60, n_nodes=(6, 7, 8), p_edge=0.6)

@@ -122,19 +122,19 @@ def _roots_with_knowledge(sweep):
 
 
 def test_depth_first_matches_the_reference_walk(sweep, monkeypatch):
-    # Handing a branch a copy that carries a reversed covered edge changes
-    # which check close runs, never what it returns: the same DAGs in the
-    # same order as re-closing every branch from its parent.
-    carrying = oracle._carrying
-    copies = collections.Counter()
+    # Starting a branch close from a carried DAG with a covered edge
+    # reversed changes which check close runs, never what it returns: the
+    # same DAGs in the same order as closing every branch in full.
+    reversal = meek._covered_reversal
+    ranks = collections.Counter()
 
     def counted(g, t, h):
-        out = carrying(g, t, h)
-        copies["reversed" if out is not g else "as is"] += 1
+        out = reversal(g, t, h)
+        ranks["reversed" if out is not g._rank else "as is"] += 1
         return out
 
-    monkeypatch.setattr(oracle, "_carrying", counted)
     roots = _roots_with_knowledge(sweep)
+    monkeypatch.setattr(meek, "_covered_reversal", counted)
     for g in roots:
         got = list(_depth_first(g))
         expected = list(oracles.reference_depth_first(g))
@@ -142,11 +142,11 @@ def test_depth_first_matches_the_reference_walk(sweep, monkeypatch):
             (d.nodes, d.directed, d.undirected) for d in expected
         ], g.to_edgelist()
         assert all(d.class_tag == "dag" for d in got)
-    print(len(roots), dict(copies))
+    print(len(roots), dict(ranks))
     assert all(g._rank is not None for g in roots)
     closed, rebuilt = roots[: len(roots) // 2], roots[len(roots) // 2 :]
     assert any(a._rank != b._rank for a, b in zip(closed, rebuilt))
-    assert copies["reversed"] > 1000
+    assert ranks["reversed"] > 1000
 
 
 def test_most_branch_closes_skip_the_full_check(monkeypatch):

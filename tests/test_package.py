@@ -37,6 +37,8 @@ RETIRED = [
     ("mpdagid.formula", "_render_latex"),
     ("mpdagid.meek", "has_consistent_extension"),
     ("mpdagid.oracle", "_first_dag"),
+    ("mpdagid.oracle", "_carrying"),
+    ("mpdagid.graphs", "has_directed_cycle"),
     ("Pdag", "validate_as"),
     ("Pdag", "undirected_subgraph"),
     ("Dataset", "to_csv"),

@@ -1,6 +1,7 @@
 """Property tests over MPDAGs built by closing random PDAGs."""
 
 import itertools
+from unittest import mock
 
 import networkx as nx
 from hypothesis import HealthCheck, assume, given, settings
@@ -14,8 +15,9 @@ from mpdagid import (
     parse_graph,
     pco,
 )
+from mpdagid import meek
 from mpdagid.meek import consistent_extension, require_mpdag
-from mpdagid.oracle import _carrying, _depth_first
+from mpdagid.oracle import _depth_first
 
 import oracles
 
@@ -253,29 +255,73 @@ def test_covered_reversals_stand_for_represented_dags_on_the_sweep(sweep):
 
 
 def _assert_covered_reversals_stand_for_represented_dags(h):
-    """For each undirected edge of the closure ``h``, the branch that its
-    carried DAG D agrees with gets ``h`` itself.  When the edge is covered
-    in D, the other branch gets a copy whose rank must stand for D with
-    that edge reversed, and closing the branch must keep that rank (the
-    agreement path); otherwise it gets ``h``.  Returns how many edges were
+    """For each undirected edge of the closure ``h``, closing ``h`` with
+    the orientation its carried DAG D agrees with keeps ``h``'s rank.
+    When the edge is covered in D, closing with the other orientation
+    must carry D with that edge reversed.  Returns how many edges were
     reversed."""
     dag = oracles.carried_dag(h)
     reversed_ = 0
     for a, b in sorted(h.undirected):
         t, s = (a, b) if (a, b) in dag.directed else (b, a)  # t -> s in D
-        assert _carrying(h, t, s) is h
-        copy = _carrying(h, s, t)
+        assert close(h, ((t, s),))._rank is h._rank
         if dag.parents_of(s) != dag.parents_of(t) | {t}:
-            assert copy is h
             continue
-        assert copy is not h and copy._adj is h._adj
-        _assert_rank_stands_for_a_represented_dag(copy)
-        assert oracles.carried_dag(copy).directed == dag.directed - {(t, s)} | {(s, t)}
-        branch = close(copy, ((s, t),))
-        assert branch._rank is copy._rank
+        branch = close(h, ((s, t),))
+        assert branch._rank is not h._rank and branch._adj is h._adj
         _assert_rank_stands_for_a_represented_dag(branch)
+        assert oracles.carried_dag(branch).directed == dag.directed - {(t, s)} | {(s, t)}
         reversed_ += 1
     return reversed_
+
+
+def _assert_branch_closes_match_rankless(h):
+    """For each orientation of each undirected edge of the MPDAG ``h``,
+    ``close(h, (pair,))`` equals the closure of ``h`` rebuilt untagged,
+    and runs no removal-order pass exactly when ``h``'s carried DAG D
+    agrees with the pair or has the reverse edge covered.  Every graph
+    met carries a rank exactly when it is tagged.  Returns how many
+    branch closes skipped the pass and how many ran it."""
+    dag = oracles.carried_dag(h)
+    rankless = Pdag(h.nodes, h.directed, h.undirected)
+    met = [h, rankless, require_mpdag(rankless), consistent_extension(h)]
+    met += [h.induced_subgraph(h.nodes[1:]), *itertools.islice(_depth_first(h), 4)]
+    skipped = ran = 0
+    for a, b in sorted(h.undirected):
+        for t, s in ((a, b), (b, a)):
+            cheap = (t, s) in dag.directed or dag.parents_of(t) == dag.parents_of(s) | {s}
+            with mock.patch.object(meek, "_removal_order", wraps=meek._removal_order) as spy:
+                branch = close(h, ((t, s),))
+            expected = close(rankless, ((t, s),))
+            assert (branch.directed, branch.undirected) == (expected.directed, expected.undirected)
+            assert branch.class_tag == expected.class_tag == "mpdag"
+            assert (spy.call_count == 0) == cheap, (h.to_edgelist(), (t, s))
+            _assert_rank_stands_for_a_represented_dag(branch)
+            met += [branch, expected]
+            skipped += cheap
+            ran += not cheap
+    for g in met:
+        assert (g._rank is not None) == (g.class_tag != "pdag"), (g.class_tag, g.to_edgelist())
+    return skipped, ran
+
+
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(mpdags())
+def test_branch_closes_match_the_rankless_closure(g):
+    _assert_branch_closes_match_rankless(g)
+
+
+def test_branch_closes_match_the_rankless_closure_on_the_sweep(sweep):
+    counts = [_assert_branch_closes_match_rankless(g) for g, _ in sweep]
+    skipped, ran = map(sum, zip(*counts))
+    print(skipped, ran)
+    assert skipped > 400 and ran > 50
 
 
 def _derived_by_orientation(g):
