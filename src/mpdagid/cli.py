@@ -192,14 +192,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _render_path(g: Pdag, path) -> str:
+    """A witness is possibly causal, so each step is ``->`` or ``--``."""
     parts = [path[0]]
     for u, w in zip(path, path[1:]):
-        if g.has_directed(u, w):
-            parts.append(f"-> {w}")
-        elif g.has_directed(w, u):
-            parts.append(f"<- {w}")
-        else:
-            parts.append(f"-- {w}")
+        parts.append(f"-> {w}" if g.has_directed(u, w) else f"-- {w}")
     return " ".join(parts)
 
 

@@ -108,10 +108,11 @@ def _csv_body(reader, width: int) -> np.ndarray:
 
 
 def _ols(design: np.ndarray, response: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients; rejects rank-deficient designs."""
-    if np.linalg.matrix_rank(design) < design.shape[1]:
+    """Least-squares coefficients; rejects rank-deficient designs.  The
+    rank is ``lstsq``'s, cut at the threshold ``matrix_rank`` uses."""
+    beta, _, rank, _ = np.linalg.lstsq(design, response, rcond=None)
+    if rank < design.shape[1]:
         raise EstimationError("singular regression design")
-    beta, *_ = np.linalg.lstsq(design, response, rcond=None)
     return beta
 
 

@@ -103,8 +103,8 @@ class Pdag:
     vouching for the tag: closures, enumeration leaves, graphs
     ``meek.require_mpdag`` has just checked, the DAG
     ``meek.consistent_extension`` reads off a rank, and induced subgraphs.
-    A graph tagged other than ``pdag`` carries in the private ``_rank``
-    one DAG it represents; ``meek`` makes and reads it.
+    A tagged graph may carry in the private ``_rank`` a memo of one DAG it
+    represents, an untagged one never does; ``meek`` makes and reads it.
 
     The private ``_adj`` maps each node to its closed neighbourhood
     ``N(n) | {n}``, filled on first lookup.  Orientation keeps the

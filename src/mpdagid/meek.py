@@ -17,19 +17,18 @@ orientation, re-evaluates only the edges whose rule inputs it changed
 (Meek 1995, "Causal inference and causal explanation with background
 knowledge").
 
-A graph carries a rank exactly when its tag is not ``pdag``: the
-private ``Pdag._rank`` of one DAG D it represents, a strict order with
-gaps allowed in which D points every edge from the higher rank to the
-lower.  ``graphs`` only stores it; this module makes and reads it.  The
-checking constructor, :func:`require_mpdag` and the full check of
-:func:`close` find it by one :func:`_removal_order` pass, and
-:func:`consistent_extension` reads D off it.  When every orientation of
-a closure agrees with the input's D, the closure's directed edges lie in
-D; D has the input's skeleton and unshielded colliders, so the closure's
-too, and the closure is acyclic and extendable without a pass and keeps
-the rank.
-For one knowledge pair against a covered edge of D, :func:`close`
-starts from D with that edge reversed (:func:`_covered_reversal`).
+A tagged graph (``dag``, ``cpdag`` or ``mpdag``) represents at least one
+DAG; ``_rank`` is a memo of one; an untagged graph never carries one.
+The rank of a DAG D is the private ``Pdag._rank``: each node's position
+in a sinks-first removal order of D, so D points every edge from the
+higher rank to the lower.  ``graphs`` only stores it; this module makes
+and reads it.  The checking constructor, :func:`require_mpdag` and the
+full check of :func:`close` keep the order their :func:`_removal_order`
+pass finds, and :func:`consistent_extension` reads D off it, filling a
+missing one.  The rules are complete under background knowledge (Meek
+1995), so a checked MPDAG orients each undirected edge both ways among
+the DAGs it represents, and closing it with one pair on one of them
+gives an MPDAG without a pass.
 """
 
 from __future__ import annotations
@@ -152,8 +151,11 @@ def _removal_order(
 
 def consistent_extension(g: Pdag) -> Pdag:
     """The DAG that the MPDAG ``g``, tagged other than ``pdag``, carries,
-    tagged ``dag`` and sharing ``g``'s rank and neighbourhood map."""
+    tagged ``dag`` and sharing ``g``'s rank and neighbourhood map.  A
+    missing rank is found by one removal-order pass and kept on ``g``."""
     pa, ch, und, rank = g._parents, g._children, g._und, g._rank
+    if rank is None:
+        rank = g._rank = _removal_order(g.nodes, pa, ch, und, g._adj)
     parents = {v: pa[v] | {w for w in und[v] if rank[w] > rank[v]} for v in g.nodes}
     children = {v: ch[v] | {w for w in und[v] if rank[w] < rank[v]} for v in g.nodes}
     no_und = dict.fromkeys(g.nodes, frozenset())
@@ -188,31 +190,6 @@ def require_mpdag(g: Pdag) -> Pdag:
     return Pdag._trusted(g.nodes, g._parents, g._children, g._und, "mpdag", edges, rank, g._adj)
 
 
-def _covered_reversal(g: Pdag, t: str, h: str) -> dict[str, int]:
-    """``g``'s rank, or, when its DAG D has ``h -> t`` and that edge is
-    covered (pa_D(t) = pa_D(h) ∪ {h}), the rank of D with it reversed.
-
-    The reversal is Markov equivalent to D (Chickering 1995, "A
-    transformational characterization of equivalent Bayesian network
-    structures") and keeps every directed edge of ``g``, so ``g``
-    represents it too.  It is D's rank with ``t`` moved just above ``h``
-    and the ranks above shifted up by one; the other parents of ``t``
-    rank above ``h``, so the order stays strict.
-    """
-    rank = g._rank
-    if rank[t] > rank[h]:
-        return rank
-    r = rank[h]
-    pa, und = g._parents, g._und
-    pa_t = pa[t] | {w for w in und[t] if rank[w] > rank[t]}  # pa_D(t)
-    pa_h = pa[h] | {w for w in und[h] if rank[w] > r}  # pa_D(h)
-    if pa_t != pa_h | {h}:
-        return rank
-    moved = {v: s + 1 if s > r else s for v, s in rank.items()}
-    moved[t] = r + 1
-    return moved
-
-
 def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
     """Close ``g`` plus background knowledge into its maximal orientation,
     tagged ``"mpdag"``.
@@ -221,9 +198,13 @@ def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
     is oriented as ``tail -> head`` before the rules run.  The result
     contains every directed edge of the input, has ``g``'s skeleton and
     shares ``g``'s neighbourhood map.  An untagged ``g``, the way every
-    input enters, is checked in full; the module docstring says when a
-    rank spares the full check.  Each step applies the least (rule index,
-    then edge) application; the closure does not depend on the order.
+    input enters, and knowledge that orients two or more edges are
+    checked in full, and the result keeps the rank that check finds.  A
+    tagged ``g`` with knowledge that orients at most one edge runs no
+    check (the module docstring says why); its result keeps ``g``'s rank
+    when nothing was oriented and carries none otherwise.  Each step
+    applies the least (rule index, then edge) application; the closure
+    does not depend on the order.
 
     Raises
     ------
@@ -272,11 +253,8 @@ def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
         ch[tail] = ch[tail] | {head}
         pa[head] = pa[head] | {tail}
         oriented[(tail, head)] = len(oriented)
-    # One pair against a covered edge of the carried DAG starts from that
-    # DAG with the edge reversed.
-    rank = g._rank
-    if rank is not None and len(pairs) == 1:
-        rank = _covered_reversal(g, *pairs[0])
+    # A checked MPDAG closed with one pair on one of its edges is an MPDAG.
+    trusted = g.class_tag != "pdag" and len(oriented) <= 1
 
     _check_no_reverse_demand(pa, ch, und, adj, list(oriented))
     # Orienting t -> h changes only pa[h], ch[t], und[t] and und[h].  By what
@@ -319,7 +297,9 @@ def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
         suspects += [(head, v) for v in ch[head] if (head, v) in oriented]
         _check_no_reverse_demand(pa, ch, und, adj, sorted(suspects, key=oriented.__getitem__))
 
-    if rank is None or any(rank[t] < rank[h] for t, h in oriented):
+    if trusted:
+        rank = None if oriented else g._rank
+    else:
         # The removal-order pass also gets stuck on a directed cycle, so it
         # decides alone; the cycle test only picks the message.
         rank = _removal_order(nodes, pa, ch, und, adj)

@@ -66,19 +66,17 @@ def _depth_first(h: Pdag) -> Iterator[Pdag]:
     It branches ``a -> b`` before ``b -> a`` on the least undirected edge
     ``(a, b)`` and closes the parent with that pair.  Every skeleton edge
     below that one is already directed, so leaves come in
-    orientation-bitstring order.  A branch whose closure fails holds no
-    leaf.  A leaf is a closure without undirected edges, re-tagged
-    ``dag`` unchecked.  A branch is closed only when popped, so a caller
-    that stops early closes no branch it did not reach.
+    orientation-bitstring order.  Each branch closes to an MPDAG (the
+    ``meek`` docstring says why), so every branch holds a leaf.  A leaf is
+    a closure without undirected edges, re-tagged ``dag`` unchecked.  A
+    branch is closed only when popped, so a caller that stops early
+    closes no branch it did not reach.
     """
     stack: list[tuple[Pdag, Optional[tuple[str, str]]]] = [(h, None)]
     while stack:
         g, pair = stack.pop()
         if pair is not None:
-            try:
-                g = close(g, (pair,))
-            except InconsistentKnowledgeError:
-                continue
+            g = close(g, (pair,))
         if not g.undirected:
             yield g._retag("dag")
             continue

@@ -33,7 +33,7 @@ import networkx as nx
 import numpy as np
 
 from mpdagid import Factor, GraphError, IdFormula, InconsistentKnowledgeError, Pdag, close
-from mpdagid.meek import require_mpdag
+from mpdagid.meek import consistent_extension, require_mpdag
 
 
 # --------------------------------------------------------------------------
@@ -402,11 +402,12 @@ def unshielded_colliders(g: Pdag) -> frozenset:
 
 
 def carried_dag(h: Pdag) -> Pdag:
-    """The DAG that the rank carried by a closure, or by a copy that
-    enumeration hands a branch, stands for: each skeleton edge points from
-    the higher rank to the lower.  A strict
-    order leaves no directed cycle; whether the DAG keeps the directed
-    edges and the unshielded colliders of ``h`` is for the caller to check."""
+    """The DAG that the rank of the tagged ``h`` stands for, read through
+    ``consistent_extension``, which fills a missing one: each skeleton
+    edge points from the higher rank to the lower.  A strict order leaves
+    no directed cycle; whether the DAG keeps the directed edges and the
+    unshielded colliders of ``h`` is for the caller to check."""
+    consistent_extension(h)
     rank = h._rank
     edges = [(a, b) if rank[a] > rank[b] else (b, a) for a, b in h.directed | h.undirected]
     return Pdag(h.nodes, edges, class_tag="dag")

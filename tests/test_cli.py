@@ -142,6 +142,15 @@ def test_verify_not_identifiable(files, capsys):
     assert "covariance max diff: 0.000e+00" in captured.out
 
 
+def test_witness_renders_directed_and_undirected_steps(tmp_path, capsys):
+    p = tmp_path / "witness.g"
+    p.write_text("X -- V\nV -> Y\n")
+    assert main(["identify", "-g", str(p), "-X", "X", "-Y", "Y"]) == 2
+    assert "witness: X -- V -> Y\n" in capsys.readouterr().err
+    assert main(["verify", "-g", str(p), "-X", "X", "-Y", "Y"]) == 0
+    assert "witness: X -- V -> Y\n" in capsys.readouterr().out
+
+
 def test_estimate_outputs_json(files, capsys, tmp_path):
     g = parse_graph(TWOTREAT7_TEXT)
     coeffs = {("X1", "Y"): 0.3, ("X2", "Y"): 0.5, ("V4", "Y"): 0.7, ("X1", "V4"): 0.6,

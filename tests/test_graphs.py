@@ -72,6 +72,24 @@ def test_directed_cycle_rejected():
         Pdag(["A", "B", "C"], directed=[("A", "B"), ("B", "C"), ("C", "A")])
 
 
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((["A", "B-$"],), GraphError, "invalid node name: 'B-\\$'"),
+        ((["A", "B", "A"],), GraphError, "duplicate node: A"),
+        ((["A", "B"], [("A", "C")]), UnknownNodeError, "unknown node: C"),
+        ((["A", "B"], [("B", "B")]), GraphError, "self-loop at B"),
+        ((["A", "B"], [("A", "B"), ("B", "A")]), GraphError, "more than one edge between B and A"),
+        ((["A", "B"], [("A", "B")], [("B", "A")]), GraphError, "more than one edge between B and A"),
+        ((["A", "B"], (), (), "tree"), GraphError, "unknown class tag: 'tree'"),
+    ],
+)
+def test_constructor_rejects_a_bad_graph(args, error, message):
+    # parse_graph refuses these first, so only direct construction meets them.
+    with pytest.raises(error, match=message):
+        Pdag(*args)
+
+
 def test_dag_tag_forbids_undirected():
     with pytest.raises(GraphError):
         Pdag(["A", "B"], undirected=[("A", "B")], class_tag="dag")

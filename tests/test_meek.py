@@ -311,17 +311,17 @@ def _assert_carries_an_extension(h):
 
 
 def test_close_with_a_carried_dag_matches_full_rescan(sweep):
-    # Every graph of the enumeration walk carries the rank of a DAG it
-    # represents, some of them a rank made by reversing a covered edge;
-    # closing it with knowledge either keeps that rank (the agreement
-    # path) or checks in full (the fallback path).  Both must give the
-    # reference's closure or its exact message, and a closure's rank must
-    # stand for a DAG it represents.
+    # Every graph of the enumeration walk represents a DAG: the roots keep
+    # the rank their check found, the branches find one through
+    # consistent_extension.  Closing any of them with knowledge must give
+    # the reference's closure or its exact message, and a closure's rank
+    # must stand for a DAG it represents.
     rng = random.Random(17)
-    paths = collections.Counter()
+    closed = 0
     messages = collections.Counter()
 
     def walk(g):
+        nonlocal closed
         _assert_carries_an_extension(g)
         for _ in range(6):
             bk = _mixed_knowledge(rng, g)
@@ -334,7 +334,7 @@ def test_close_with_a_carried_dag_matches_full_rescan(sweep):
                 continue
             assert (h.directed, h.undirected) == expected, (g.to_edgelist(), bk)
             _assert_carries_an_extension(h)
-            paths["agreement" if h._rank is g._rank else "fallback"] += 1
+            closed += 1
         if g.undirected:
             a, b = min(g.undirected)
             for pair in ((a, b), (b, a)):
@@ -344,8 +344,8 @@ def test_close_with_a_carried_dag_matches_full_rescan(sweep):
     graphs += oracles.random_mpdags(seed=88, count=60, n_nodes=(6, 7, 8), p_edge=0.6)
     for g in graphs:
         walk(g)
-    print(dict(paths), dict(messages))
-    assert paths["agreement"] > 500 and paths["fallback"] > 500
+    print(closed, dict(messages))
+    assert closed > 2000
 
 
 def _sink_order_cases(sweep):

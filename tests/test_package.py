@@ -38,6 +38,7 @@ RETIRED = [
     ("mpdagid.meek", "has_consistent_extension"),
     ("mpdagid.oracle", "_first_dag"),
     ("mpdagid.oracle", "_carrying"),
+    ("mpdagid.meek", "_covered_reversal"),
     ("mpdagid.graphs", "has_directed_cycle"),
     ("Pdag", "validate_as"),
     ("Pdag", "undirected_subgraph"),

@@ -102,9 +102,9 @@ def _assert_passes_the_public_checks(h):
 
 
 def _assert_rank_stands_for_a_represented_dag(h):
+    dag = oracles.carried_dag(h)
     assert set(h._rank) == set(h.nodes)
     assert len(set(h._rank.values())) == len(h.nodes)  # strict
-    dag = oracles.carried_dag(h)
     assert {frozenset(e) for e in dag.directed} == {
         frozenset(e) for e in h.directed | h.undirected
     }
@@ -194,13 +194,12 @@ def test_pco_buckets_partition_d_and_order_every_edge(g, data):
 @given(mpdags())
 def test_carried_rank_stands_for_a_represented_dag(g):
     # close(g) and both branch closures on every undirected edge of it:
-    # some keep g's rank, the others find their own.
+    # the branches keep no rank, so consistent_extension finds one.
     closures = [g]
     for a, b in sorted(g.undirected):
         closures += [close(g, (pair,)) for pair in ((a, b), (b, a))]
     for h in closures:
         _assert_rank_stands_for_a_represented_dag(h)
-        _assert_covered_reversals_stand_for_represented_dags(h)
 
 
 def _checked_versions(g):
@@ -249,60 +248,31 @@ def test_every_checked_graph_carries_a_represented_dag_on_the_sweep(sweep):
     assert checked > 1500
 
 
-def test_covered_reversals_stand_for_represented_dags_on_the_sweep(sweep):
-    reversed_ = sum(_assert_covered_reversals_stand_for_represented_dags(g) for g, _ in sweep)
-    assert reversed_ > 100
-
-
-def _assert_covered_reversals_stand_for_represented_dags(h):
-    """For each undirected edge of the closure ``h``, closing ``h`` with
-    the orientation its carried DAG D agrees with keeps ``h``'s rank.
-    When the edge is covered in D, closing with the other orientation
-    must carry D with that edge reversed.  Returns how many edges were
-    reversed."""
-    dag = oracles.carried_dag(h)
-    reversed_ = 0
-    for a, b in sorted(h.undirected):
-        t, s = (a, b) if (a, b) in dag.directed else (b, a)  # t -> s in D
-        assert close(h, ((t, s),))._rank is h._rank
-        if dag.parents_of(s) != dag.parents_of(t) | {t}:
-            continue
-        branch = close(h, ((s, t),))
-        assert branch._rank is not h._rank and branch._adj is h._adj
-        _assert_rank_stands_for_a_represented_dag(branch)
-        assert oracles.carried_dag(branch).directed == dag.directed - {(t, s)} | {(s, t)}
-        reversed_ += 1
-    return reversed_
-
-
 def _assert_branch_closes_match_rankless(h):
     """For each orientation of each undirected edge of the MPDAG ``h``,
     ``close(h, (pair,))`` equals the closure of ``h`` rebuilt untagged,
-    and runs no removal-order pass exactly when ``h``'s carried DAG D
-    agrees with the pair or has the reverse edge covered.  Every graph
-    met carries a rank exactly when it is tagged.  Returns how many
-    branch closes skipped the pass and how many ran it."""
-    dag = oracles.carried_dag(h)
+    which runs the full check, and keeps no rank.  No untagged graph met
+    carries a rank.  Returns how many branch closes there were and how
+    many removal-order passes they ran."""
     rankless = Pdag(h.nodes, h.directed, h.undirected)
     met = [h, rankless, require_mpdag(rankless), consistent_extension(h)]
     met += [h.induced_subgraph(h.nodes[1:]), *itertools.islice(_depth_first(h), 4)]
-    skipped = ran = 0
+    closes = ran = 0
     for a, b in sorted(h.undirected):
-        for t, s in ((a, b), (b, a)):
-            cheap = (t, s) in dag.directed or dag.parents_of(t) == dag.parents_of(s) | {s}
+        for pair in ((a, b), (b, a)):
             with mock.patch.object(meek, "_removal_order", wraps=meek._removal_order) as spy:
-                branch = close(h, ((t, s),))
-            expected = close(rankless, ((t, s),))
+                branch = close(h, (pair,))
+            expected = close(rankless, (pair,))
             assert (branch.directed, branch.undirected) == (expected.directed, expected.undirected)
             assert branch.class_tag == expected.class_tag == "mpdag"
-            assert (spy.call_count == 0) == cheap, (h.to_edgelist(), (t, s))
+            assert branch._rank is None and expected._rank is not None
             _assert_rank_stands_for_a_represented_dag(branch)
             met += [branch, expected]
-            skipped += cheap
-            ran += not cheap
+            closes += 1
+            ran += spy.call_count
     for g in met:
-        assert (g._rank is not None) == (g.class_tag != "pdag"), (g.class_tag, g.to_edgelist())
-    return skipped, ran
+        assert g.class_tag != "pdag" or g._rank is None, g.to_edgelist()
+    return closes, ran
 
 
 @settings(
@@ -314,14 +284,14 @@ def _assert_branch_closes_match_rankless(h):
 )
 @given(mpdags())
 def test_branch_closes_match_the_rankless_closure(g):
-    _assert_branch_closes_match_rankless(g)
+    assert _assert_branch_closes_match_rankless(g)[1] == 0
 
 
 def test_branch_closes_match_the_rankless_closure_on_the_sweep(sweep):
     counts = [_assert_branch_closes_match_rankless(g) for g, _ in sweep]
-    skipped, ran = map(sum, zip(*counts))
-    print(skipped, ran)
-    assert skipped > 400 and ran > 50
+    closes, ran = map(sum, zip(*counts))
+    print(closes, ran)
+    assert closes > 600 and ran == 0
 
 
 def _derived_by_orientation(g):

@@ -1,0 +1,108 @@
+"""Count the checks enumeration runs in two checkouts.
+
+Usage: python tools/enum_checks.py PARENT CHANGE
+
+For each checkout one Python process imports that checkout's ``src/``
+(writing no bytecode there) and, over the 220 graphs of the
+enumerate-chordal workload (``perfbench/golden/enumerate-chordal.json``),
+closes each input as the CLI does, then enumerates its DAGs and renders
+them.  It prints, per checkout: the ``meek.close`` calls and the
+``meek._removal_order`` passes, each split into the inputs' own closures
+and the branch closes of enumeration; the DAGs; and the function calls a
+cProfile of ``enumerate_dags`` plus ``to_edgelist`` records.  Every
+count is deterministic; none is a time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+# Runs in the checkout's own interpreter process: argv is [checkout].
+_CHILD = r"""
+import cProfile, collections, json, os, pstats, sys
+checkout = sys.argv[1]
+sys.path.insert(0, os.path.join(checkout, "src"))
+from mpdagid import meek, oracle, parse_graph
+with open(os.path.join(checkout, "perfbench", "golden", "enumerate-chordal.json")) as f:
+    texts = [c["text"] for c in json.load(f)["ops"] if c["admitted"]]
+counts = collections.Counter()
+phase = "inputs"
+
+def counted(name, f):
+    def wrapped(*args, **kwargs):
+        counts[(name, phase)] += 1
+        return f(*args, **kwargs)
+    return wrapped
+
+removal_order, close = meek._removal_order, meek.close
+meek._removal_order = counted("removal passes", removal_order)
+meek.close = counted("closes", close)
+oracle.close = counted("closes", close)  # oracle binds close by name
+roots = []
+for text in texts:
+    phase = "inputs"
+    roots.append(meek.close(parse_graph(text)))
+    phase = "branches"
+    dags = oracle.enumerate_dags(roots[-1])
+    counts[("dags", "")] += len(dags)
+meek._removal_order, meek.close, oracle.close = removal_order, close, close
+
+def walk():
+    for g in roots:
+        for d in oracle.enumerate_dags(g):
+            d.to_edgelist()
+
+# Fresh roots, so that no rank a counted pass memoised is reused.
+roots = [meek.close(parse_graph(text)) for text in texts]
+profile = cProfile.Profile()
+profile.runcall(walk)
+report = {" ".join(filter(None, k)): v for k, v in sorted(counts.items())}
+report["graphs"] = len(texts)
+report["profiled calls"] = pstats.Stats(profile).total_calls
+json.dump(report, sys.stdout)
+"""
+
+ROWS = (
+    "graphs",
+    "closes inputs",
+    "closes branches",
+    "removal passes inputs",
+    "removal passes branches",
+    "dags",
+    "profiled calls",
+)
+
+
+def counts(checkout: str) -> dict:
+    """The child's report for ``checkout``, run from a scratch directory."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
+    env.pop("PYTHONPATH", None)
+    with tempfile.TemporaryDirectory() as cwd:
+        done = subprocess.run(
+            [sys.executable, "-B", "-c", _CHILD, os.path.abspath(checkout)],
+            cwd=cwd, env=env, capture_output=True, text=True,
+        )
+    if done.returncode != 0:
+        sys.exit(f"{checkout}: the enumeration did not run:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent")
+    p.add_argument("change")
+    args = p.parse_args(argv)
+    before, after = counts(args.parent), counts(args.change)
+    print(f"{'':24} {'parent':>10} {'change':>10}")
+    for row in ROWS:
+        print(f"{row:24} {before.get(row, 0):>10,} {after.get(row, 0):>10,}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
