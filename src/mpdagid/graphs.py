@@ -2,7 +2,8 @@
 
 A :class:`Pdag` holds directed and undirected edges with at most one edge
 per node pair and no directed cycles.  Graph values are immutable after
-construction, so they hash, compare, and can be shared across threads.
+construction, so they hash, compare, and can be shared across threads:
+a read writes only the private hash and rank memos, equal for any reader.
 """
 
 from __future__ import annotations
@@ -50,29 +51,6 @@ class DegenerateConditioningError(ValueError):
     """A formula factor conditions on a zero-probability event."""
 
 
-class _Adjacency(dict):
-    """Closed neighbourhoods ``N(n) | {n}`` of one skeleton, computed on
-    first lookup.
-
-    Orienting an edge never changes adjacency (Meek 1995), so every graph
-    derived from ``pa``, ``ch`` and ``und`` by orientation shares the map.
-    An entry is stored only once complete: concurrent fills of one node
-    write equal sets.  The sets are read, never changed.
-    """
-
-    __slots__ = ("pa", "ch", "und")
-
-    def __init__(self, pa: dict[str, set[str]], ch: dict[str, set[str]], und: dict[str, set[str]]):
-        super().__init__()
-        self.pa, self.ch, self.und = pa, ch, und
-
-    def __missing__(self, n: str) -> set[str]:
-        out = self.pa[n] | self.ch[n] | self.und[n]
-        out.add(n)
-        self[n] = out
-        return out
-
-
 def _check_name(name: str) -> str:
     if not isinstance(name, str) or not NODE_NAME.match(name):
         raise GraphError(f"invalid node name: {name!r}")
@@ -99,19 +77,18 @@ class Pdag:
         one DAG).  This constructor checks the tag in full, eagerly.
 
     Graphs the package derives from graphs it already holds skip the
-    checks through :meth:`_trusted` and :meth:`_retag`, their maker
-    vouching for the tag: closures, enumeration leaves, graphs
+    checks through :meth:`_trusted`, the one unchecked constructor, their
+    maker vouching for the tag: closures, enumeration leaves, graphs
     ``meek.require_mpdag`` has just checked, the DAG
     ``meek.consistent_extension`` reads off a rank, and induced subgraphs.
     A tagged graph may carry in the private ``_rank`` a memo of one DAG it
     represents, an untagged one never does; ``meek`` makes and reads it.
 
-    The private ``_adj`` maps each node to its closed neighbourhood
-    ``N(n) | {n}``, filled on first lookup.  Orientation keeps the
-    skeleton, so the graphs derived by orientation (closures, enumeration
-    branches and leaves, re-tagged graphs) share one lazily filled map
-    with the graph they came from; this constructor and
-    :meth:`induced_subgraph` start a fresh one.
+    The private ``_adj`` is a plain dict from each node to its closed
+    neighbourhood ``N(n) | {n}``.  Orientation keeps the skeleton, so the
+    graphs derived by orientation (closures, enumeration branches and
+    leaves, checked graphs) share the map of the graph they came from;
+    this constructor and :meth:`induced_subgraph` build a new one.
     """
 
     __slots__ = (
@@ -204,7 +181,7 @@ class Pdag:
         self, nodes, directed, undirected, parents, children, und, class_tag, rank=None, adj=None
     ) -> None:
         """Set every field; the one place that lays out a graph.  Without
-        ``adj`` the graph starts a fresh neighbourhood map."""
+        ``adj`` it builds the neighbourhood map from the sets."""
         self.nodes = nodes
         self.directed = directed
         self.undirected = undirected
@@ -213,7 +190,9 @@ class Pdag:
         self._und = und
         self.class_tag = class_tag
         self._rank = rank
-        self._adj = _Adjacency(parents, children, und) if adj is None else adj
+        if adj is None:
+            adj = {n: parents[n] | children[n] | und[n] | {n} for n in nodes}
+        self._adj = adj
         self._hash = None
 
     @classmethod
@@ -226,7 +205,7 @@ class Pdag:
         class_tag: ClassTag,
         edges: Optional[tuple[frozenset, frozenset]] = None,
         rank: Optional[dict[str, int]] = None,
-        adj: Optional[_Adjacency] = None,
+        adj: Optional[dict[str, set[str]]] = None,
     ) -> "Pdag":
         """A graph that adopts the caller's parent, child and undirected
         neighbour sets (keyed by every node) and checks nothing.
@@ -236,7 +215,7 @@ class Pdag:
         ``(directed, undirected)`` frozensets, is derived from the sets
         when not given; ``rank`` becomes the graph's ``_rank``; ``adj``,
         the neighbourhood map of a graph with the same skeleton, becomes
-        its ``_adj`` (a fresh map when not given).
+        its ``_adj`` (built from the sets when not given).
         """
         g = object.__new__(cls)
         if edges is None:
@@ -245,23 +224,6 @@ class Pdag:
                 frozenset((a, b) for a, bs in und.items() for b in bs if a < b),
             )
         g._lay_out(nodes, *edges, parents, children, und, class_tag, rank, adj)
-        return g
-
-    def _retag(self, class_tag: ClassTag) -> "Pdag":
-        """This graph under ``class_tag``, sharing its fields and its
-        neighbourhood map, unchecked: the caller vouches for the tag."""
-        g = object.__new__(type(self))
-        g._lay_out(
-            self.nodes,
-            self.directed,
-            self.undirected,
-            self._parents,
-            self._children,
-            self._und,
-            class_tag,
-            self._rank,
-            self._adj,
-        )
         return g
 
     @staticmethod

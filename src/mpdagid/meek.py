@@ -28,7 +28,8 @@ pass finds, and :func:`consistent_extension` reads D off it, filling a
 missing one.  The rules are complete under background knowledge (Meek
 1995), so a checked MPDAG orients each undirected edge both ways among
 the DAGs it represents, and closing it with one pair on one of them
-gives an MPDAG without a pass.
+gives an MPDAG: no rule demands the reverse of an orientation, and no
+removal-order pass is needed, so :func:`close` runs neither check.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .graphs import (
     GraphParseError,
     Pdag,
     UnknownNodeError,
-    _Adjacency,
     _token_lines,
     parse_graph,
     topological_order,
@@ -56,7 +56,7 @@ class InconsistentKnowledgeError(GraphError):
 
 
 def _which_rule(
-    pa: NodeSets, ch: NodeSets, und: NodeSets, adj: _Adjacency, a: str, b: str
+    pa: NodeSets, ch: NodeSets, und: NodeSets, adj: NodeSets, a: str, b: str
 ) -> Optional[int]:
     """Lowest rule index demanding ``a -> b``.
 
@@ -85,7 +85,7 @@ def _which_rule(
 
 
 def _sink_order(
-    nodes: Sequence[str], pa: NodeSets, ch: NodeSets, und: NodeSets, adj: _Adjacency
+    nodes: Sequence[str], pa: NodeSets, ch: NodeSets, und: NodeSets, adj: NodeSets
 ) -> Optional[list[str]]:
     """Dor-Tarsi sink elimination; the nodes in removal order, or ``None``
     when it gets stuck (no consistent extension exists).
@@ -129,7 +129,7 @@ def _sink_order(
 
 
 def _removal_order(
-    nodes: Sequence[str], pa: NodeSets, ch: NodeSets, und: NodeSets, adj: _Adjacency
+    nodes: Sequence[str], pa: NodeSets, ch: NodeSets, und: NodeSets, adj: NodeSets
 ) -> Optional[dict[str, int]]:
     """Each node's position in a sinks-first removal order of one DAG that
     the graph represents, or ``None`` when it represents none (a directed
@@ -201,10 +201,11 @@ def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
     input enters, and knowledge that orients two or more edges are
     checked in full, and the result keeps the rank that check finds.  A
     tagged ``g`` with knowledge that orients at most one edge runs no
-    check (the module docstring says why); its result keeps ``g``'s rank
-    when nothing was oriented and carries none otherwise.  Each step
-    applies the least (rule index, then edge) application; the closure
-    does not depend on the order.
+    check, neither for reverse demands nor for an extension (the module
+    docstring says why); its result keeps ``g``'s rank when nothing was
+    oriented and carries none otherwise.  Each step applies the least
+    (rule index, then edge) application; the closure does not depend on
+    the order.
 
     Raises
     ------
@@ -253,10 +254,12 @@ def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
         ch[tail] = ch[tail] | {head}
         pa[head] = pa[head] | {tail}
         oriented[(tail, head)] = len(oriented)
-    # A checked MPDAG closed with one pair on one of its edges is an MPDAG.
+    # A checked MPDAG closed with one pair on one of its edges is an MPDAG,
+    # so no check below can fail on it.
     trusted = g.class_tag != "pdag" and len(oriented) <= 1
 
-    _check_no_reverse_demand(pa, ch, und, adj, list(oriented))
+    if not trusted:
+        _check_no_reverse_demand(pa, ch, und, adj, list(oriented))
     # Orienting t -> h changes only pa[h], ch[t], und[t] and und[h].  By what
     # ``_which_rule`` reads, the verdict for a -> b can then change only when
     # a is t, h or in und[h] (rule 4 reads pa[d] for d in und[a]), or when b
@@ -288,6 +291,8 @@ def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
         pending.pop((head, tail), None)
 
         around = und[head] | {tail, head}
+        if trusted:
+            continue
         # A rule pattern demanding the reverse of an orientation made by
         # the knowledge or by an earlier rule means no DAG is compatible
         # with the input (input edges are exempt: an arrow into an
@@ -324,7 +329,7 @@ def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
 
 
 def _check_no_reverse_demand(
-    pa: NodeSets, ch: NodeSets, und: NodeSets, adj: _Adjacency, edges: list[tuple[str, str]]
+    pa: NodeSets, ch: NodeSets, und: NodeSets, adj: NodeSets, edges: list[tuple[str, str]]
 ) -> None:
     """Raise for the first ``tail -> head`` in ``edges`` that a rule
     demands to be ``head -> tail``."""

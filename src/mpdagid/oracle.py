@@ -68,9 +68,9 @@ def _depth_first(h: Pdag) -> Iterator[Pdag]:
     below that one is already directed, so leaves come in
     orientation-bitstring order.  Each branch closes to an MPDAG (the
     ``meek`` docstring says why), so every branch holds a leaf.  A leaf is
-    a closure without undirected edges, re-tagged ``dag`` unchecked.  A
-    branch is closed only when popped, so a caller that stops early
-    closes no branch it did not reach.
+    a closure without undirected edges, laid out again tagged ``dag``,
+    unchecked.  A branch is closed only when popped, so a caller that
+    stops early closes no branch it did not reach.
     """
     stack: list[tuple[Pdag, Optional[tuple[str, str]]]] = [(h, None)]
     while stack:
@@ -78,7 +78,10 @@ def _depth_first(h: Pdag) -> Iterator[Pdag]:
         if pair is not None:
             g = close(g, (pair,))
         if not g.undirected:
-            yield g._retag("dag")
+            edges = (g.directed, g.undirected)
+            yield Pdag._trusted(
+                g.nodes, g._parents, g._children, g._und, "dag", edges, g._rank, g._adj
+            )
             continue
         a, b = min(g.undirected)
         stack.append((g, (b, a)))

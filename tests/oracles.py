@@ -472,7 +472,10 @@ def reference_depth_first(h: Pdag):
             except InconsistentKnowledgeError:
                 continue
         if not g.undirected:
-            yield g._retag("dag")
+            edges = (g.directed, g.undirected)
+            yield Pdag._trusted(
+                g.nodes, g._parents, g._children, g._und, "dag", edges, g._rank, g._adj
+            )
             continue
         a, b = min(g.undirected)
         stack.append((g, (b, a)))

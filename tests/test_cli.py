@@ -541,3 +541,48 @@ def test_every_input_exits_0_1_or_2_and_exit_1_prints_one_line(inputs):
                 assert len(lines) == 1 and lines[0].startswith("mpdagid: "), (
                     argv, graph, bk, csv, err.getvalue()
                 )
+
+
+def test_verify_fails_on_a_cross_dag_deviation(files, capsys, monkeypatch):
+    from mpdagid import oracle
+
+    agreement = oracle.cross_dag_agreement
+
+    def deviating(*args, **kwargs):
+        report = agreement(*args, **kwargs)
+        return oracle.AgreementReport(report.n_dags, report.n_models, 1e-6, 0.0)
+
+    monkeypatch.setattr(oracle, "cross_dag_agreement", deviating)
+    code = main(["verify", "-g", files["mpdag4.g"], "-X", "X", "-Y", "Y1,Y2",
+                 "--models", "4", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.startswith("identifiable: ")
+    assert "dags: 3\n" in captured.out
+    assert "max cross-dag deviation: 1.000e-06\n" in captured.out
+    assert "max formula deviation: 0.000e+00\n" in captured.out
+    assert captured.err == "verification failed: deviation exceeds 1e-9\n"
+
+
+def test_verify_fails_when_witness_models_disagree(files, capsys, monkeypatch):
+    from mpdagid import oracle
+
+    wright_cov = oracle.wright_cov
+    calls = []
+
+    def drifting(m):
+        nodes, cov = wright_cov(m)
+        calls.append(m)
+        return nodes, cov + 1e-3 * len(calls)
+
+    monkeypatch.setattr(oracle, "wright_cov", drifting)
+    code = main(["verify", "-g", files["pair.g"], "-X", "X", "-Y", "Y"])
+    captured = capsys.readouterr()
+    assert code == 1 and len(calls) == 2
+    assert captured.out == (
+        "not identifiable\n"
+        "witness: X -- Y\n"
+        "covariance max diff: 1.000e-03\n"
+        "interventional mean gap (delta): 5.000e-01\n"
+    )
+    assert captured.err == "verification failed: witness models disagree observationally\n"

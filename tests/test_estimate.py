@@ -229,3 +229,24 @@ def test_bare_carriage_return_is_an_estimation_error(monkeypatch):
     assert sum(isinstance(o, str) and o.startswith("line ") for o in outcomes) > 500
     monkeypatch.setattr(estimate, "_loadtxt_body", lambda text, width: None)
     assert [_from_csv_outcome(text) for text in texts] == outcomes
+
+
+def test_dataset_refuses_rows_that_do_not_match_the_header():
+    with pytest.raises(EstimationError, match="n x p matrix matching the header"):
+        Dataset(columns=["A", "B"], rows=np.zeros((5, 3)))
+    with pytest.raises(EstimationError, match="n x p matrix matching the header"):
+        Dataset(columns=["A"], rows=np.zeros(5))
+
+
+def test_missing_data_column_is_named():
+    data = Dataset(columns=["A", "B"], rows=np.zeros((5, 2)))
+    with pytest.raises(EstimationError, match="no data column for node C"):
+        data.column("C")
+
+
+def test_requires_the_formula_response(covar5):
+    res = identify(covar5, {"X"}, {"Y"})
+    rng = np.random.default_rng(5)
+    data = Dataset(columns=list(covar5.nodes), rows=rng.standard_normal((50, 5)))
+    with pytest.raises(EstimationError, match="Y must match the formula response"):
+        gaussian_effect(res.formula, data, ["X"], {"V1"})

@@ -175,3 +175,13 @@ def test_formula_validation():
     with pytest.raises(FormulaError):  # response inside do()
         IdFormula(factors=(Factor(targets={"A"}),), intervened={"A"}, response={"A"})
 
+
+
+def test_formula_needs_a_factor():
+    with pytest.raises(FormulaError, match="at least one factor"):
+        IdFormula(factors=(), response={"A"})
+
+
+def test_render_refuses_an_unknown_style():
+    with pytest.raises(FormulaError, match="unknown style: 'html'"):
+        render(zero_effect_formula(), "html")

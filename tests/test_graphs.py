@@ -263,3 +263,9 @@ def test_graph_equality_ignores_node_order():
     a = parse_graph("A -> B\nnode C")
     b = parse_graph("node C\nA -> B")
     assert a == b and hash(a) == hash(b)
+
+
+def test_a_graph_equals_no_other_type():
+    g = parse_graph("A -> B\n")
+    assert g.__eq__(1) is NotImplemented
+    assert g != 1 and not (g == "A -> B\n")

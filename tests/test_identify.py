@@ -270,3 +270,18 @@ def test_parent_adjustment_complete_for_singletons():
                 continue
             ident = identify(g, {x}, {y}).identifiable
             assert ident == check_adjustment(g, {x}, {y}, g.set_parents({x}))
+
+
+def test_truncated_factorization_refuses_x_covering_the_graph(mpdag4):
+    with pytest.raises(GraphError, match="X covers the whole graph"):
+        truncated_factorization(mpdag4, set(mpdag4.nodes))
+
+
+def test_check_adjustment_refuses_overlapping_sets(covar5):
+    with pytest.raises(GraphError, match="pairwise disjoint"):
+        check_adjustment(covar5, {"X"}, {"Y"}, {"X", "V1"})
+
+
+def test_find_adjustment_set_refuses_overlapping_sets(covar5):
+    with pytest.raises(GraphError, match="nonempty and disjoint"):
+        find_adjustment_set(covar5, {"X", "Y"}, {"Y"})

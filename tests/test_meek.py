@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from mpdagid import graphs, meek
+from mpdagid import meek
 from mpdagid import (
     GraphError,
     GraphParseError,
@@ -383,7 +383,8 @@ def test_sink_order_matches_rescanning_reference(sweep):
     outcomes = collections.Counter()
     for nodes, pa, ch, und in _sink_order_cases(sweep):
         expected = oracles.reference_sink_order(nodes, pa, ch, und)
-        got = meek._sink_order(nodes, pa, ch, und, graphs._Adjacency(pa, ch, und))
+        adj = {n: pa[n] | ch[n] | und[n] | {n} for n in nodes}
+        got = meek._sink_order(nodes, pa, ch, und, adj)
         assert got == expected, (nodes, pa, und)
         outcomes["stuck" if got is None else "order"] += 1
     print(dict(outcomes))
@@ -406,3 +407,12 @@ for h in oracles.random_mpdags(seed=5, count=40, n_nodes=(7, 8)):
         assert done.returncode == 0, done.stderr
         runs.append(done.stdout)
     assert runs[0] == runs[1]
+
+
+def test_is_mpdag_checks_each_undirected_edge_both_ways():
+    # Rule 1 fires on C -> B -- A as B -> A only: the (A, B) check passes
+    # and the reverse (B, A) check decides.
+    g = parse_graph("C -> B\nA -- B\n")
+    assert g.undirected == {("A", "B")}
+    assert meek._which_rule(g._parents, g._children, g._und, g._adj, "A", "B") is None
+    assert not is_mpdag(g)

@@ -859,3 +859,46 @@ def test_simulate_deterministic_and_shaped():
     emp = np.cov(big.rows.T)
     _, cov = wright_cov(m)
     assert np.abs(emp - cov).max() < 0.02
+
+
+def test_discrete_model_requires_a_dag(pair):
+    with pytest.raises(GraphError, match="discrete models require a DAG"):
+        DiscreteModel(dag=pair, cards={"X": 2, "Y": 2}, cpts={})
+
+
+def test_max_tv_refuses_tables_over_other_nodes(twotreat7):
+    m = random_model(twotreat7, {n: 2 for n in twotreat7.nodes}, 1)
+    a, b = gformula_table(m, {"X1"}, {"Y"}), gformula_table(m, {"X2"}, {"Y"})
+    with pytest.raises(ValueError, match="different node sets"):
+        a.max_tv(b)
+
+
+def test_gformula_table_refuses_overlapping_sets(twotreat7):
+    m = random_model(twotreat7, {n: 2 for n in twotreat7.nodes}, 1)
+    with pytest.raises(GraphError, match="X and Y must be disjoint"):
+        gformula_table(m, {"X1"}, {"X1", "Y"})
+
+
+def test_id_formula_table_refuses_a_node_outside_the_model(twotreat7):
+    m = random_model(twotreat7, {n: 2 for n in twotreat7.nodes}, 1)
+    f = IdFormula(factors=(Factor({"Z"}),), response={"Z"})
+    with pytest.raises(GraphError, match="formula node Z missing from the model"):
+        id_formula_table(f, m)
+
+
+def test_gaussian_model_requires_a_dag(pair):
+    with pytest.raises(GraphError, match="gaussian models require a DAG"):
+        GaussianModel(dag=pair, coeffs={}, noise_vars={"X": 1.0, "Y": 1.0})
+
+
+def test_gaussian_model_refuses_a_coefficient_off_the_edges():
+    dag = Pdag(["X", "Y"], [("X", "Y")], (), "dag")
+    with pytest.raises(GraphError, match=r"coefficient for non-edge \('Y', 'X'\)"):
+        GaussianModel(dag=dag, coeffs={("Y", "X"): 0.5}, noise_vars={"X": 1.0, "Y": 1.0})
+
+
+def test_gaussian_model_refuses_a_negative_or_missing_noise_variance():
+    dag = Pdag(["X", "Y"], [("X", "Y")], (), "dag")
+    for noise in ({"X": 1.0, "Y": -0.5}, {"X": 1.0}):
+        with pytest.raises(GraphError, match="noise variance of Y must be nonnegative"):
+            GaussianModel(dag=dag, coeffs={("X", "Y"): 0.5}, noise_vars=noise)

@@ -40,8 +40,10 @@ RETIRED = [
     ("mpdagid.oracle", "_carrying"),
     ("mpdagid.meek", "_covered_reversal"),
     ("mpdagid.graphs", "has_directed_cycle"),
+    ("mpdagid.graphs", "_Adjacency"),
     ("Pdag", "validate_as"),
     ("Pdag", "undirected_subgraph"),
+    ("Pdag", "_retag"),
     ("Dataset", "to_csv"),
     ("GaussianModel", "coefficient_matrix"),
     ("InterventionalTable", "slice_x"),
@@ -91,3 +93,27 @@ def test_errors_caught_by_the_cli_are_one_class_each():
     )
     assert issubclass(graphs.EstimationError, ValueError)
     assert issubclass(graphs.DegenerateConditioningError, ValueError)
+
+
+def test_lazy_submodules_load_on_first_access(monkeypatch):
+    script = """\
+import sys
+import mpdagid
+assert "mpdagid.oracle" not in sys.modules
+oracle = mpdagid.oracle
+assert oracle is sys.modules["mpdagid.oracle"] and "numpy" in sys.modules
+assert mpdagid.oracle is oracle
+print("ok")
+"""
+    done = fresh_python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
+    # In this process the module is loaded; the lookup binds it again.
+    monkeypatch.delattr(mpdagid, "oracle")
+    assert mpdagid.oracle is oracle
+
+
+def test_dir_lists_every_public_name():
+    names = dir(mpdagid)
+    assert names == sorted(names)
+    assert set(mpdagid.__all__) <= set(names)

@@ -294,13 +294,50 @@ def test_branch_closes_match_the_rankless_closure_on_the_sweep(sweep):
     assert closes > 600 and ran == 0
 
 
+def _one_pair_branches_close_under_every_check(h):
+    """Close the checked MPDAG ``h`` with each pair on each of its
+    undirected edges by ``oracles.reference_close``, which runs every
+    check and so raises if one fails, and compare with ``close``, which
+    runs none on such a branch.  Returns how many branches there were."""
+    branches = 0
+    for a, b in sorted(h.undirected):
+        for pair in ((a, b), (b, a)):
+            got = close(h, (pair,))
+            assert oracles.reference_close(h, [pair]) == (got.directed, got.undirected)
+            branches += 1
+    return branches
+
+
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(mpdags())
+def test_one_pair_branches_pass_every_check(g):
+    _one_pair_branches_close_under_every_check(g)
+
+
+def test_one_pair_branches_pass_every_check_on_the_sweep(sweep):
+    branches = sum(_one_pair_branches_close_under_every_check(g) for g, _ in sweep)
+    print(branches)
+    assert branches > 600
+
+
 def _derived_by_orientation(g):
-    """Graphs that ``close``, ``_retag`` and ``_depth_first`` derive from
-    the MPDAG ``g``, plus the closure of ``g`` rebuilt untagged, which
-    ``require_mpdag`` re-checks; each paired with the graph it came from."""
+    """Graphs that ``close``, ``Pdag._trusted`` and ``_depth_first``
+    derive from the MPDAG ``g``, plus the closure of ``g`` rebuilt
+    untagged, which ``require_mpdag`` re-checks; each paired with the
+    graph it came from."""
     untagged = Pdag(g.nodes, g.directed, g.undirected)
     pairs = [(untagged, close(untagged)), (untagged, require_mpdag(untagged))]
-    pairs += [(g, close(g)), (g, g._retag("cpdag"))]
+    edges = (g.directed, g.undirected)
+    retagged = Pdag._trusted(
+        g.nodes, g._parents, g._children, g._und, "cpdag", edges, g._rank, g._adj
+    )
+    pairs += [(g, close(g)), (g, retagged)]
     for a, b in sorted(g.undirected):
         for pair in ((a, b), (b, a)):
             try:

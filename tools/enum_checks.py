@@ -6,11 +6,12 @@ For each checkout one Python process imports that checkout's ``src/``
 (writing no bytecode there) and, over the 220 graphs of the
 enumerate-chordal workload (``perfbench/golden/enumerate-chordal.json``),
 closes each input as the CLI does, then enumerates its DAGs and renders
-them.  It prints, per checkout: the ``meek.close`` calls and the
-``meek._removal_order`` passes, each split into the inputs' own closures
-and the branch closes of enumeration; the DAGs; and the function calls a
-cProfile of ``enumerate_dags`` plus ``to_edgelist`` records.  Every
-count is deterministic; none is a time.
+them.  It prints, per checkout: the ``meek.close`` calls, the
+``meek._removal_order`` passes and the ``meek._check_no_reverse_demand``
+calls, each split into the inputs' own closures and the branch closes of
+enumeration; the DAGs; and the function calls a cProfile of
+``enumerate_dags`` plus ``to_edgelist`` records.  Every count is
+deterministic; none is a time.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ def counted(name, f):
     return wrapped
 
 removal_order, close = meek._removal_order, meek.close
+reverse_demand = meek._check_no_reverse_demand
 meek._removal_order = counted("removal passes", removal_order)
+meek._check_no_reverse_demand = counted("reverse-demand checks", reverse_demand)
 meek.close = counted("closes", close)
 oracle.close = counted("closes", close)  # oracle binds close by name
 roots = []
@@ -51,6 +54,7 @@ for text in texts:
     dags = oracle.enumerate_dags(roots[-1])
     counts[("dags", "")] += len(dags)
 meek._removal_order, meek.close, oracle.close = removal_order, close, close
+meek._check_no_reverse_demand = reverse_demand
 
 def walk():
     for g in roots:
@@ -73,6 +77,8 @@ ROWS = (
     "closes branches",
     "removal passes inputs",
     "removal passes branches",
+    "reverse-demand checks inputs",
+    "reverse-demand checks branches",
     "dags",
     "profiled calls",
 )
@@ -98,9 +104,9 @@ def main(argv=None) -> int:
     p.add_argument("change")
     args = p.parse_args(argv)
     before, after = counts(args.parent), counts(args.change)
-    print(f"{'':24} {'parent':>10} {'change':>10}")
+    print(f"{'':30} {'parent':>10} {'change':>10}")
     for row in ROWS:
-        print(f"{row:24} {before.get(row, 0):>10,} {after.get(row, 0):>10,}")
+        print(f"{row:30} {before.get(row, 0):>10,} {after.get(row, 0):>10,}")
     return 0
 
 
