@@ -7,14 +7,16 @@ adjustment set).  Output is deterministic for a fixed seed.
 
 Only ``enumerate``, ``verify`` and ``estimate`` import the numpy-backed
 ``oracle`` and ``estimate`` modules, inside their commands, so the other
-subcommands start without numpy.
+subcommands start without numpy; they load neither ``dataclasses`` nor
+``json`` either (``json`` only for ``--format json`` and ``estimate``).
+Without a bytecode cache each start-up also compiles the package source
+on the ``close`` path, so every module on that path costs start-up time.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -232,6 +234,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    import json
+
     from . import estimate
 
     g = _load_graph(args)

@@ -7,8 +7,7 @@ response set.  Rendering is deterministic.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Literal
 
 Style = Literal["text", "latex", "json"]
@@ -18,34 +17,73 @@ class FormulaError(ValueError):
     """Structurally invalid formula."""
 
 
-@dataclass(frozen=True)
-class Factor:
+_set = object.__setattr__  # how a constructor writes past ``_Frozen.__setattr__``
+
+
+class _Frozen:
+    """An immutable value made of the fields named in ``__slots__``: equal
+    to, and hashed like, an instance of its own class with equal fields,
+    and shown as ``Name(field=value, ...)``, as a frozen dataclass is.
+    Importing ``dataclasses`` would load ``inspect`` and ``ast`` into every
+    start-up of the command line."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # The tuple of field values, read in one C call; a subclass names
+        # at least two fields, or ``attrgetter`` would not return a tuple.
+        cls._fields = property(attrgetter(*cls.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields == other._fields
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields)
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # pickle and copy rebuild through the constructor
+        return self.__class__, self._fields
+
+
+class Factor(_Frozen):
     """The conditional density f(targets | given)."""
 
-    targets: frozenset[str]
-    given: frozenset[str] = field(default_factory=frozenset)
+    __slots__ = ("targets", "given")
 
-    def __post_init__(self):
-        object.__setattr__(self, "targets", frozenset(self.targets))
-        object.__setattr__(self, "given", frozenset(self.given))
+    def __init__(self, targets: Iterable[str], given: Iterable[str] = frozenset()):
+        _set(self, "targets", frozenset(targets))
+        _set(self, "given", frozenset(given))
         if not self.targets:
             raise FormulaError("factor with empty target set")
         if self.targets & self.given:
             raise FormulaError("factor targets and conditioners overlap")
 
 
-@dataclass(frozen=True)
-class IdFormula:
+class IdFormula(_Frozen):
     """f(response | do(intervened)) = ∫ Π factors d(integrate_over)."""
 
-    factors: tuple[Factor, ...]
-    intervened: frozenset[str] = field(default_factory=frozenset)
-    response: frozenset[str] = field(default_factory=frozenset)
+    __slots__ = ("factors", "intervened", "response")
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        object.__setattr__(self, "intervened", frozenset(self.intervened))
-        object.__setattr__(self, "response", frozenset(self.response))
+    def __init__(
+        self,
+        factors: Iterable[Factor],
+        intervened: Iterable[str] = frozenset(),
+        response: Iterable[str] = frozenset(),
+    ):
+        _set(self, "factors", tuple(factors))
+        _set(self, "intervened", frozenset(intervened))
+        _set(self, "response", frozenset(response))
         if not self.factors:
             raise FormulaError("formula needs at least one factor")
         targets_seen: set[str] = set()
@@ -121,6 +159,8 @@ def _render_styled(f: IdFormula, name, given_sep, do, times, integral, measure) 
 
 
 def _render_json(f: IdFormula) -> str:
+    import json
+
     payload = {
         "factors": [
             {"targets": sorted(fc.targets), "given": sorted(fc.given)}

@@ -9,12 +9,11 @@ which is sufficient but not necessary for identification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Literal, Optional
 
 from . import paths
 from .buckets import pco
-from .formula import Factor, IdFormula
+from .formula import Factor, IdFormula, _Frozen, _set
 from .graphs import GraphError, Pdag
 from .meek import require_mpdag
 
@@ -23,27 +22,38 @@ class NotTruncatableError(GraphError):
     """An undirected edge joins the intervened set to the rest of the graph."""
 
 
-@dataclass(frozen=True)
-class IdentifyResult:
+class IdentifyResult(_Frozen):
     """Either a formula or a witness path proving non-identifiability.
 
     The witness is a proper possibly causal path from X to Y that starts
     with an undirected edge; any such path defeats identification.
     """
 
-    formula: Optional[IdFormula] = None
-    witness: Optional[paths.Path] = None
+    __slots__ = ("formula", "witness")
+
+    def __init__(
+        self, formula: Optional[IdFormula] = None, witness: Optional[paths.Path] = None
+    ):
+        _set(self, "formula", formula)
+        _set(self, "witness", witness)
 
     @property
     def identifiable(self) -> bool:
         return self.formula is not None
 
 
-@dataclass(frozen=True)
-class AdjustmentResult:
-    status: Literal["set_found", "none_exists", "zero_effect"]
-    adjustment: Optional[frozenset[str]] = None
-    reason: Optional[Literal["not_amenable", "blocked_path_unachievable"]] = None
+class AdjustmentResult(_Frozen):
+    __slots__ = ("status", "adjustment", "reason")
+
+    def __init__(
+        self,
+        status: Literal["set_found", "none_exists", "zero_effect"],
+        adjustment: Optional[frozenset[str]] = None,
+        reason: Optional[Literal["not_amenable", "blocked_path_unachievable"]] = None,
+    ):
+        _set(self, "status", status)
+        _set(self, "adjustment", adjustment)
+        _set(self, "reason", reason)
 
 
 def _bucket_factors(g: Pdag, buckets) -> tuple[Factor, ...]:

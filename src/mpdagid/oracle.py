@@ -31,15 +31,17 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from . import paths
-from .estimate import Dataset
 from .formula import IdFormula
 from .graphs import DegenerateConditioningError, GraphError, Pdag, topological_order
 from .meek import InconsistentKnowledgeError, close, consistent_extension, require_mpdag
+
+if TYPE_CHECKING:
+    from .estimate import Dataset
 
 CONFIG_CAP = 2**20
 
@@ -461,7 +463,11 @@ def wright_cov(m: GaussianModel) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def simulate(m: GaussianModel, n: int, seed: int) -> Dataset:
-    """Draw ``n`` rows from the SEM; columns follow the graph node order."""
+    """Draw ``n`` rows from the SEM; columns follow the graph node order.
+    Only this function needs ``estimate``, so ``enumerate`` and ``verify``
+    start without it."""
+    from .estimate import Dataset
+
     rng = np.random.Generator(np.random.PCG64(seed))
     cols = {v: None for v in m.dag.nodes}
     for v in m.topological_order():

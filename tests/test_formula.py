@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -185,3 +187,85 @@ def test_formula_needs_a_factor():
 def test_render_refuses_an_unknown_style():
     with pytest.raises(FormulaError, match="unknown style: 'html'"):
         render(zero_effect_formula(), "html")
+
+
+def test_factor_and_formula_are_values():
+    f = Factor(targets=["A", "B"], given=("X",))
+    assert f == Factor({"B", "A"}, {"X"}) and hash(f) == hash(Factor({"B", "A"}, {"X"}))
+    assert f != Factor({"A", "B"})
+    assert f != (frozenset({"A", "B"}), frozenset({"X"}))
+    assert len({f, Factor(targets={"A", "B"}, given={"X"})}) == 1
+    a, b = two_response_formula(), two_response_formula()
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != integral_formula()
+    assert a != (a.factors, a.intervened, a.response)
+    assert a != a.factors[0] and a.factors[0] != a
+
+
+def test_constructors_coerce_their_arguments():
+    f = Factor(targets=["A"], given=["X", "X"])
+    assert type(f.targets) is frozenset and type(f.given) is frozenset
+    assert f.given == {"X"}
+    assert Factor(targets={"A"}).given == frozenset()
+    g = IdFormula(factors=[f], intervened=["X"], response=["A"])
+    assert type(g.factors) is tuple and g.factors == (f,)
+    assert type(g.intervened) is frozenset and type(g.response) is frozenset
+    assert IdFormula([Factor({"A"})], (), ("A",)) == IdFormula(
+        factors=(Factor({"A"}),), response={"A"}
+    )
+
+
+@pytest.mark.parametrize(
+    "make, field", [(lambda: Factor({"A"}), "targets"), (zero_effect_formula, "response")]
+)
+def test_factor_and_formula_are_frozen(make, field):
+    value = make()
+    with pytest.raises(AttributeError):
+        setattr(value, field, frozenset({"B"}))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert value == make()
+
+
+def test_factor_and_formula_repr_like_a_dataclass():
+    f = Factor(targets={"Y"}, given={"X"})
+    assert repr(f) == "Factor(targets=frozenset({'Y'}), given=frozenset({'X'}))"
+    assert repr(zero_effect_formula()) == (
+        "IdFormula(factors=(Factor(targets=frozenset({'Y'}), given=frozenset()),), "
+        "intervened=frozenset({'X'}), response=frozenset({'Y'}))"
+    )
+
+
+def test_factor_and_formula_survive_pickle_and_copy():
+    for value in (Factor({"Y"}, {"X"}), integral_formula()):
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.copy(value) == value and copy.deepcopy(value) == value
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Factor(targets=set()), "factor with empty target set"),
+        (lambda: Factor(targets={"A"}, given={"A", "B"}),
+         "factor targets and conditioners overlap"),
+        (lambda: IdFormula(factors=(), intervened={"A"}, response={"A"}),
+         "formula needs at least one factor"),
+        (lambda: IdFormula(factors=(Factor({"A"}), Factor({"A", "B"}, {"Z"})), response={"C"}),
+         "a node is a target of two factors"),
+        (lambda: IdFormula(factors=(Factor({"A"}, {"Z"}),), intervened={"B"}, response={"B"}),
+         "conditioner Z is neither intervened nor a factor target"),
+        (lambda: IdFormula(factors=(Factor({"A"}),), intervened={"B"}, response={"B"}),
+         "response must be covered by the factor targets"),
+        (lambda: IdFormula(factors=(Factor({"A"}),), intervened={"X"}),
+         "response must be covered by the factor targets"),
+        (lambda: IdFormula(factors=(Factor({"A"}),), intervened={"A"}, response={"A"}),
+         "response and intervened sets overlap"),
+    ],
+)
+def test_formula_error_messages_in_check_order(build, message):
+    # An input that breaks several checks gets the message of the first.
+    with pytest.raises(FormulaError) as exc:
+        build()
+    assert str(exc.value) == message

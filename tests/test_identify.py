@@ -1,11 +1,15 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
 from mpdagid import (
+    AdjustmentResult,
     Factor,
     GraphError,
     IdFormula,
+    IdentifyResult,
     NotTruncatableError,
     amenability_witness,
     check_adjustment,
@@ -285,3 +289,53 @@ def test_check_adjustment_refuses_overlapping_sets(covar5):
 def test_find_adjustment_set_refuses_overlapping_sets(covar5):
     with pytest.raises(GraphError, match="nonempty and disjoint"):
         find_adjustment_set(covar5, {"X", "Y"}, {"Y"})
+
+
+def test_results_are_values(mpdag4, pair):
+    a, b = identify(mpdag4, {"X"}, {"Y1", "Y2"}), identify(mpdag4, {"X"}, {"Y1", "Y2"})
+    assert a == b and hash(a) == hash(b) and a is not b
+    w = identify(pair, {"X"}, {"Y"})
+    assert w == IdentifyResult(witness=("X", "Y")) and w != a
+    assert IdentifyResult() == IdentifyResult(None, None) and not IdentifyResult().identifiable
+    assert IdentifyResult() != (None, None)
+    r = find_adjustment_set(pair, {"X"}, {"Y"})
+    assert r == AdjustmentResult("none_exists", None, "not_amenable")
+    assert hash(r) == hash(AdjustmentResult(status="none_exists", reason="not_amenable"))
+    assert r != AdjustmentResult("none_exists") and r != ("none_exists", None, "not_amenable")
+    found = AdjustmentResult("set_found", frozenset({"A"}))
+    assert found.adjustment == {"A"} and found.reason is None
+    assert AdjustmentResult("zero_effect") != IdentifyResult()
+    assert IdentifyResult() != AdjustmentResult("zero_effect")
+    assert len({a, b, w}) == 2
+
+
+@pytest.mark.parametrize(
+    "value, field",
+    [(IdentifyResult(witness=("X", "Y")), "witness"), (AdjustmentResult("zero_effect"), "status")],
+)
+def test_results_are_frozen(value, field):
+    before = repr(value)
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert repr(value) == before
+
+
+def test_results_repr_like_a_dataclass():
+    assert repr(IdentifyResult(witness=("X", "Y"))) == (
+        "IdentifyResult(formula=None, witness=('X', 'Y'))"
+    )
+    assert repr(AdjustmentResult("set_found", frozenset({"A"}))) == (
+        "AdjustmentResult(status='set_found', adjustment=frozenset({'A'}), reason=None)"
+    )
+    f = IdFormula(factors=(Factor({"Y"}),), intervened={"X"}, response={"Y"})
+    assert repr(IdentifyResult(f)) == f"IdentifyResult(formula={f!r}, witness=None)"
+
+
+def test_results_survive_pickle_and_copy(mpdag4):
+    for value in (identify(mpdag4, {"X"}, {"Y1", "Y2"}), AdjustmentResult("zero_effect")):
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.copy(value) == value and copy.deepcopy(value) == value

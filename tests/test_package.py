@@ -1,6 +1,11 @@
 """The package surface: every public name resolves and no retired name
-does, numpy-backed names load on first access, and the two errors ``cli`` catches keep one class
-under each of their names."""
+does, numpy-backed names load on first access, graph-only subcommands
+start without numpy, ``dataclasses`` or ``json``, and the two errors
+``cli`` catches keep one class under each of their names."""
+
+import json
+
+import pytest
 
 import mpdagid
 from mpdagid import estimate, graphs, oracle
@@ -117,3 +122,49 @@ def test_dir_lists_every_public_name():
     names = dir(mpdagid)
     assert names == sorted(names)
     assert set(mpdagid.__all__) <= set(names)
+
+
+def _importing(*args):
+    """A fresh ``python -X importtime`` process on ``args``: its stdout and
+    the set of modules it imported."""
+    done = fresh_python("-X", "importtime", *args)
+    assert done.returncode == 0, done.stderr
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return done.stdout, imported
+
+
+def _cli_run(tmp_path, *argv):
+    """``python -m mpdagid.cli`` on a 3-node graph, as ``_importing``."""
+    graph = tmp_path / "g3.g"
+    graph.write_text("A -> B\nB -> C\nA -> C\n")
+    data = tmp_path / "d3.csv"
+    data.write_text("A,B,C\n0,0,0\n1,1,3\n2,1,4\n3,2,7\n4,2,8\n")
+    argv = [argv[0], "-g", str(graph), *(str(data) if a == "DATA" else a for a in argv[1:])]
+    out, imported = _importing("-m", "mpdagid.cli", *argv)
+    assert "mpdagid.identify" in imported
+    return out, imported
+
+
+@pytest.mark.parametrize("argv", [["close"], ["identify", "-X", "A", "-Y", "C"]])
+def test_graph_only_subcommands_load_no_dataclasses_json_or_numpy(tmp_path, argv):
+    _, imported = _cli_run(tmp_path, *argv)
+    _, bare = _importing("-c", "pass")  # whatever the site setup loads anyway
+    assert not (imported - bare) & {"dataclasses", "inspect", "json", "numpy"}
+
+
+def test_json_outputs_keep_their_format(tmp_path):
+    out, imported = _cli_run(tmp_path, "identify", "-X", "A", "-Y", "C", "--format", "json")
+    assert out == (
+        '{"do": ["A"], "factors": [{"given": ["A"], "targets": ["B"]}, '
+        '{"given": ["A", "B"], "targets": ["C"]}], "integrate_over": ["B"], "response": ["C"]}\n'
+    )
+    assert "json" in imported and "numpy" not in imported
+    out, _ = _cli_run(tmp_path, "estimate", "-X", "A,B", "-Y", "C", "--data", "DATA")
+    payload = json.loads(out)
+    assert out == json.dumps(payload, sort_keys=True) + "\n"
+    assert payload["response"] == "C" and list(payload["effect"]) == ["A", "B"]
+    assert payload["effect"] == pytest.approx({"A": 1.0, "B": 2.0})
