@@ -36,6 +36,7 @@ from .meek import (
     BackgroundKnowledge,
     InconsistentKnowledgeError,
     close,
+    enumerate_dags,
     is_mpdag,
     parse_background_knowledge,
 )
@@ -58,7 +59,6 @@ _LAZY = {
     "GaussianModel": "oracle",
     "InterventionalTable": "oracle",
     "cross_dag_agreement": "oracle",
-    "enumerate_dags": "oracle",
     "gformula_table": "oracle",
     "id_formula_table": "oracle",
     "joint_table": "oracle",

@@ -4,14 +4,14 @@ Subcommands: close, identify, factorize, adjust, enumerate, verify,
 estimate.  Exit codes: 0 on success, 1 for usage or input errors, 2 for
 a valid negative answer (not identifiable, not truncatable, no
 adjustment set).  Output is deterministic for a fixed seed.
-
-Only ``enumerate``, ``verify`` and ``estimate`` import the numpy-backed
-``oracle`` and ``estimate`` modules, inside their commands, so the other
-subcommands start without numpy; they load neither ``dataclasses`` nor
-``json`` either (``json`` only for ``--format json`` and ``estimate``).
-Without a bytecode cache each start-up also compiles the package source
-on the ``close`` path, so every module on that path costs start-up time.
 """
+
+# Only ``verify`` and ``estimate`` import the numpy-backed ``oracle`` and
+# ``estimate`` modules, inside their commands, so the other subcommands
+# start without numpy; they load neither ``dataclasses`` nor ``json``
+# either (``json`` only for ``--format json`` and ``estimate``).  Without a
+# bytecode cache each start-up also compiles the package source on the
+# ``close`` path, so every module on that path costs start-up time.
 
 from __future__ import annotations
 
@@ -80,8 +80,9 @@ def _build_parser() -> _Parser:
     top = _Parser(prog="mpdagid", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, xy=False, fmt=False, data=False, seed=False, models=False):
+    def add(name, run, help_text, *, xy=False, fmt=False, data=False, models=False):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("-g", "--graph", required=True, help="edge-list file")
         p.add_argument("-b", "--bk", help="background knowledge file (directed lines)")
         if xy:
@@ -93,25 +94,32 @@ def _build_parser() -> _Parser:
             )
         if data:
             p.add_argument("--data", required=True, help="CSV file of observations")
-        if seed:
-            p.add_argument("--seed", type=_int_at_least(0), default=0)
         if models:
+            p.add_argument("--seed", type=_int_at_least(0), default=0)
             p.add_argument(
                 "--models", type=_int_at_least(1), default=20, help="random models per check"
             )
-        return p
 
-    add("close", "close a PDAG plus background knowledge into an MPDAG")
-    add("identify", "decide identifiability and print the formula", xy=True, fmt=True)
+    add("close", _cmd_close, "close a PDAG plus background knowledge into an MPDAG")
+    add(
+        "identify", _cmd_identify, "decide identifiability and print the formula", xy=True, fmt=True
+    )
     p = sub.add_parser("factorize", help="truncated factorization with respect to X")
+    p.set_defaults(run=_cmd_factorize)
     p.add_argument("-g", "--graph", required=True)
     p.add_argument("-b", "--bk")
     p.add_argument("-X", default="", help="comma-separated treatment nodes (may be empty)")
     p.add_argument("--format", choices=("text", "latex", "json"), default="text")
-    add("adjust", "search for a generalized adjustment set", xy=True)
-    add("enumerate", "list every DAG represented by the MPDAG")
-    add("verify", "cross-check identification against brute force", xy=True, seed=True, models=True)
-    add("estimate", "estimate the effect from Gaussian data", xy=True, data=True)
+    add("adjust", _cmd_adjust, "search for a generalized adjustment set", xy=True)
+    add("enumerate", _cmd_enumerate, "list every DAG represented by the MPDAG")
+    add(
+        "verify",
+        _cmd_verify,
+        "cross-check identification against brute force",
+        xy=True,
+        models=True,
+    )
+    add("estimate", _cmd_estimate, "estimate the effect from Gaussian data", xy=True, data=True)
     return top
 
 
@@ -182,10 +190,8 @@ def _cmd_adjust(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from . import oracle
-
     g = _load_graph(args)
-    dags = oracle.enumerate_dags(g)
+    dags = meek.enumerate_dags(g)
     print(len(dags))
     for d in dags:
         print()
@@ -254,21 +260,10 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "close": _cmd_close,
-    "identify": _cmd_identify,
-    "factorize": _cmd_factorize,
-    "adjust": _cmd_adjust,
-    "enumerate": _cmd_enumerate,
-    "verify": _cmd_verify,
-    "estimate": _cmd_estimate,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except OSError as exc:
         # A file error names its file; any other OSError (a TimeoutError,
         # say) carries only its message.

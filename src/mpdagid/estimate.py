@@ -20,7 +20,7 @@ from .formula import IdFormula
 from .graphs import EstimationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Numeric columns keyed by node name: ``rows`` is n x p."""
 

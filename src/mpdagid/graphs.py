@@ -484,9 +484,9 @@ def parse_graph(text: str) -> Pdag:
     pairs: set[frozenset[str]] = set()
 
     def note(name: str, lineno: int) -> None:
-        if not NODE_NAME.match(name):
-            raise GraphParseError(lineno, f"invalid node name: {name!r}")
         if name not in seen:
+            if not NODE_NAME.match(name):
+                raise GraphParseError(lineno, f"invalid node name: {name!r}")
             seen.add(name)
             nodes.append(name)
 

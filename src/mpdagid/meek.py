@@ -1,4 +1,4 @@
-"""Closure of a PDAG into a maximally oriented PDAG.
+"""Closure of a PDAG into a maximally oriented PDAG, and the DAGs it represents.
 
 Four orientation rules are applied to a fixpoint.  Each rule eliminates
 one of the four forbidden induced subgraphs that characterize maximal
@@ -30,11 +30,12 @@ missing one.  The rules are complete under background knowledge (Meek
 the DAGs it represents, and closing it with one pair on one of them
 gives an MPDAG: no rule demands the reverse of an orientation, and no
 removal-order pass is needed, so :func:`close` runs neither check.
+:func:`enumerate_dags` walks such one-pair closes down to the DAGs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .graphs import (
     GraphError,
@@ -339,6 +340,45 @@ def _check_no_reverse_demand(
             raise InconsistentKnowledgeError(
                 f"rule {rule} demands {head} -> {tail} against {tail} -> {head}"
             )
+
+
+def enumerate_dags(g: Pdag) -> list[Pdag]:
+    """All DAGs represented by the MPDAG ``g``, in the order of their
+    orientation bitstrings over the sorted skeleton (``a -> b`` with
+    ``a < b`` before ``b -> a``), so the list is canonical.
+
+    Every returned DAG has the adjacencies and unshielded colliders of
+    ``g`` and contains all its directed edges.
+    """
+    return list(_depth_first(require_mpdag(g)))
+
+
+def _depth_first(h: Pdag) -> Iterator[Pdag]:
+    """The DAGs represented by the closed ``h``, depth first.
+
+    It branches ``a -> b`` before ``b -> a`` on the least undirected edge
+    ``(a, b)`` and closes the parent with that pair.  Every skeleton edge
+    below that one is already directed, so leaves come in
+    orientation-bitstring order.  Each branch closes to an MPDAG (the
+    module docstring says why), so every branch holds a leaf.  A leaf is
+    a closure without undirected edges, laid out again tagged ``dag``,
+    unchecked.  A branch is closed only when popped, so a caller that
+    stops early closes no branch it did not reach.
+    """
+    stack: list[tuple[Pdag, Optional[tuple[str, str]]]] = [(h, None)]
+    while stack:
+        g, pair = stack.pop()
+        if pair is not None:
+            g = close(g, (pair,))
+        if not g.undirected:
+            edges = (g.directed, g.undirected)
+            yield Pdag._trusted(
+                g.nodes, g._parents, g._children, g._und, "dag", edges, g._rank, g._adj
+            )
+            continue
+        a, b = min(g.undirected)
+        stack.append((g, (b, a)))
+        stack.append((g, (a, b)))
 
 
 def parse_background_knowledge(text: str) -> BackgroundKnowledge:

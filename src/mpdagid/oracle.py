@@ -2,9 +2,9 @@
 
 Everything here favors being obviously correct over being fast: discrete
 evaluation enumerates the full joint (capped at 2**20 configurations),
-the equivalence class is enumerated DAG by DAG, and linear-Gaussian
-covariances come from Wright's path rule, accumulated node by node over a
-topological order.
+agreement is checked on every DAG that ``meek.enumerate_dags`` lists, and
+linear-Gaussian covariances come from Wright's path rule, accumulated
+node by node over a topological order.
 
 A :class:`DiscreteModel` is immutable (it keeps read-only copies of its
 tables), so what is derived from it is computed once per model and
@@ -31,63 +31,25 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from . import paths
 from .formula import IdFormula
 from .graphs import DegenerateConditioningError, GraphError, Pdag, topological_order
-from .meek import InconsistentKnowledgeError, close, consistent_extension, require_mpdag
+from .meek import (
+    InconsistentKnowledgeError,
+    close,
+    consistent_extension,
+    enumerate_dags,
+    require_mpdag,
+)
 
 if TYPE_CHECKING:
     from .estimate import Dataset
 
 CONFIG_CAP = 2**20
-
-
-# ---------------------------------------------------------------------------
-# Equivalence-class enumeration
-# ---------------------------------------------------------------------------
-
-
-def enumerate_dags(g: Pdag) -> list[Pdag]:
-    """All DAGs represented by the MPDAG ``g``, in the order of their
-    orientation bitstrings over the sorted skeleton (``a -> b`` with
-    ``a < b`` before ``b -> a``), so the list is canonical.
-
-    Every returned DAG has the adjacencies and unshielded colliders of
-    ``g`` and contains all its directed edges.
-    """
-    return list(_depth_first(require_mpdag(g)))
-
-
-def _depth_first(h: Pdag) -> Iterator[Pdag]:
-    """The DAGs represented by the closed ``h``, depth first.
-
-    It branches ``a -> b`` before ``b -> a`` on the least undirected edge
-    ``(a, b)`` and closes the parent with that pair.  Every skeleton edge
-    below that one is already directed, so leaves come in
-    orientation-bitstring order.  Each branch closes to an MPDAG (the
-    ``meek`` docstring says why), so every branch holds a leaf.  A leaf is
-    a closure without undirected edges, laid out again tagged ``dag``,
-    unchecked.  A branch is closed only when popped, so a caller that
-    stops early closes no branch it did not reach.
-    """
-    stack: list[tuple[Pdag, Optional[tuple[str, str]]]] = [(h, None)]
-    while stack:
-        g, pair = stack.pop()
-        if pair is not None:
-            g = close(g, (pair,))
-        if not g.undirected:
-            edges = (g.directed, g.undirected)
-            yield Pdag._trusted(
-                g.nodes, g._parents, g._children, g._und, "dag", edges, g._rank, g._adj
-            )
-            continue
-        a, b = min(g.undirected)
-        stack.append((g, (b, a)))
-        stack.append((g, (a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +62,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteModel:
     """Per-node conditional probability tables for a DAG.
 
@@ -116,11 +78,11 @@ class DiscreteModel:
     cards: Mapping[str, int]
     cpts: Mapping[str, np.ndarray]
     batch: Optional[int] = None
-    _lead: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _lead: tuple[int, ...] = field(init=False, repr=False)
     # Memos of ``_marginal`` by the node set kept and of ``_conditional``
     # by (targets, given); the joint and the factors are cached properties.
-    _marginals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _conditionals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _marginals: dict = field(default_factory=dict, init=False, repr=False)
+    _conditionals: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.dag.undirected:
@@ -221,7 +183,7 @@ def _check_distributions(cpts: Mapping[str, np.ndarray], lead: int) -> None:
                 raise GraphError(f"cpt columns at {v} must be distributions")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterventionalTable:
     """f(y | do(x)) for every configuration jointly.
 
@@ -464,8 +426,8 @@ def wright_cov(m: GaussianModel) -> tuple[tuple[str, ...], np.ndarray]:
 
 def simulate(m: GaussianModel, n: int, seed: int) -> Dataset:
     """Draw ``n`` rows from the SEM; columns follow the graph node order.
-    Only this function needs ``estimate``, so ``enumerate`` and ``verify``
-    start without it."""
+    Only this function needs ``estimate``, so ``verify`` starts without
+    it."""
     from .estimate import Dataset
 
     rng = np.random.Generator(np.random.PCG64(seed))

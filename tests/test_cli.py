@@ -206,6 +206,15 @@ def test_usage_error_exit_1(files, capsys):
     assert exc.value.code == 1
 
 
+def test_help_shows_only_user_facing_text(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    words = " ".join(capsys.readouterr().out.split())  # argparse re-wraps the text
+    assert "Exit codes: 0 on success, 1 for usage or input errors, 2 for a valid negative" in words
+    assert "numpy" not in words and "bytecode" not in words
+
+
 def test_missing_file_exit_1(capsys):
     assert main(["identify", "-g", "/nonexistent.g", "-X", "A", "-Y", "B"]) == 1
     assert capsys.readouterr().err == "mpdagid: No such file or directory: /nonexistent.g\n"
@@ -339,7 +348,7 @@ sys.exit(code)
         (["identify", "-X", "X", "-Y", "Y1,Y2"], False),
         (["factorize", "-X", "Y2"], False),
         (["adjust", "-X", "X", "-Y", "Y2"], False),
-        (["enumerate"], True),
+        (["enumerate"], False),
     ],
 )
 def test_graph_only_subcommands_start_without_numpy(files, argv, loads_numpy):

@@ -150,6 +150,13 @@ def test_dataset_validation():
         Dataset(columns=["A", "B"], rows=bad)
 
 
+def test_datasets_compare_by_identity():
+    rows = np.arange(10.0).reshape(5, 2) ** 2
+    a = Dataset(columns=["A", "B"], rows=rows)
+    b = Dataset(columns=["A", "B"], rows=rows)
+    assert a == a and a != b and len({a, b, a}) == 2
+
+
 def test_dataset_csv_round_trip():
     d = Dataset(columns=["A", "B"], rows=np.array([[1.0, 2.5], [3.0, -4.25], [0.5, 0.0]]))
     back = Dataset.from_csv(oracles.to_csv(d))

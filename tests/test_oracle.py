@@ -34,7 +34,7 @@ from mpdagid import (
 import oracles
 from conftest import COVAR5_TEXT, MPDAG4_TEXT, query_pairs
 from mpdagid import graphs, meek, oracle
-from mpdagid.oracle import _depth_first
+from mpdagid.meek import _depth_first
 
 
 # -- enumeration ------------------------------------------------------------
@@ -156,7 +156,7 @@ def test_most_branch_closes_skip_the_full_check(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(oracle, "close", counted("branch", oracle.close))
+    monkeypatch.setattr(meek, "close", counted("branch", meek.close))
     monkeypatch.setattr(meek, "_sink_order", counted("full", meek._sink_order))
     # meek binds the graphs function by name, so that is the name to wrap.
     monkeypatch.setattr(meek, "topological_order", counted("full", graphs.topological_order))
@@ -192,6 +192,33 @@ def test_cpt_shapes_for_binary_chain():
     assert m.cpts["B"].shape == (2, 2)
     assert m.cpts["C"].shape == (2, 2)
     assert sum(t.size for t in m.cpts.values()) == 2 + 4 + 4
+
+
+def test_discrete_models_compare_by_identity(twotreat7):
+    # Their fields hold arrays, whose == is elementwise: value equality
+    # and hashing over them would raise.
+    cards = {n: 2 for n in twotreat7.nodes}
+    a = random_model(twotreat7, cards, seed=5)
+    b = random_model(twotreat7, cards, seed=5)
+    assert a == a and a != b and hash(a) != hash(b)
+    assert len({a, b, a}) == 2
+
+
+def test_interventional_tables_compare_by_identity(twotreat7):
+    m = random_model(twotreat7, {n: 2 for n in twotreat7.nodes}, seed=5)
+    t = gformula_table(m, {"X1", "X2"}, {"Y"})
+    u = gformula_table(m, {"X1", "X2"}, {"Y"})
+    assert t == t and t != u and len({t, u, t}) == 2
+    doubled = dataclasses.replace(t, table=2 * t.table)
+    assert doubled.x_nodes == t.x_nodes and np.array_equal(doubled.table, 2 * t.table)
+
+
+def test_gaussian_models_and_reports_compare_by_value():
+    def model():
+        return GaussianModel(parse_graph("A -> B"), {("A", "B"): 0.5}, {"A": 1, "B": 0.75})
+
+    assert model() == model()
+    assert oracle.AgreementReport(3, 20, 0.0, 1e-17) == oracle.AgreementReport(3, 20, 0.0, 1e-17)
 
 
 def test_model_validation_rejects_bad_tables():
@@ -258,9 +285,9 @@ def test_distribution_check_names_first_node_across_cardinalities():
 
 
 def _equal_models(a, b):
-    """Dataclass equality, with CPT arrays compared by value."""
+    """Equality of the constructor fields, with CPT arrays compared by value."""
     for f in dataclasses.fields(DiscreteModel):
-        if f.compare:
+        if f.init:
             x, y = getattr(a, f.name), getattr(b, f.name)
             if f.name == "cpts":
                 if x.keys() != y.keys() or not all(np.array_equal(x[v], y[v]) for v in x):

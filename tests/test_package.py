@@ -43,6 +43,7 @@ RETIRED = [
     ("mpdagid.meek", "has_consistent_extension"),
     ("mpdagid.oracle", "_first_dag"),
     ("mpdagid.oracle", "_carrying"),
+    ("mpdagid.oracle", "_depth_first"),
     ("mpdagid.meek", "_covered_reversal"),
     ("mpdagid.graphs", "has_directed_cycle"),
     ("mpdagid.graphs", "_Adjacency"),
@@ -149,7 +150,7 @@ def _cli_run(tmp_path, *argv):
     return out, imported
 
 
-@pytest.mark.parametrize("argv", [["close"], ["identify", "-X", "A", "-Y", "C"]])
+@pytest.mark.parametrize("argv", [["close"], ["identify", "-X", "A", "-Y", "C"], ["enumerate"]])
 def test_graph_only_subcommands_load_no_dataclasses_json_or_numpy(tmp_path, argv):
     _, imported = _cli_run(tmp_path, *argv)
     _, bare = _importing("-c", "pass")  # whatever the site setup loads anyway

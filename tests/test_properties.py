@@ -16,8 +16,7 @@ from mpdagid import (
     pco,
 )
 from mpdagid import meek
-from mpdagid.meek import consistent_extension, require_mpdag
-from mpdagid.oracle import _depth_first
+from mpdagid.meek import _depth_first, consistent_extension, require_mpdag
 
 import oracles
 
