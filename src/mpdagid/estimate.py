@@ -56,38 +56,49 @@ class Dataset:
     @classmethod
     def from_csv(cls, text: str) -> "Dataset":
         """Comma-separated, header row of node names, ``.`` decimal point."""
-        reader = csv.reader(io.StringIO(text))
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise EstimationError("empty CSV")
-            header = [h.strip() for h in header]
-            rows = _loadtxt_body(text, len(header))
-            if rows is None:
-                rows = _csv_body(reader, len(header))
-        except csv.Error as exc:
-            # Such as a bare carriage return inside a line.  The module's
-            # hint about opening files in universal-newline mode is dropped.
-            raise EstimationError(f"line {reader.line_num}: {str(exc).split(' - ')[0]}") from None
-        return cls(columns=header, rows=rows)
+        parsed = _loadtxt_rows(text)
+        if parsed is None:
+            reader = csv.reader(io.StringIO(text))
+            try:
+                header = next(reader, None)
+                if header is None:
+                    raise EstimationError("empty CSV")
+                parsed = header, _csv_body(reader, len(header))
+            except csv.Error as exc:
+                # Such as a bare carriage return inside a line.  The module's
+                # hint about opening files in universal-newline mode is dropped.
+                raise EstimationError(f"line {reader.line_num}: {str(exc).split(' - ')[0]}") from None
+        header, rows = parsed
+        return cls(columns=[h.strip() for h in header], rows=rows)
 
 
-def _loadtxt_body(text: str, width: int) -> Optional[np.ndarray]:
-    """The rows after the header line, parsed by ``np.loadtxt``; None when
-    the ``csv`` loop must decide, so that it gives every error message:
-    quotes (a quoted header may span lines), a body without data lines
+def _loadtxt_rows(text: str) -> Optional[tuple[list[str], np.ndarray]]:
+    r"""The header cells and the rows after them, the rows parsed by
+    ``np.loadtxt`` from the text's lines.  Lines end at ``\n`` only, as for
+    ``csv``, and the text is not wrapped in a file object.
+
+    None when the ``csv`` loop must decide, so that it gives every error
+    message: quotes (a quoted header may span lines), the separators
+    ``\x1c``-``\x1f`` (``loadtxt`` strips them around a number, ``float``
+    refuses them), a header line that is empty, holds a ``\r`` before its
+    end or exceeds ``csv``'s field limit, a body without data lines
     (``loadtxt`` warns on it), any row ``loadtxt`` refuses, or a width
     other than the header's."""
-    if '"' in text:
+    if '"' in text or any(c in text for c in "\x1c\x1d\x1e\x1f"):
         return None
-    body = text.partition("\n")[2]
-    if not body.strip("\r\n"):
+    head, *body = text.split("\n")
+    if head.endswith("\r"):
+        head = head[:-1]
+    if not head or "\r" in head or len(head) > csv.field_size_limit():
         return None
+    if not any(line.strip("\r") for line in body):
+        return None
+    header = head.split(",")
     try:
-        rows = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None, dtype=float)
+        rows = np.loadtxt(body, delimiter=",", ndmin=2, comments=None, dtype=float)
     except ValueError:
         return None
-    return rows if rows.shape[1] == width else None
+    return (header, rows) if rows.shape[1] == len(header) else None
 
 
 def _csv_body(reader, width: int) -> np.ndarray:

@@ -4,6 +4,8 @@ A :class:`Pdag` holds directed and undirected edges with at most one edge
 per node pair and no directed cycles.  Graph values are immutable after
 construction, so they hash, compare, and can be shared across threads:
 a read writes only the private hash and rank memos, equal for any reader.
+:func:`parse_graph` reads edge-list text in one pass, then builds through
+the checking constructor.
 """
 
 from __future__ import annotations
@@ -87,8 +89,9 @@ class Pdag:
     The private ``_adj`` is a plain dict from each node to its closed
     neighbourhood ``N(n) | {n}``.  Orientation keeps the skeleton, so the
     graphs derived by orientation (closures, enumeration branches and
-    leaves, checked graphs) share the map of the graph they came from;
-    this constructor and :meth:`induced_subgraph` build a new one.
+    leaves, checked graphs) share the map of the graph they came from.
+    This constructor builds one as it checks the edges (its duplicate test
+    reads it); :meth:`induced_subgraph` has :meth:`_trusted` build one.
     """
 
     __slots__ = (
@@ -111,50 +114,40 @@ class Pdag:
         undirected: Iterable[tuple[str, str]] = (),
         class_tag: ClassTag = "pdag",
     ):
-        node_list: list[str] = []
-        seen: set[str] = set()
+        # adj doubles as the node set (in order) and the duplicate test.
+        adj: dict[str, set[str]] = {}
         for n in nodes:
             _check_name(n)
-            if n in seen:
+            if n in adj:
                 raise GraphError(f"duplicate node: {n}")
-            seen.add(n)
-            node_list.append(n)
-        parents: dict[str, set[str]] = {n: set() for n in node_list}
-        children: dict[str, set[str]] = {n: set() for n in node_list}
-        und: dict[str, set[str]] = {n: set() for n in node_list}
+            adj[n] = {n}
+        parents: dict[str, set[str]] = {n: set() for n in adj}
+        children: dict[str, set[str]] = {n: set() for n in adj}
+        und: dict[str, set[str]] = {n: set() for n in adj}
 
-        # One edge per pair: every pair is keyed as (min, max).
-        pairs: set[tuple[str, str]] = set()
-        d_edges: set[tuple[str, str]] = set()
-        u_edges: set[tuple[str, str]] = set()
+        d_edges: list[tuple[str, str]] = []
+        u_edges: list[tuple[str, str]] = []  # keyed (min, max)
         for is_directed, edges in ((True, directed), (False, undirected)):
             for a, b in edges:
-                if a not in seen or b not in seen or a == b:
-                    self._reject_endpoints(seen, a, b)
-                key = (a, b) if a < b else (b, a)
-                if key in pairs:
+                if a not in adj or b not in adj or a == b:
+                    self._reject_endpoints(adj, a, b)
+                if b in adj[a]:
                     raise GraphError(f"more than one edge between {a} and {b}")
-                pairs.add(key)
+                adj[a].add(b)
+                adj[b].add(a)
                 if is_directed:
-                    d_edges.add((a, b))
+                    d_edges.append((a, b))
                     parents[b].add(a)
                     children[a].add(b)
                 else:
-                    u_edges.add(key)
+                    u_edges.append((a, b) if a < b else (b, a))
                     und[a].add(b)
                     und[b].add(a)
 
         if class_tag not in ("pdag", "dag", "cpdag", "mpdag"):
             raise GraphError(f"unknown class tag: {class_tag!r}")
-        self._lay_out(
-            tuple(node_list),
-            frozenset(d_edges),
-            frozenset(u_edges),
-            parents,
-            children,
-            und,
-            class_tag,
-        )
+        edges = frozenset(d_edges), frozenset(u_edges)
+        self._lay_out(tuple(adj), *edges, parents, children, und, class_tag, None, adj)
 
         # A tagged graph keeps the removal order of its check as its rank.
         from . import meek
@@ -178,10 +171,10 @@ class Pdag:
                 )
 
     def _lay_out(
-        self, nodes, directed, undirected, parents, children, und, class_tag, rank=None, adj=None
+        self, nodes, directed, undirected, parents, children, und, class_tag, rank, adj
     ) -> None:
-        """Set every field; the one place that lays out a graph.  Without
-        ``adj`` it builds the neighbourhood map from the sets."""
+        """Set every field; the one place that lays out a graph.  Every
+        caller hands over the neighbourhood map."""
         self.nodes = nodes
         self.directed = directed
         self.undirected = undirected
@@ -190,8 +183,6 @@ class Pdag:
         self._und = und
         self.class_tag = class_tag
         self._rank = rank
-        if adj is None:
-            adj = {n: parents[n] | children[n] | und[n] | {n} for n in nodes}
         self._adj = adj
         self._hash = None
 
@@ -223,6 +214,8 @@ class Pdag:
                 frozenset((p, n) for n, ps in parents.items() for p in ps),
                 frozenset((a, b) for a, bs in und.items() for b in bs if a < b),
             )
+        if adj is None:
+            adj = {n: parents[n] | children[n] | und[n] | {n} for n in nodes}
         g._lay_out(nodes, *edges, parents, children, und, class_tag, rank, adj)
         return g
 
@@ -461,54 +454,43 @@ def topological_order(
     return order
 
 
-def _token_lines(text: str):
-    """``(line number, line, tokens)`` for each line of the edge-list format
-    that is not blank once its ``#`` comment is cut."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            yield lineno, raw, tokens
-
-
 def parse_graph(text: str) -> Pdag:
     """Parse the edge-list format into a ``Pdag`` tagged ``"pdag"``.
 
     Format: one edge per line, ``A -> B`` (directed) or ``A -- B``
     (undirected); ``# ...`` comments; blank lines ignored; isolated nodes
     declared as ``node A``.  Node order is first-appearance order.
+
+    One pass checks each line, so the first bad line is reported; a
+    neighbour set per node gives the order and the duplicate test.  The
+    checking constructor then refuses a directed cycle.
     """
-    nodes: list[str] = []
-    seen: set[str] = set()
+    nbrs: dict[str, set[str]] = {}
     directed: list[tuple[str, str]] = []
     undirected: list[tuple[str, str]] = []
-    pairs: set[frozenset[str]] = set()
-
-    def note(name: str, lineno: int) -> None:
-        if name not in seen:
-            if not NODE_NAME.match(name):
-                raise GraphParseError(lineno, f"invalid node name: {name!r}")
-            seen.add(name)
-            nodes.append(name)
-
-    for lineno, raw, tokens in _token_lines(text):
-        if len(tokens) == 2 and tokens[0] == "node":
-            note(tokens[1], lineno)
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        if len(tokens) != 3 or tokens[1] not in ("->", "--"):
-            raise GraphParseError(lineno, f"malformed line: {raw.strip()!r}")
-        a, mark, b = tokens
-        note(a, lineno)
-        note(b, lineno)
-        if a == b:
-            raise GraphParseError(lineno, f"self-loop at {a}")
-        pair = frozenset((a, b))
-        if pair in pairs:
-            raise GraphParseError(lineno, f"more than one edge between {a} and {b}")
-        pairs.add(pair)
-        if mark == "->":
-            directed.append((a, b))
+        if len(tokens) == 2 and tokens[0] == "node":
+            names = tokens[1:]
+        elif len(tokens) == 3 and tokens[1] in ("->", "--"):
+            names = tokens[::2]
         else:
-            undirected.append((a, b))
+            raise GraphParseError(lineno, f"malformed line: {raw.strip()!r}")
+        for name in names:
+            if name not in nbrs:
+                if not NODE_NAME.match(name):
+                    raise GraphParseError(lineno, f"invalid node name: {name!r}")
+                nbrs[name] = set()
+        if len(names) == 2:
+            a, b = names
+            if a == b:
+                raise GraphParseError(lineno, f"self-loop at {a}")
+            if b in nbrs[a]:
+                raise GraphParseError(lineno, f"more than one edge between {a} and {b}")
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+            (directed if tokens[1] == "->" else undirected).append((a, b))
 
-    return Pdag(nodes, directed, undirected, "pdag")
-
+    return Pdag(nbrs, directed, undirected, "pdag")

@@ -42,7 +42,6 @@ from .graphs import (
     GraphParseError,
     Pdag,
     UnknownNodeError,
-    _token_lines,
     parse_graph,
     topological_order,
 )
@@ -386,8 +385,9 @@ def parse_background_knowledge(text: str) -> BackgroundKnowledge:
     only; the first undirected line is reported with its line number."""
     g = parse_graph(text)
     if g.undirected:
-        for lineno, _, tokens in _token_lines(text):
-            if tokens[1] == "--":
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            tokens = raw.split("#", 1)[0].split()
+            if len(tokens) == 3 and tokens[1] == "--":
                 a, _, b = tokens
                 message = f"background knowledge must be directed: {a} -- {b}"
                 raise GraphParseError(lineno, message)

@@ -12,7 +12,8 @@ comparison, rebuilds numpy tables from the CPTs on every call, and draws
 and refits random models node by node), and
 Gaussian covariances come from a matrix solve or from summing coefficient
 products over every collider-free simple path, and formulas are rendered
-by one separate renderer per style.
+by one separate renderer per style, and edge lists are read by a line
+pass and a constructor pass that check everything twice.
 None of this shares code with the package under test.
 
 It also holds the few helpers tests need that the package does not
@@ -27,12 +28,22 @@ import itertools
 import json
 import math
 import random
+import re
 from collections import deque
 
 import networkx as nx
 import numpy as np
 
-from mpdagid import Factor, GraphError, IdFormula, InconsistentKnowledgeError, Pdag, close
+from mpdagid import (
+    Factor,
+    GraphError,
+    GraphParseError,
+    IdFormula,
+    InconsistentKnowledgeError,
+    Pdag,
+    UnknownNodeError,
+    close,
+)
 from mpdagid.meek import consistent_extension, require_mpdag
 
 
@@ -503,6 +514,114 @@ def reference_to_edgelist(g: Pdag) -> str:
     lines = [f"node {n}" for n in sorted(set(g.nodes) - linked)]
     lines += [f"{a} {mark} {b}" for a, b, mark in edges]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+# --------------------------------------------------------------------------
+# Edge-list reading in separate passes
+# --------------------------------------------------------------------------
+
+_NODE_NAME = re.compile(r"[A-Za-z0-9_.]+\Z")
+
+
+def _token_lines(text: str):
+    """``(line number, line, tokens)`` for each line of the edge-list format
+    that is not blank once its ``#`` comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, raw, tokens
+
+
+def reference_parse_graph(text: str) -> dict:
+    """``parse_graph`` and the checking constructor as separate passes: a
+    line generator, a closure that notes each new name, a frozenset per
+    edge pair, then the constructor's own name, endpoint and pair checks
+    and a cycle check by repeated removal of nodes without parents.
+
+    Returns the graph's fields by slot name (``nodes``, ``directed``,
+    ``undirected``, ``_parents``, ``_children``, ``_und``, ``_adj``), or
+    raises what the reader raises, with the same message and line number.
+    """
+    names: list[str] = []
+    noted: set[str] = set()
+    directed: list[tuple[str, str]] = []
+    undirected: list[tuple[str, str]] = []
+    pairs: set[frozenset[str]] = set()
+
+    def note(name: str, lineno: int) -> None:
+        if name not in noted:
+            if not _NODE_NAME.match(name):
+                raise GraphParseError(lineno, f"invalid node name: {name!r}")
+            noted.add(name)
+            names.append(name)
+
+    for lineno, raw, tokens in _token_lines(text):
+        if len(tokens) == 2 and tokens[0] == "node":
+            note(tokens[1], lineno)
+            continue
+        if len(tokens) != 3 or tokens[1] not in ("->", "--"):
+            raise GraphParseError(lineno, f"malformed line: {raw.strip()!r}")
+        a, mark, b = tokens
+        note(a, lineno)
+        note(b, lineno)
+        if a == b:
+            raise GraphParseError(lineno, f"self-loop at {a}")
+        pair = frozenset((a, b))
+        if pair in pairs:
+            raise GraphParseError(lineno, f"more than one edge between {a} and {b}")
+        pairs.add(pair)
+        (directed if mark == "->" else undirected).append((a, b))
+
+    # The constructor's loop over the lists, checking everything again.
+    node_list: list[str] = []
+    seen: set[str] = set()
+    for n in names:
+        if not isinstance(n, str) or not _NODE_NAME.match(n):
+            raise GraphError(f"invalid node name: {n!r}")
+        if n in seen:
+            raise GraphError(f"duplicate node: {n}")
+        seen.add(n)
+        node_list.append(n)
+    parents = {n: set() for n in node_list}
+    children = {n: set() for n in node_list}
+    und = {n: set() for n in node_list}
+    keys: set[tuple[str, str]] = set()
+    d_edges: set[tuple[str, str]] = set()
+    u_edges: set[tuple[str, str]] = set()
+    for is_directed, edges in ((True, directed), (False, undirected)):
+        for a, b in edges:
+            for n in (a, b):
+                if n not in seen:
+                    raise UnknownNodeError(f"unknown node: {n}")
+            if a == b:
+                raise GraphError(f"self-loop at {a}")
+            key = (min(a, b), max(a, b))
+            if key in keys:
+                raise GraphError(f"more than one edge between {a} and {b}")
+            keys.add(key)
+            if is_directed:
+                d_edges.add((a, b))
+                parents[b].add(a)
+                children[a].add(b)
+            else:
+                u_edges.add(key)
+                und[a].add(b)
+                und[b].add(a)
+    left = set(node_list)
+    while left:
+        sources = {n for n in left if not parents[n] & left}
+        if not sources:
+            raise GraphError("graph contains a directed cycle")
+        left -= sources
+    return {
+        "nodes": tuple(node_list),
+        "directed": frozenset(d_edges),
+        "undirected": frozenset(u_edges),
+        "_parents": parents,
+        "_children": children,
+        "_und": und,
+        "_adj": {n: parents[n] | children[n] | und[n] | {n} for n in node_list},
+    }
 
 
 # --------------------------------------------------------------------------

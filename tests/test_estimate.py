@@ -170,15 +170,25 @@ def test_dataset_csv_round_trip():
         Dataset.from_csv("A,B\n")
 
 
+# Line breaks to ``str.splitlines`` but not to ``csv``, which ends lines
+# at ``\r`` and ``\n`` only.
+_NOT_CSV_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def _csv_text(rng: random.Random) -> str:
     """A header and rows drawn from a small grammar of cells and lines."""
     cells = ["1", "-2.5", " 3 ", "1_000", "nan", "inf", "-inf", "1e5", "", "x", '"4"', "-0", "0.1"]
 
     def cell():
+        if rng.random() < 0.02:  # one of the characters csv keeps inside a line
+            return rng.choice(["", "1"]) + rng.choice(_NOT_CSV_LINE_BREAKS) + rng.choice(["", "2"])
         return repr(rng.uniform(-9, 9)) if rng.random() < 0.9 else rng.choice(cells)
 
     width = rng.choice([1, 2, 3])
     lines = [",".join(rng.choice(["A", " B", "C "]) + str(i) for i in range(width))]
+    if rng.random() < 0.05:  # a carriage return inside the header line
+        i = rng.randrange(len(lines[0]) + 1)
+        lines[0] = lines[0][:i] + "\r" + lines[0][i:]
     for _ in range(rng.choice([0, 1, 3, 6])):
         kind = rng.random()
         if kind < 0.1:
@@ -198,25 +208,32 @@ def _from_csv_outcome(text):
     return d.columns, d.rows.shape, d.rows.tobytes()
 
 
+def _csv_loop(text):
+    """The header and rows of the ``csv`` loop alone."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    return header, estimate._csv_body(reader, len(header))
+
+
 @pytest.mark.filterwarnings("error")  # loadtxt warns on a body without data lines
 def test_csv_fast_path_equals_csv_loop(monkeypatch):
     """Wherever ``np.loadtxt`` parses the body, the ``csv`` loop gives the
-    same array, bit for bit; everywhere else ``from_csv`` falls back to the
-    loop, so data sets and error messages are those of the loop alone."""
+    same header and array, bit for bit; everywhere else ``from_csv`` falls
+    back to the loop, so data sets and error messages are those of the loop
+    alone."""
     rng = random.Random(61)
     texts = [_csv_text(rng) for _ in range(3000)]
     fast = 0
     for text in texts:
-        reader = csv.reader(io.StringIO(text))
-        width = len(next(reader))
-        rows = estimate._loadtxt_body(text, width)
-        if rows is not None:
+        got = estimate._loadtxt_rows(text)
+        if got is not None:
             fast += 1
-            want = estimate._csv_body(reader, width)
-            assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+            header, want = _csv_loop(text)
+            assert got[0] == header
+            assert got[1].shape == want.shape and got[1].tobytes() == want.tobytes()
     assert fast > 500  # texts the fast path parsed
     outcomes = [_from_csv_outcome(text) for text in texts]
-    monkeypatch.setattr(estimate, "_loadtxt_body", lambda text, width: None)
+    monkeypatch.setattr(estimate, "_loadtxt_rows", lambda text: None)
     assert [_from_csv_outcome(text) for text in texts] == outcomes
 
 
@@ -234,8 +251,42 @@ def test_bare_carriage_return_is_an_estimation_error(monkeypatch):
         texts.append(text)
     outcomes = [_from_csv_outcome(text) for text in texts]
     assert sum(isinstance(o, str) and o.startswith("line ") for o in outcomes) > 500
-    monkeypatch.setattr(estimate, "_loadtxt_body", lambda text, width: None)
+    monkeypatch.setattr(estimate, "_loadtxt_rows", lambda text: None)
     assert [_from_csv_outcome(text) for text in texts] == outcomes
+
+
+@pytest.mark.parametrize("char", _NOT_CSV_LINE_BREAKS)
+def test_only_cr_and_lf_end_a_csv_line(char):
+    text = f"a,b\n1,2{char}3,4\n5,6\n7,8\n9,1\n"
+    with pytest.raises(EstimationError, match="^line 2: 3 cells, header has 2$"):
+        Dataset.from_csv(text)
+
+
+@pytest.mark.parametrize("char", "\x1c\x1d\x1e\x1f")
+def test_loadtxt_whitespace_float_refuses_is_a_non_numeric_cell(char):
+    # np.loadtxt strips these around a number; the csv loop's float() does not.
+    text = f"a,b\n1{char},2\n3,4\n5,6\n"
+    with pytest.raises(EstimationError, match="^non-numeric cell: could not convert"):
+        Dataset.from_csv(text)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_quote_free_csv_is_read_without_a_file_object(monkeypatch, eol):
+    """The fast path hands ``np.loadtxt`` the text's lines: with no
+    ``io.StringIO`` to wrap the text in, a 1,000-row data set still reads
+    bit for bit as the ``csv`` loop reads it."""
+    rows = np.random.default_rng(11).standard_normal((1000, 6))
+    lines = ["A,B,C,D,E,F"] + [",".join(f"{v:.9g}" for v in row) for row in rows]
+    text = eol.join(lines) + eol
+    header, want = _csv_loop(text)
+
+    def no_file_object(*args):
+        raise AssertionError("the text was wrapped in a file object")
+
+    monkeypatch.setattr(estimate, "io", type("io", (), {"StringIO": no_file_object}))
+    d = Dataset.from_csv(text)
+    assert d.columns == header
+    assert d.rows.shape == want.shape and d.rows.tobytes() == want.tobytes()
 
 
 def test_dataset_refuses_rows_that_do_not_match_the_header():

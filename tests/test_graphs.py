@@ -90,6 +90,33 @@ def test_constructor_rejects_a_bad_graph(args, error, message):
         Pdag(*args)
 
 
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((["A", 1, "A"], [("A", "Z"), ("B", "B")], (), "tree"), GraphError, "invalid node name: 1"),
+        ((["A", "B", "A"], [("A", "Z"), ("B", "B")], (), "tree"), GraphError, "duplicate node: A"),
+        ((["A", "B"], [("A", "Z"), ("B", "B"), ("A", "B")], [("B", "A")], "tree"),
+         UnknownNodeError, "unknown node: Z"),
+        ((["A", "B"], [("B", "B"), ("A", "B")], [("B", "A")], "tree"), GraphError, "self-loop at B"),
+        ((["A", "B"], [("A", "B")], [("B", "A")], "tree"),
+         GraphError, "more than one edge between B and A"),
+        ((["A", "B", "C"], [("A", "B"), ("B", "C"), ("C", "A")], (), "tree"),
+         GraphError, "unknown class tag: 'tree'"),
+        ((["A", "B", "C"], [("A", "B"), ("B", "C"), ("C", "A")], (), "cpdag"),
+         GraphError, "graph contains a directed cycle"),
+        ((["A", "B", "C"], [("A", "B")], [("B", "C")], "cpdag"),
+         GraphError, "cpdag tag rejected: an orientation rule still fires"),
+    ],
+    ids=["name", "duplicate", "endpoint", "self-loop", "pair", "tag", "cycle", "cpdag"],
+)
+def test_constructor_checks_in_a_fixed_order(args, error, message):
+    # Each row also holds the fault of every row below it, so its own
+    # fault must be the one found first.
+    with pytest.raises(error) as err:
+        Pdag(*args)
+    assert type(err.value) is error and str(err.value) == message
+
+
 def test_dag_tag_forbids_undirected():
     with pytest.raises(GraphError):
         Pdag(["A", "B"], undirected=[("A", "B")], class_tag="dag")

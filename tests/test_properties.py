@@ -4,10 +4,12 @@ import itertools
 from unittest import mock
 
 import networkx as nx
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from mpdagid import (
+    GraphError,
     InconsistentKnowledgeError,
     Pdag,
     amenability_witness,
@@ -380,3 +382,87 @@ def test_derived_graphs_share_one_true_adjacency_map_on_the_sweep(sweep):
             assert h._adj is parent._adj
             _assert_true_map(h)
         _assert_own_subgraph_map(g, g.nodes[1:])
+
+
+# -- edge-list reader against the two-pass reference ---------------------------
+
+_EDGE_NAMES = ("A", "B", "C", "D", "N.1", "x_2")
+_BAD_NAMES = ("a-b", "Ä", "B$", "node", "->")
+
+
+def _edge_line(a, mark, b, draw):
+    return f"{a} {mark} {b}" + draw(st.sampled_from(("", "", " # note", "\t#A -> B")))
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text from the grammar: ``node`` lines, edges whose arrows
+    follow a drawn order (at most one per pair), comments and blank lines
+    in any order, joined by LF, CRLF or CR; then up to two near misses at
+    drawn places: a bad name, a self-loop, a pair repeated directed and
+    undirected, a malformed line, or the edges of a directed cycle."""
+    order = draw(st.permutations(_EDGE_NAMES))
+    lines = [f"node {n}" for n in draw(st.lists(st.sampled_from(_EDGE_NAMES), max_size=2))]
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(order, 2))), max_size=7, unique=True))
+    for a, b in pairs:
+        mark = draw(st.sampled_from(("->", "--")))
+        if mark == "--" and draw(st.booleans()):
+            a, b = b, a
+        lines.append(_edge_line(a, mark, b, draw))
+    lines += draw(st.lists(st.sampled_from(("# comment", "#", "", "  ", "\t")), max_size=3))
+    lines = draw(st.permutations(lines))
+    name = st.sampled_from(_EDGE_NAMES)
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("cycle", "repeat", "self-loop", "malformed", "bad name")))
+        if kind == "bad name":
+            bad = draw(st.sampled_from(_BAD_NAMES))
+            miss = [draw(st.sampled_from((f"node {bad}", f"{bad} -> A", f"A -- {bad}")))]
+        elif kind == "self-loop":
+            a = draw(name)
+            miss = [_edge_line(a, draw(st.sampled_from(("->", "--"))), a, draw)]
+        elif kind == "repeat" and pairs:
+            a, b = draw(st.sampled_from(pairs))
+            miss = [_edge_line(b, draw(st.sampled_from(("->", "--"))), a, draw)]
+        elif kind == "malformed":
+            miss = [draw(st.sampled_from(("A => B", "A -> B -> C", "A", "node", "node A B", "-- A")))]
+        else:  # a cycle, also for "repeat" when no edge was drawn
+            # Mostly new nodes, so that a repeated pair seldom hides the cycle.
+            cycle = draw(st.lists(st.sampled_from(("P", "Q", "R", "A")), min_size=3, max_size=4, unique=True))
+            miss = [_edge_line(a, "->", b, draw) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = miss
+    return "".join(line + draw(st.sampled_from(("\n", "\r\n", "\r"))) for line in lines)
+
+
+def _assert_reads_as_the_reference(text):
+    try:
+        want = oracles.reference_parse_graph(text)
+    except GraphError as exc:
+        with pytest.raises(GraphError) as got:
+            parse_graph(text)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        assert getattr(got.value, "lineno", None) == getattr(exc, "lineno", None)
+        return
+    g = parse_graph(text)
+    assert {field: getattr(g, field) for field in want} == want
+    assert list(g._adj) == list(g._parents) == list(g.nodes)
+    assert g.class_tag == "pdag" and g._rank is None
+
+
+@settings(
+    derandomize=True,
+    max_examples=400,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(edge_list_texts())
+def test_parse_graph_matches_the_two_pass_reference(text):
+    _assert_reads_as_the_reference(text)
+
+
+def test_parse_graph_matches_the_two_pass_reference_on_rendered_graphs(sweep):
+    graphs = [g for g, _ in sweep]
+    graphs += oracles.random_mpdags(seed=97, count=40, n_nodes=(6, 7, 8))
+    for g in graphs:
+        _assert_reads_as_the_reference(g.to_edgelist())
