@@ -190,12 +190,13 @@ def _cmd_adjust(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    """The DAG count, then each DAG's edge list after a blank line, in one
+    write of the joined text.  Each edge list ends in a newline (only the
+    one DAG of an empty graph renders as nothing), so joining the count's
+    line and the lists with newlines gives the blank lines."""
     g = _load_graph(args)
     dags = meek.enumerate_dags(g)
-    print(len(dags))
-    for d in dags:
-        print()
-        sys.stdout.write(d.to_edgelist())
+    sys.stdout.write("\n".join([f"{len(dags)}\n", *[d.to_edgelist() for d in dags]]))
     return 0
 
 

@@ -203,9 +203,13 @@ def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
     tagged ``g`` with knowledge that orients at most one edge runs no
     check, neither for reverse demands nor for an extension (the module
     docstring says why); its result keeps ``g``'s rank when nothing was
-    oriented and carries none otherwise.  Each step applies the least
-    (rule index, then edge) application; the closure does not depend on
-    the order.
+    oriented and carries none otherwise.  That trusted path, each branch
+    step of :func:`enumerate_dags`, relies on the tag vouching for a
+    checked MPDAG.  The knowledge checks still run on it, in the same
+    order with the same messages; they read ``g._adj`` for the node and
+    adjacency tests, so ``g``'s neighbourhood map must be exact.  Each
+    step applies the least (rule index, then edge) application; the
+    closure does not depend on the order.
 
     Raises
     ------
@@ -223,9 +227,9 @@ def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
     # stay untouched and the closure shares every set it does not change.
     # Orienting keeps adjacency, so the closure shares ``g``'s map of it.
     nodes = g.nodes
-    pa: NodeSets = dict(g._parents)
-    ch: NodeSets = dict(g._children)
-    und: NodeSets = dict(g._und)
+    pa: NodeSets = g._parents.copy()
+    ch: NodeSets = g._children.copy()
+    und: NodeSets = g._und.copy()
     adj = g._adj
     # Orientations made here, in order; the position picks which demand
     # is reported when several conflict at once.
@@ -233,7 +237,7 @@ def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
     pairs = sorted(frozenset(bk))
     for tail, head in pairs:
         for n in (tail, head):
-            if n not in g:
+            if n not in adj:
                 raise UnknownNodeError(f"unknown node: {n}")
         if (head, tail) in pairs:
             raise InconsistentKnowledgeError(
@@ -270,18 +274,20 @@ def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
         around = nodes
     else:
         around = {n for t, h in oriented for n in (t, h, *und[h])}
-    pending: dict[tuple[str, str], int] = {}  # (tail, head) -> lowest rule
+    # (tail, head) -> (lowest rule, tail, head), so the least value is the
+    # next application; a verdict of no rule drops the edge, if pending.
+    pending: dict[tuple[str, str], tuple[int, str, str]] = {}
     while True:
         for a in around:
             for b in und[a]:
                 rule = _which_rule(pa, ch, und, adj, a, b)
-                if rule is None:
+                if rule is not None:
+                    pending[(a, b)] = (rule, a, b)
+                elif pending:
                     pending.pop((a, b), None)
-                else:
-                    pending[(a, b)] = rule
         if not pending:
             break
-        _, tail, head = min((r, t, h) for (t, h), r in pending.items())
+        _, tail, head = min(pending.values())
         und[tail] = und[tail] - {head}
         und[head] = und[head] - {tail}
         ch[tail] = ch[tail] | {head}
@@ -320,7 +326,7 @@ def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
     # 1995).  An untagged input still gets the boundary rule check.
     edges = (
         g.directed.union(oriented),
-        g.undirected.difference((t, h) if t < h else (h, t) for t, h in oriented),
+        g.undirected.difference([(t, h) if t < h else (h, t) for t, h in oriented]),
     )
     closed = Pdag._trusted(nodes, pa, ch, und, "mpdag", edges, rank, adj)
     if g.class_tag == "pdag" and not is_mpdag(closed):

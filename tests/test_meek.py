@@ -12,6 +12,7 @@ from mpdagid import (
     GraphParseError,
     InconsistentKnowledgeError,
     Pdag,
+    UnknownNodeError,
     close,
     identify,
     is_mpdag,
@@ -54,6 +55,59 @@ def test_cyclic_knowledge_rejected():
     g = parse_graph("A -- B\nB -- C\nA -- C")
     with pytest.raises(InconsistentKnowledgeError):
         close(g, {("A", "B"), ("B", "C"), ("C", "A")})
+
+
+def _checked_mpdag() -> Pdag:
+    """A - B - C with C -> D, checked by the constructor: it carries a rank."""
+    return Pdag("ABCD", [("C", "D")], [("A", "B"), ("B", "C")], "mpdag")
+
+
+@pytest.mark.parametrize(
+    "bk, error, message",
+    [
+        ([("Z", "A")], UnknownNodeError, "unknown node: Z"),
+        ([("A", "Z")], UnknownNodeError, "unknown node: Z"),
+        (
+            [("B", "A"), ("A", "B")],
+            InconsistentKnowledgeError,
+            "background knowledge orients A and B both ways",
+        ),
+        (
+            [("A", "C")],
+            InconsistentKnowledgeError,
+            "background knowledge pair A -> C is not an adjacency",
+        ),
+        # The both-ways test comes first, and (A, A) is its own reverse.
+        (
+            [("A", "A")],
+            InconsistentKnowledgeError,
+            "background knowledge orients A and A both ways",
+        ),
+        (
+            [("D", "C")],
+            InconsistentKnowledgeError,
+            "background knowledge D -> C opposes existing edge",
+        ),
+    ],
+    ids=[
+        "unknown-tail", "unknown-head", "both-ways", "non-adjacent", "self-pair", "against-arrow"
+    ],
+)
+def test_knowledge_checks_run_on_a_checked_mpdag(bk, error, message):
+    g = _checked_mpdag()
+    with pytest.raises(GraphError) as caught:
+        close(g, bk)
+    assert caught.type is error
+    assert str(caught.value) == message
+
+
+def test_knowledge_repeating_an_arrow_of_a_checked_mpdag_changes_nothing():
+    g = _checked_mpdag()
+    h = close(g, [("C", "D")])
+    assert h == g
+    assert h.class_tag == "mpdag"
+    assert h._rank is g._rank is not None
+    assert h._adj is g._adj
 
 
 def test_rule_1_orients_away_from_arrow():

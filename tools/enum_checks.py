@@ -7,11 +7,12 @@ For each checkout one Python process imports that checkout's ``src/``
 enumerate-chordal workload (``perfbench/golden/enumerate-chordal.json``),
 closes each input as the CLI does, then enumerates its DAGs and renders
 them.  It prints, per checkout: the ``meek.close`` calls, the
-``meek._removal_order`` passes and the ``meek._check_no_reverse_demand``
-calls, each split into the inputs' own closures and the branch closes of
-enumeration; the DAGs; and the function calls a cProfile of
-``enumerate_dags`` plus ``to_edgelist`` records.  Every count is
-deterministic; none is a time.
+``meek._removal_order`` passes, the ``meek._check_no_reverse_demand``
+calls, the ``meek._which_rule`` evaluations and the graphs laid out
+through ``Pdag._trusted``, each split into the inputs' own closures and
+the walk of enumeration (its branch closes and leaves); the DAGs; and
+the function calls a cProfile of ``enumerate_dags`` plus ``to_edgelist``
+records.  Every count is deterministic; none is a time.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ _CHILD = r"""
 import cProfile, collections, json, os, pstats, sys
 checkout = sys.argv[1]
 sys.path.insert(0, os.path.join(checkout, "src"))
-from mpdagid import meek, oracle, parse_graph
+from mpdagid import Pdag, meek, oracle, parse_graph
 with open(os.path.join(checkout, "perfbench", "golden", "enumerate-chordal.json")) as f:
     texts = [c["text"] for c in json.load(f)["ops"] if c["admitted"]]
 counts = collections.Counter()
@@ -41,9 +42,12 @@ def counted(name, f):
     return wrapped
 
 removal_order, close = meek._removal_order, meek.close
-reverse_demand = meek._check_no_reverse_demand
+reverse_demand, which_rule = meek._check_no_reverse_demand, meek._which_rule
+trusted = Pdag.__dict__["_trusted"]
 meek._removal_order = counted("removal passes", removal_order)
 meek._check_no_reverse_demand = counted("reverse-demand checks", reverse_demand)
+meek._which_rule = counted("rule evaluations", which_rule)
+Pdag._trusted = classmethod(counted("trusted layouts", trusted.__func__))
 meek.close = counted("closes", close)
 # The walk calls close by name in the module that defines it.
 walker = sys.modules[oracle.enumerate_dags.__module__]
@@ -56,7 +60,8 @@ for text in texts:
     dags = oracle.enumerate_dags(roots[-1])
     counts[("dags", "")] += len(dags)
 meek._removal_order, meek.close, walker.close = removal_order, close, close
-meek._check_no_reverse_demand = reverse_demand
+meek._check_no_reverse_demand, meek._which_rule = reverse_demand, which_rule
+Pdag._trusted = trusted
 
 def walk():
     for g in roots:
@@ -81,6 +86,10 @@ ROWS = (
     "removal passes branches",
     "reverse-demand checks inputs",
     "reverse-demand checks branches",
+    "rule evaluations inputs",
+    "rule evaluations branches",
+    "trusted layouts inputs",
+    "trusted layouts branches",
     "dags",
     "profiled calls",
 )
