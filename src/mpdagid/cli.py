@@ -12,12 +12,19 @@ adjustment set).  Output is deterministic for a fixed seed.
 # either (``json`` only for ``--format json`` and ``estimate``).  Without a
 # bytecode cache each start-up also compiles the package source on the
 # ``close`` path, so every module on that path costs start-up time.
+#
+# One table, ``_COMMANDS``, holds the subcommands and their options; the
+# module docstring is the ``--help`` description.  ``_read_argv`` reads an
+# argv of the fixed form ``SUBCOMMAND (OPTION VALUE)*`` straight from the
+# table, and only help, other option forms and usage errors build the
+# argparse parser from it, so only they load ``argparse`` (with
+# ``gettext`` and ``locale``) and their text stays argparse's.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import meek
@@ -53,74 +60,6 @@ def _read_text(path: str) -> str:
     # Spreadsheet exports often start with a byte-order mark; decoding as
     # plain UTF-8 first keeps the offsets above counted from the file start.
     return text.removeprefix("\ufeff")
-
-
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
-
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-
-    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
-    return parse
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse exits 2 by default; usage errors are 1
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-@functools.cache
-def _build_parser() -> _Parser:
-    """Built on the first ``main`` call and reused: parsing does not change
-    a parser, and each ``parse_args`` returns a fresh namespace."""
-    top = _Parser(prog="mpdagid", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, run, help_text, *, xy=False, fmt=False, data=False, models=False):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(run=run)
-        p.add_argument("-g", "--graph", required=True, help="edge-list file")
-        p.add_argument("-b", "--bk", help="background knowledge file (directed lines)")
-        if xy:
-            p.add_argument("-X", required=True, help="comma-separated treatment nodes")
-            p.add_argument("-Y", required=True, help="comma-separated response nodes")
-        if fmt:
-            p.add_argument(
-                "--format", choices=("text", "latex", "json"), default="text"
-            )
-        if data:
-            p.add_argument("--data", required=True, help="CSV file of observations")
-        if models:
-            p.add_argument("--seed", type=_int_at_least(0), default=0)
-            p.add_argument(
-                "--models", type=_int_at_least(1), default=20, help="random models per check"
-            )
-
-    add("close", _cmd_close, "close a PDAG plus background knowledge into an MPDAG")
-    add(
-        "identify", _cmd_identify, "decide identifiability and print the formula", xy=True, fmt=True
-    )
-    p = sub.add_parser("factorize", help="truncated factorization with respect to X")
-    p.set_defaults(run=_cmd_factorize)
-    p.add_argument("-g", "--graph", required=True)
-    p.add_argument("-b", "--bk")
-    p.add_argument("-X", default="", help="comma-separated treatment nodes (may be empty)")
-    p.add_argument("--format", choices=("text", "latex", "json"), default="text")
-    add("adjust", _cmd_adjust, "search for a generalized adjustment set", xy=True)
-    add("enumerate", _cmd_enumerate, "list every DAG represented by the MPDAG")
-    add(
-        "verify",
-        _cmd_verify,
-        "cross-check identification against brute force",
-        xy=True,
-        models=True,
-    )
-    add("estimate", _cmd_estimate, "estimate the effect from Gaussian data", xy=True, data=True)
-    return top
 
 
 def _load_graph(args) -> Pdag:
@@ -261,8 +200,141 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+# The subcommands and their options, in the order ``--help`` lists them.
+# An option row is (flags, dest, required, default, integer lower bound or
+# None for a string, choices, help); ``_build_parser`` and ``_read_argv``
+# both read it.
+def _opt(*flags, required=False, default=None, low=None, choices=None, help=None):
+    return flags, flags[-1].lstrip("-"), required, default, low, choices, help
+
+
+_GRAPH = _opt("-g", "--graph", required=True, help="edge-list file")
+_BK = _opt("-b", "--bk", help="background knowledge file (directed lines)")
+_XY = (
+    _GRAPH,
+    _BK,
+    _opt("-X", required=True, help="comma-separated treatment nodes"),
+    _opt("-Y", required=True, help="comma-separated response nodes"),
+)
+_FORMAT = _opt("--format", default="text", choices=("text", "latex", "json"))
+_FACTORIZE = (
+    _opt("-g", "--graph", required=True),
+    _opt("-b", "--bk"),
+    _opt("-X", default="", help="comma-separated treatment nodes (may be empty)"),
+    _FORMAT,
+)
+_VERIFY = (
+    *_XY,
+    _opt("--seed", default=0, low=0),
+    _opt("--models", default=20, low=1, help="random models per check"),
+)
+_ESTIMATE = (*_XY, _opt("--data", required=True, help="CSV file of observations"))
+
+_COMMANDS = {
+    "close": ("close a PDAG plus background knowledge into an MPDAG", _cmd_close, (_GRAPH, _BK)),
+    "identify": ("decide identifiability and print the formula", _cmd_identify, (*_XY, _FORMAT)),
+    "factorize": ("truncated factorization with respect to X", _cmd_factorize, _FACTORIZE),
+    "adjust": ("search for a generalized adjustment set", _cmd_adjust, _XY),
+    "enumerate": ("list every DAG represented by the MPDAG", _cmd_enumerate, (_GRAPH, _BK)),
+    "verify": ("cross-check identification against brute force", _cmd_verify, _VERIFY),
+    "estimate": ("estimate the effect from Gaussian data", _cmd_estimate, _ESTIMATE),
+}
+
+# Per subcommand: each exact option string to its row.
+_FLAGS = {
+    name: {flag: row for row in rows for flag in row[0]}
+    for name, (_, _, rows) in _COMMANDS.items()
+}
+
+
+@functools.cache
+def _build_parser():
+    """The argparse parser of the table, built on the first call that
+    needs it and reused: parsing does not change a parser, and each
+    ``parse_args`` returns a fresh namespace.  The one place that imports
+    ``argparse``."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse exits 2 by default; usage errors are 1
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def int_at_least(low: int):
+        def parse(text: str) -> int:
+            value = int(text)
+            if value < low:
+                raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            return value
+
+        parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+        return parse
+
+    top = Parser(prog="mpdagid", description=__doc__)
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (summary, run, rows) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        for flags, dest, required, default, low, choices, help_text in rows:
+            p.add_argument(
+                *flags,
+                dest=dest,
+                required=required,
+                default=default,
+                type=None if low is None else int_at_least(low),
+                choices=choices,
+                help=help_text,
+            )
+    return top
+
+
+def _read_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse would give for an argv of exactly the form
+    ``SUBCOMMAND (OPTION VALUE)*``, read without argparse; ``None`` for
+    any other argv, which argparse then reads.
+
+    It takes only an exact subcommand name and exact option strings of
+    that subcommand, each dest at most once and no value that starts with
+    ``-``; every required option must be there, and every integer and
+    choice must pass the table.  Help, abbreviations, ``--opt=value``,
+    joined short options, repeats and every usage error go to argparse,
+    whose text and exit codes they keep.
+    """
+    if not argv or len(argv) % 2 == 0 or argv[0] not in _COMMANDS:
+        return None
+    name = argv[0]
+    _, run, rows = _COMMANDS[name]
+    flags = _FLAGS[name]
+    given = {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        row = flags.get(flag)
+        if row is None or value.startswith("-") or row[1] in given:
+            return None
+        _, dest, _, _, low, choices, _ = row
+        if low is not None:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+            if value < low:
+                return None
+        elif choices is not None and value not in choices:
+            return None
+        given[dest] = value
+    values = {"command": name, "run": run}
+    for _, dest, required, default, _, _, _ in rows:
+        if dest in given:
+            values[dest] = given[dest]
+        elif required:
+            return None
+        else:
+            values[dest] = default
+    return SimpleNamespace(**values)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv) or _build_parser().parse_args(argv)
     try:
         return args.run(args)
     except OSError as exc:

@@ -4,8 +4,9 @@ A :class:`Pdag` holds directed and undirected edges with at most one edge
 per node pair and no directed cycles.  Graph values are immutable after
 construction, so they hash, compare, and can be shared across threads:
 a read writes only the private hash and rank memos, equal for any reader.
-:func:`parse_graph` reads edge-list text in one pass, then builds through
-the checking constructor.
+:func:`parse_graph` tokenises edge-list text and builds through the
+checking constructor, which checks each name and edge once; only text it
+refuses is scanned again, line by line, for the line to report.
 """
 
 from __future__ import annotations
@@ -474,13 +475,45 @@ def parse_graph(text: str) -> Pdag:
     (undirected); ``# ...`` comments; blank lines ignored; isolated nodes
     declared as ``node A``.  Node order is first-appearance order.
 
-    One pass checks each line, so the first bad line is reported; a
-    neighbour set per node gives the order and the duplicate test.  The
-    checking constructor then refuses a directed cycle.
+    One pass only tokenises: it collects the names and the two edge lists,
+    and the checking constructor then checks the names, self-loops,
+    duplicate edges and cycles.  A malformed line, or a refusal by the
+    constructor, sends the text to :func:`_first_bad_line`, so the first
+    bad line is reported; a directed cycle, which no one line shows, keeps
+    the constructor's error.
     """
-    nbrs: dict[str, set[str]] = {}
+    names: list[str] = []
     directed: list[tuple[str, str]] = []
     undirected: list[tuple[str, str]] = []
+    for raw in text.splitlines():
+        tokens = raw.split("#", 1)[0].split()
+        if len(tokens) == 3:
+            edge = tokens[0], tokens[2]
+            if tokens[1] == "->":
+                directed.append(edge)
+            elif tokens[1] == "--":
+                undirected.append(edge)
+            else:
+                raise _first_bad_line(text)
+            names += edge
+        elif len(tokens) == 2 and tokens[0] == "node":
+            names.append(tokens[1])
+        elif tokens:
+            raise _first_bad_line(text)
+    try:
+        return Pdag(dict.fromkeys(names), directed, undirected, "pdag")
+    except GraphError:
+        bad = _first_bad_line(text)
+        if bad is None:
+            raise
+        raise bad from None
+
+
+def _first_bad_line(text: str) -> Optional[GraphParseError]:
+    """The error of the first line that is malformed, names an invalid
+    node, or adds a self-loop or a second edge between two nodes; ``None``
+    when no line does.  A neighbour set per node gives the duplicate test."""
+    nbrs: dict[str, set[str]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
@@ -490,20 +523,18 @@ def parse_graph(text: str) -> Pdag:
         elif len(tokens) == 3 and tokens[1] in ("->", "--"):
             names = tokens[::2]
         else:
-            raise GraphParseError(lineno, f"malformed line: {raw.strip()!r}")
+            return GraphParseError(lineno, f"malformed line: {raw.strip()!r}")
         for name in names:
             if name not in nbrs:
                 if not NODE_NAME.match(name):
-                    raise GraphParseError(lineno, f"invalid node name: {name!r}")
+                    return GraphParseError(lineno, f"invalid node name: {name!r}")
                 nbrs[name] = set()
         if len(names) == 2:
             a, b = names
             if a == b:
-                raise GraphParseError(lineno, f"self-loop at {a}")
+                return GraphParseError(lineno, f"self-loop at {a}")
             if b in nbrs[a]:
-                raise GraphParseError(lineno, f"more than one edge between {a} and {b}")
+                return GraphParseError(lineno, f"more than one edge between {a} and {b}")
             nbrs[a].add(b)
             nbrs[b].add(a)
-            (directed if tokens[1] == "->" else undirected).append((a, b))
-
-    return Pdag(nbrs, directed, undirected, "pdag")
+    return None

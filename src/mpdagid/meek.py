@@ -239,7 +239,7 @@ def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
         for n in (tail, head):
             if n not in adj:
                 raise UnknownNodeError(f"unknown node: {n}")
-        if (head, tail) in pairs:
+        if tail != head and (head, tail) in pairs:
             raise InconsistentKnowledgeError(
                 f"background knowledge orients {tail} and {head} both ways"
             )

@@ -730,7 +730,7 @@ def reference_close(g: Pdag, bk=(), *, rng: random.Random | None = None):
     oriented = []
     pairs = sorted(frozenset(bk))
     for tail, head in pairs:
-        if (head, tail) in pairs:
+        if tail != head and (head, tail) in pairs:
             raise InconsistentKnowledgeError(
                 f"background knowledge orients {tail} and {head} both ways"
             )

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mpdagid import Factor, GaussianModel, IdFormula, Pdag, parse_graph, render, simulate
+from mpdagid import cli
 from mpdagid.cli import main
 
 import oracles
@@ -384,8 +386,6 @@ def test_parser_reused_across_calls(files, capsys):
     """One parser serves every call in a process: a usage error, then two
     different subcommands, give the same output and exit code as on a
     freshly built parser."""
-    from mpdagid import cli
-
     calls = [
         ["verify", "-g", files["mpdag4.g"], "-X", "X", "-Y", "Y1,Y2", "--models", "0"],
         ["identify", "-g", files["mpdag4.g"], "-X", "X", "-Y", "Y1,Y2"],
@@ -393,6 +393,9 @@ def test_parser_reused_across_calls(files, capsys):
         ["close", "-g", files["cpdag4.g"], "-b", files["bk.g"]],
         ["frobnicate"],
         ["identify", "-g", files["mpdag4.g"], "-X", "X", "-Y", "Y1,Y2", "--format", "latex"],
+        # Forms only argparse reads, so the reused parser parses a success too.
+        ["identify", f"--graph={files['mpdag4.g']}", "-X", "X", "-Y", "Y1,Y2"],
+        ["close", "-g" + files["cpdag4.g"], "--bk", files["bk.g"]],
     ]
 
     def run(argv):
@@ -409,7 +412,8 @@ def test_parser_reused_across_calls(files, capsys):
         fresh.append(run(argv))
     reused = [run(argv) for argv in calls]
     assert reused == fresh
-    assert [code for code, _, _ in fresh] == [1, 0, 0, 0, 1, 0]
+    assert [code for code, _, _ in fresh] == [1, 0, 0, 0, 1, 0, 0, 0]
+    assert fresh[6] == fresh[1] and fresh[7] == fresh[3]
     assert cli._build_parser() is cli._build_parser()
 
 
@@ -595,3 +599,190 @@ def test_verify_fails_when_witness_models_disagree(files, capsys, monkeypatch):
         "interventional mean gap (delta): 5.000e-01\n"
     )
     assert captured.err == "verification failed: witness models disagree observationally\n"
+
+
+# -- argv reader ----------------------------------------------------------------
+
+# Exit code, stdout and stderr of usage errors and of option forms only
+# argparse reads, recorded before the direct reader existed.  "G" stands
+# for the mpdag4 graph file.
+_ARGPARSE_ROWS = [
+    (
+        ["identify", "-g", "G", "-Y", "Y2"],
+        1,
+        "",
+        "mpdagid identify: error: the following arguments are required: -X\n",
+    ),
+    (
+        ["frobnicate", "-g", "G"],
+        1,
+        "",
+        "mpdagid: error: argument command: invalid choice: 'frobnicate' (choose from "
+        "'close', 'identify', 'factorize', 'adjust', 'enumerate', 'verify', 'estimate')\n",
+    ),
+    (
+        ["verify", "-g", "G", "-X", "X", "-Y", "Y2", "--models", "0"],
+        1,
+        "",
+        "mpdagid verify: error: argument --models: must be at least 1, got 0\n",
+    ),
+    (
+        ["verify", "-g", "G", "-X", "X", "-Y", "Y2", "--seed", "-1"],
+        1,
+        "",
+        "mpdagid verify: error: argument --seed: must be at least 0, got -1\n",
+    ),
+    (
+        ["identify", "-g", "G", "-X", "X", "-Y", "Y2", "--format", "xml"],
+        1,
+        "",
+        "mpdagid identify: error: argument --format: invalid choice: 'xml' "
+        "(choose from 'text', 'latex', 'json')\n",
+    ),
+    (
+        ["verify", "-g", "G", "-X", "V1", "-Y", "Y1", "--mod", "5"],
+        0,
+        "not identifiable\nwitness: V1 -- Y1\ncovariance max diff: 0.000e+00\n"
+        "interventional mean gap (delta): 5.000e-01\n",
+        "",
+    ),
+    (
+        ["identify", "--graph=G", "-X", "X", "-Y", "Y2"],
+        0,
+        "f(y2|do(x)) = ∫ f(y1) f(y2|x,y1) d(y1)\n",
+        "",
+    ),
+    (
+        ["identify", "-g", "G", "-X", "Y1", "-X", "X", "-Y", "Y2"],
+        0,
+        "f(y2|do(x)) = ∫ f(y1) f(y2|x,y1) d(y1)\n",
+        "",
+    ),
+    (["close", "-g", "G", "extra"], 1, "", "mpdagid: error: unrecognized arguments: extra\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    _ARGPARSE_ROWS,
+    ids=[
+        "missing-X", "unknown-subcommand", "models-0", "seed-negative", "format-xml",
+        "abbreviated-flag", "flag-equals-value", "repeated-X", "unrecognised-argument",
+    ],
+)
+def test_usage_errors_and_argparse_only_forms_keep_their_output(files, capsys, argv, code, out, err):
+    graph = files["mpdag4.g"]
+    argv = [graph if a == "G" else a.replace("=G", f"={graph}") for a in argv]
+    assert cli._read_argv(argv) is None
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (code, out, err)
+
+
+def _parsed(argv):
+    """``vars`` of argparse's namespace for ``argv``; fails on a usage error."""
+    try:
+        return vars(cli._build_parser().parse_args(argv))
+    except SystemExit as exc:
+        pytest.fail(f"argparse refused {argv} (exit {exc.code})")
+
+
+_ALL_FLAGS = sorted({flag for rows in cli._FLAGS.values() for flag in rows})
+_SUBCOMMANDS = list(cli._COMMANDS)
+_VALUES = ("G", "A", "A,B", "", "0", "1", "5", "20", " 7", "+3", "1_0", "x",
+           "text", "latex", "json", "xml", "close", "-1", "-h", "--", "-g")
+_ODD_TOKENS = ("-h", "--help", "--", "-1", "--gr", "--mod", "--form", "--se", "--b",
+               "-gG", "-XA", "--graph=G", "--models=5", "--format=json", "extra")
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of the form SUBCOMMAND (OPTION VALUE)*, built from one
+    subcommand's rows with every required option and valid values, then
+    given up to two near misses: another subcommand or flag, an odd value,
+    a repeated or dropped pair, or a stray token such as an abbreviation,
+    a joined value, help or ``--``."""
+    command = draw(st.sampled_from(_SUBCOMMANDS))
+    pairs = []
+    for flags, _, required, _, low, choices, _ in cli._COMMANDS[command][2]:
+        if required or draw(st.booleans()):
+            if choices:
+                value = draw(st.sampled_from(choices))
+            elif low is not None:
+                value = str(draw(st.integers(low, low + 30)))
+            else:
+                value = draw(st.sampled_from(("G", "A", "A,B", "", "close")))
+            pairs.append([draw(st.sampled_from(flags)), value])
+    pairs = draw(st.permutations(pairs))
+    for _ in range(draw(st.integers(0, 2))):
+        miss = draw(st.integers(0, 5))
+        if miss == 0:
+            command = draw(st.sampled_from(_SUBCOMMANDS + ["clo", "verif", "frobnicate", "-h"]))
+        elif miss == 1 and pairs:
+            draw(st.sampled_from(pairs))[0] = draw(st.sampled_from(_ALL_FLAGS))
+        elif miss == 2 and pairs:
+            draw(st.sampled_from(pairs))[1] = draw(st.sampled_from(_VALUES))
+        elif miss == 3 and pairs:
+            pairs.append(list(draw(st.sampled_from(pairs))))
+        elif miss == 4 and pairs:
+            pairs.remove(draw(st.sampled_from(pairs)))
+        else:
+            at = draw(st.integers(0, len(pairs)))
+            pairs.insert(at, [draw(st.sampled_from(_ODD_TOKENS + _VALUES))])
+    return [command, *(token for pair in pairs for token in pair)]
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(_argvs())
+def test_direct_argv_reader_agrees_with_argparse(argv):
+    ns = cli._read_argv(argv)
+    if ns is not None:
+        assert vars(ns) == _parsed(argv)
+
+
+def _benchmark_argvs():
+    """Argvs shaped like the benchmark's operations, from its golden files."""
+    golden = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "golden")
+
+    def load(workload):
+        with open(os.path.join(golden, f"{workload}.json"), encoding="utf-8") as fh:
+            return json.load(fh)
+
+    for c in load("verify-small")["ops"]:
+        yield ["verify", "-g", "v.g", "-X", c["X"], "-Y", c["Y"],
+               "--models", "20", "--seed", str(c["seed"])]
+    query = load("query-medium")
+    graphs = {g["id"]: g for g in query["graphs"]}
+    for c in query["ops"]:
+        files = ["-g", "q.g"] + (["-b", "q.bk"] if graphs[c["graph"]]["bk"] else [])
+        data = ["--data", "q.csv"] if c["kind"] == "estimate" else []
+        yield [c["args"][0], *files, *c["args"][1:], *data]
+    yield ["enumerate", "-g", "e.g"]  # every enumerate-chordal operation has this shape
+
+
+def _readme_argvs():
+    """Each command line of the README's command-line block, once without
+    its optional ``[...]`` parts and once with them, each ``a|b`` choice
+    taken in turn and ``N``/``S`` read as numbers."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    for line in block.split("```", 1)[0].splitlines():
+        line = line.split("#", 1)[0]
+        short = re.sub(r"\[[^]]*\]", "", line).split()[1:]
+        full = line.replace("[", "").replace("]", "").split()[1:]
+        for argv in (short, full):
+            argv = [{"N": "5", "S": "3"}.get(a, a) for a in argv]
+            yield from (list(p) for p in itertools.product(*(a.split("|") for a in argv)))
+
+
+def test_benchmark_and_readme_argvs_take_the_direct_reader():
+    argvs = [*_benchmark_argvs(), *_readme_argvs()]
+    assert len(argvs) > 600 and {a[0] for a in argvs} == set(cli._COMMANDS)
+    for argv in argvs:
+        ns = cli._read_argv(argv)
+        assert ns is not None, argv
+        assert vars(ns) == _parsed(argv)

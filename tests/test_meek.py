@@ -77,11 +77,11 @@ def _checked_mpdag() -> Pdag:
             InconsistentKnowledgeError,
             "background knowledge pair A -> C is not an adjacency",
         ),
-        # The both-ways test comes first, and (A, A) is its own reverse.
+        # (A, A) is its own reverse, but it is no adjacency, not two ways.
         (
             [("A", "A")],
             InconsistentKnowledgeError,
-            "background knowledge orients A and A both ways",
+            "background knowledge pair A -> A is not an adjacency",
         ),
         (
             [("D", "C")],

@@ -157,6 +157,20 @@ def test_graph_only_subcommands_load_no_dataclasses_json_or_numpy(tmp_path, argv
     assert not (imported - bare) & {"dataclasses", "inspect", "json", "numpy"}
 
 
+@pytest.mark.parametrize("argv", [["close"], ["identify", "-X", "A", "-Y", "C"], ["enumerate"]])
+def test_fixed_form_argv_loads_no_argparse_gettext_or_locale(tmp_path, argv):
+    _, imported = _cli_run(tmp_path, *argv)
+    _, bare = _importing("-c", "pass")
+    assert not (imported - bare) & {"argparse", "gettext", "locale"}
+
+
+def test_help_in_a_fresh_process_goes_through_argparse():
+    done = fresh_python("-m", "mpdagid.cli", "--help")
+    assert done.returncode == 0, done.stderr
+    words = " ".join(done.stdout.split())
+    assert "Exit codes: 0 on success, 1 for usage or input errors, 2 for a valid negative" in words
+
+
 def test_json_outputs_keep_their_format(tmp_path):
     out, imported = _cli_run(tmp_path, "identify", "-X", "A", "-Y", "C", "--format", "json")
     assert out == (

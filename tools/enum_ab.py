@@ -1,18 +1,20 @@
-"""Compare the enumerate command of two checkouts in one process.
+"""Compare a workload's commands of two checkouts in one process.
 
 Usage: python tools/enum_ab.py PARENT CHANGE [--rounds N]
+           [--workload {enumerate-chordal,query-medium,verify-small}]
 
 One Python process, writing no bytecode into either checkout, loads each
 checkout's ``src/mpdagid`` under a package name of its own, so the two
-never share a module.  Each round runs the admitted operations of the
-enumerate-chordal workload (``perfbench/golden/enumerate-chordal.json``
-of CHANGE, 220 ``enumerate -g FILE`` calls) through each side's
-``cli.main`` in turn, with stdout and stderr captured, parent first in
-even-numbered rounds and change first in odd-numbered ones, and times
-the whole pass.  Prints each side's median and quartiles in ms per pass,
-the rounds the change won, and whether every ``(rc, stdout, stderr)``
-was identical between the two sides; exits 1 when one was not.
-Timings are raw wall-clock seconds of this process, not scaled.
+never share a module.  The operations are the admitted ones of the
+workload (default enumerate-chordal: 220 ``enumerate -g FILE`` calls), as
+CHANGE's ``perfbench/workloads.py`` makes them at seed 1, input files
+and all.  Each round runs them through each side's ``cli.main`` in turn,
+with stdout and stderr captured, parent first in even-numbered rounds and
+change first in odd-numbered ones, and times the whole pass.  Prints
+each side's median and quartiles in ms per pass, the rounds the change
+won, and whether every ``(rc, stdout, stderr)`` was identical between the
+two sides; exits 1 when one was not.  Timings are raw wall-clock seconds
+of this process, not scaled.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import gc
 import importlib
 import importlib.util
 import io
-import json
 import os
 import statistics
 import sys
@@ -31,6 +32,8 @@ import tempfile
 import time
 
 sys.dont_write_bytecode = True
+
+SEED = 1  # the seed the workload makes its operations from
 
 
 def load_cli(checkout: str, name: str):
@@ -71,12 +74,18 @@ def main(argv=None) -> int:
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--rounds", type=int, default=10)
+    ap.add_argument(
+        "--workload",
+        choices=("enumerate-chordal", "query-medium", "verify-small"),
+        default="enumerate-chordal",
+    )
     args = ap.parse_args(argv)
     if args.rounds < 2:
         ap.error("--rounds must be at least 2 for quartiles")
-    golden = os.path.join(args.change, "perfbench", "golden", "enumerate-chordal.json")
-    with open(golden, encoding="utf-8") as fh:
-        texts = [c["text"] for c in json.load(fh)["ops"] if c["admitted"]]
+    sys.path.insert(0, os.path.join(os.path.abspath(args.change), "perfbench"))
+    import workloads
+
+    workloads.bind_checkout()
     sides = {
         "parent": load_cli(args.parent, "mpdagid_parent"),
         "change": load_cli(args.change, "mpdagid_change"),
@@ -84,12 +93,7 @@ def main(argv=None) -> int:
     times: dict[str, list[float]] = {side: [] for side in sides}
     identical = True
     with tempfile.TemporaryDirectory() as tmp:
-        argvs = []
-        for i, text in enumerate(texts):
-            path = os.path.join(tmp, f"{i}.g")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            argvs.append(["enumerate", "-g", path])
+        argvs = [op.argv for op in workloads.WORKLOADS[args.workload](SEED, tmp)]
         for r in range(args.rounds):
             order = list(sides) if r % 2 == 0 else list(reversed(sides))
             got = {}
@@ -99,7 +103,7 @@ def main(argv=None) -> int:
             identical &= got["parent"] == got["change"]
     parent, change = times["parent"], times["change"]
     wins = sum(c < p for p, c in zip(parent, change))
-    print(f"enumerate-chordal, {len(argvs)} operations per pass, "
+    print(f"{args.workload}, {len(argvs)} operations per pass, "
           f"{args.rounds} alternated rounds in one process")
     print(f"  parent: {_summary(parent)}")
     print(f"  change: {_summary(change)}")
