@@ -30,7 +30,10 @@ missing one.  The rules are complete under background knowledge (Meek
 the DAGs it represents, and closing it with one pair on one of them
 gives an MPDAG: no rule demands the reverse of an orientation, and no
 removal-order pass is needed, so :func:`close` runs neither check.
-:func:`enumerate_dags` walks such one-pair closes down to the DAGs.
+:func:`enumerate_dags` walks such one-pair closes down to a closure with
+one undirected edge, and orients that edge both ways without a close: by
+the same completeness each orientation is a DAG of the class, and no
+undirected edge is left for a rule to orient.
 """
 
 from __future__ import annotations
@@ -353,7 +356,10 @@ def enumerate_dags(g: Pdag) -> list[Pdag]:
     ``a < b`` before ``b -> a``), so the list is canonical.
 
     Every returned DAG has the adjacencies and unshielded colliders of
-    ``g`` and contains all its directed edges.
+    ``g`` and contains all its directed edges.  Each branch with two or
+    more undirected edges is closed with one pair; the last undirected
+    edge is oriented both ways without a close (the module docstring
+    says why).
     """
     return list(_depth_first(require_mpdag(g)))
 
@@ -364,26 +370,47 @@ def _depth_first(h: Pdag) -> Iterator[Pdag]:
     It branches ``a -> b`` before ``b -> a`` on the least undirected edge
     ``(a, b)`` and closes the parent with that pair.  Every skeleton edge
     below that one is already directed, so leaves come in
-    orientation-bitstring order.  Each branch closes to an MPDAG (the
-    module docstring says why), so every branch holds a leaf.  A leaf is
-    a closure without undirected edges, laid out again tagged ``dag``,
-    unchecked.  A branch is closed only when popped, so a caller that
-    stops early closes no branch it did not reach.
+    orientation-bitstring order.  Orientation only removes undirected
+    edges, so a branch's least undirected edge comes after its parent's in
+    the root's sorted list: each stack entry carries the position to scan
+    from.  Each branch closes to an MPDAG (the module docstring says why),
+    so every branch holds a leaf.  A closure with exactly one undirected
+    edge ``(a, b)`` is not branched: its two leaves, ``a -> b`` first, are
+    laid out without a close (the module docstring says why too).  A leaf
+    is laid out once, tagged ``dag``, unchecked; it shares the root's
+    neighbourhood map, and one that orients an edge carries no rank, as a
+    branch close leaves it.  A branch is closed only when popped, so a
+    caller that stops early closes no branch it did not reach.
     """
-    stack: list[tuple[Pdag, Optional[tuple[str, str]]]] = [(h, None)]
+    order = sorted(h.undirected)
+    stack: list[tuple[Pdag, Optional[tuple[str, str]], int]] = [(h, None, 0)]
     while stack:
-        g, pair = stack.pop()
+        g, pair, i = stack.pop()
         if pair is not None:
             g = close(g, (pair,))
-        if not g.undirected:
-            edges = (g.directed, g.undirected)
+        und = g.undirected
+        if len(und) > 1:
+            while order[i] not in und:
+                i += 1
+            a, b = order[i]
+            stack.append((g, (b, a), i + 1))
+            stack.append((g, (a, b), i + 1))
+        elif und:
+            ((a, b),) = und
+            no_und = g._und.copy()
+            no_und[a] = no_und[b] = frozenset()
+            for tail, head in ((a, b), (b, a)):
+                pa = g._parents.copy()
+                ch = g._children.copy()
+                pa[head] = pa[head] | {tail}
+                ch[tail] = ch[tail] | {head}
+                edges = (g.directed | {(tail, head)}, frozenset())
+                yield Pdag._trusted(g.nodes, pa, ch, no_und, "dag", edges, None, g._adj)
+        else:
+            edges = (g.directed, und)
             yield Pdag._trusted(
                 g.nodes, g._parents, g._children, g._und, "dag", edges, g._rank, g._adj
             )
-            continue
-        a, b = min(g.undirected)
-        stack.append((g, (b, a)))
-        stack.append((g, (a, b)))
 
 
 def parse_background_knowledge(text: str) -> BackgroundKnowledge:

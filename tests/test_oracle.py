@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from mpdagid import (
 
 import oracles
 from conftest import COVAR5_TEXT, MPDAG4_TEXT, query_pairs
-from mpdagid import graphs, meek, oracle
+from mpdagid import cli, graphs, meek, oracle
 from mpdagid.meek import _depth_first
 
 
@@ -164,6 +165,36 @@ def test_most_branch_closes_skip_the_full_check(monkeypatch):
     print(n_dags, dict(calls))
     assert n_dags > 1000 and calls["branch"] > n_dags
     assert calls["full"] == 0
+
+
+def test_last_undirected_edge_is_oriented_both_ways_without_a_close(tmp_path, capsys):
+    # With one undirected edge left no rule has anything to orient, so both
+    # of its orientations are leaves laid out without a branch close.
+    one = close(parse_graph("A -- B\nB -> C"))
+    chain = close(parse_graph("A -- B\nB -- C"))
+    path = tmp_path / "chain.g"
+    path.write_text("A -- B\nB -- C\n")
+    with mock.patch.object(meek, "close", wraps=meek.close) as spy:
+        dags = enumerate_dags(one)
+        assert spy.call_count == 0
+        assert [d.directed for d in dags] == [
+            {("A", "B"), ("B", "C")},
+            {("B", "A"), ("B", "C")},
+        ]
+        # The root branches on A -- B and closes both pairs; A -> B forces
+        # B -> C, and B -> A leaves B -- C, which needs no close.
+        dags = enumerate_dags(chain)
+        assert spy.call_count == 2
+        assert [d.directed for d in dags] == [
+            {("A", "B"), ("B", "C")},
+            {("B", "A"), ("B", "C")},
+            {("B", "A"), ("C", "B")},
+        ]
+        # The CLI closes its input, then the walk closes the two branches.
+        spy.reset_mock()
+        assert cli.main(["enumerate", "-g", str(path)]) == 0
+        assert spy.call_count == 3
+    assert capsys.readouterr().out.startswith("3\n")
 
 
 # -- discrete models ---------------------------------------------------------

@@ -24,10 +24,10 @@ import oracles
 
 
 @st.composite
-def mpdags(draw, max_nodes=7):
+def mpdags(draw, min_nodes=2, max_nodes=7):
     """Close a PDAG whose arrows follow a drawn node order; a PDAG whose
     closure is inconsistent is rejected."""
-    n = draw(st.integers(2, max_nodes))
+    n = draw(st.integers(min_nodes, max_nodes))
     names = [f"N{i}" for i in range(n)]
     rank = {v: i for i, v in enumerate(draw(st.permutations(names)))}
     directed, undirected = [], []
@@ -201,6 +201,26 @@ def test_carried_rank_stands_for_a_represented_dag(g):
         closures += [close(g, (pair,)) for pair in ((a, b), (b, a))]
     for h in closures:
         _assert_rank_stands_for_a_represented_dag(h)
+
+
+@settings(
+    derandomize=True,
+    max_examples=100,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(mpdags(min_nodes=6, max_nodes=8))
+def test_depth_first_matches_the_full_check_walk(g):
+    # The walk closes branches unchecked and lays out the two leaves of the
+    # last undirected edge without a close; the reference closes every
+    # branch rebuilt untagged, under the full check.
+    got = list(_depth_first(g))
+    expected = list(oracles.reference_depth_first(g))
+    assert [(d.nodes, d.directed, d.undirected) for d in got] == [
+        (d.nodes, d.directed, d.undirected) for d in expected
+    ]
+    assert all(d.class_tag == "dag" and d._adj is g._adj for d in got)
 
 
 def _checked_versions(g):

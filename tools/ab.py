@@ -1,6 +1,6 @@
 """Compare a workload's commands of two checkouts in one process.
 
-Usage: python tools/enum_ab.py PARENT CHANGE [--rounds N]
+Usage: python tools/ab.py PARENT CHANGE [--rounds N]
            [--workload {enumerate-chordal,query-medium,verify-small}]
 
 One Python process, writing no bytecode into either checkout, loads each
