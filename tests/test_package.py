@@ -1,9 +1,12 @@
 """The package surface: every public name resolves and no retired name
 does, numpy-backed names load on first access, graph-only subcommands
-start without numpy, ``dataclasses`` or ``json``, and the two errors
-``cli`` catches keep one class under each of their names."""
+start without numpy, ``dataclasses`` or ``json``, the package imports its
+own modules only relatively, and the two errors ``cli`` catches keep one
+class under each of their names."""
 
+import ast
 import json
+import os
 
 import pytest
 
@@ -117,6 +120,28 @@ print("ok")
     # In this process the module is loaded; the lookup binds it again.
     monkeypatch.delattr(mpdagid, "oracle")
     assert mpdagid.oracle is oracle
+
+
+def test_the_package_imports_its_own_modules_only_relatively():
+    # tools/ab.py loads two checkouts' packages in one process, each under
+    # a name of its own; an absolute ``import mpdagid...`` in one of them
+    # would silently run the other checkout's module.
+    pkg = os.path.dirname(mpdagid.__file__)
+    modules = sorted(name for name in os.listdir(pkg) if name.endswith(".py"))
+    assert {"__init__.py", "cli.py", "meek.py"} <= set(modules)
+    absolute = []
+    for name in modules:
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                targets = [node.module]
+            else:
+                continue
+            absolute += [(name, node.lineno, t) for t in targets if t.split(".")[0] == "mpdagid"]
+    assert absolute == []
 
 
 def test_dir_lists_every_public_name():

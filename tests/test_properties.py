@@ -14,6 +14,9 @@ from mpdagid import (
     Pdag,
     amenability_witness,
     close,
+    d_separated,
+    enumerate_dags,
+    identify,
     parse_graph,
     pco,
 )
@@ -56,6 +59,44 @@ def test_possibly_causal_search_matches_path_walks(g):
         assert g.possible_descendants({n}) == oracles.reference_possible_descendants(g, {n})
     for x, y in itertools.permutations(g.nodes, 2):
         assert amenability_witness(g, {x}, {y}) == oracles.reference_witness(g, {x}, {y})
+
+
+def _queries(g, data):
+    """Disjoint X and Y of one or two nodes each, and Z among the rest."""
+    order = data.draw(st.permutations(sorted(g.nodes)))
+    k = data.draw(st.integers(1, min(2, len(order) - 1)))
+    m = data.draw(st.integers(k + 1, min(k + 2, len(order))))
+    xs, ys = set(order[:k]), set(order[k:m])
+    return xs, ys, data.draw(st.sets(st.sampled_from(order))) - xs - ys
+
+
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(mpdags(), st.data())
+def test_identify_gives_a_witness_exactly_when_one_exists(g, data):
+    xs, ys, _ = _queries(g, data)
+    res = identify(g, xs, ys)
+    assert (res.witness is not None) == oracles.witness_exists(g, xs, ys)
+    assert res.identifiable == (res.witness is None)
+
+
+@settings(
+    derandomize=True,
+    max_examples=100,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(mpdags(), st.data())
+def test_d_separated_agrees_with_every_represented_dag(g, data):
+    xs, ys, zs = _queries(g, data)
+    sep = d_separated(g, xs, ys, zs)
+    assert all(sep == oracles.dag_d_separated(d, xs, ys, zs) for d in enumerate_dags(g))
 
 
 @st.composite

@@ -1,20 +1,30 @@
-"""Compare a workload's commands of two checkouts in one process.
+"""Check and time every benchmark operation of two checkouts in one process.
 
 Usage: python tools/ab.py PARENT CHANGE [--rounds N]
-           [--workload {enumerate-chordal,query-medium,verify-small}]
 
 One Python process, writing no bytecode into either checkout, loads each
 checkout's ``src/mpdagid`` under a package name of its own, so the two
-never share a module.  The operations are the admitted ones of the
-workload (default enumerate-chordal: 220 ``enumerate -g FILE`` calls), as
-CHANGE's ``perfbench/workloads.py`` makes them at seed 1, input files
-and all.  Each round runs them through each side's ``cli.main`` in turn,
-with stdout and stderr captured, parent first in even-numbered rounds and
-change first in odd-numbered ones, and times the whole pass.  Prints
-each side's median and quartiles in ms per pass, the rounds the change
-won, and whether every ``(rc, stdout, stderr)`` was identical between the
-two sides; exits 1 when one was not.  Timings are raw wall-clock seconds
-of this process, not scaled.
+never share a module.  The operations are every admitted one of the three
+workloads, 888 in all, as CHANGE's ``perfbench/workloads.py`` makes them
+at seed 1, input files and all.  Each runs through a side's ``cli.main``
+with stdout and stderr captured.  An exception it raises becomes the
+operation's ``error``, worded ``raised TypeName: message`` as
+``workloads.invoke`` words it, so a side that crashes shows as differing
+outputs, not as a traceback.
+
+Per workload, one untimed pass per side comes first.  It applies each
+operation's own check to its ``workloads.Outcome`` and compares
+``(rc, stdout, stderr, error)`` between the sides.  It also pays the
+one-time costs (the numpy import, the memo and layout caches) that would
+otherwise fall on whichever side runs first in the first timed round.
+N timed rounds then run whole passes, parent first in even-numbered
+rounds and change first in odd-numbered ones.
+
+Prints, per workload, the operation count, the failed checks on each
+side, whether every outcome was identical (naming up to three argvs that
+differ), each side's median and quartiles in ms per pass and the rounds
+the change won.  Exits 1 when an outcome or a failed-check count
+differs.  Timings are raw wall-clock seconds of this process, not scaled.
 """
 
 from __future__ import annotations
@@ -31,9 +41,7 @@ import sys
 import tempfile
 import time
 
-sys.dont_write_bytecode = True
-
-SEED = 1  # the seed the workload makes its operations from
+SEED = 1  # the seed the workloads make their operations from
 
 
 def load_cli(checkout: str, name: str):
@@ -49,18 +57,22 @@ def load_cli(checkout: str, name: str):
 
 
 def run_pass(cli, argvs: list[list[str]]) -> tuple[float, list[tuple]]:
-    """Seconds for one pass over ``argvs`` and each call's (rc, stdout, stderr)."""
+    """Seconds for one pass over ``argvs`` and each call's
+    ``(rc, stdout, stderr, error)``."""
     outcomes = []
     gc.collect()
     start = time.perf_counter()
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
+        rc = error = None
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 rc = cli.main(argv)
-            except SystemExit as exc:
-                rc = exc.code
-        outcomes.append((rc, out.getvalue(), err.getvalue()))
+        except SystemExit as exc:
+            rc = exc.code
+        except Exception as exc:  # a crash is a differing outcome, not a crashed run
+            error = f"raised {type(exc).__name__}: {exc}"
+        outcomes.append((rc, out.getvalue(), err.getvalue(), error))
     return time.perf_counter() - start, outcomes
 
 
@@ -69,19 +81,51 @@ def _summary(samples: list[float]) -> str:
     return f"median {q2:.1f} ms (quartiles {q1:.1f}-{q3:.1f})"
 
 
+def compare(name: str, sides: dict, ops: list, rounds: int, workdir: str) -> int:
+    """Check ``ops`` once on the ``parent`` and ``change`` sides, time
+    ``rounds`` alternated passes and print the summary of workload
+    ``name``; 1 when an outcome or the failed-check count differs."""
+    from workloads import Outcome
+
+    argvs = [op.argv for op in ops]
+    got = {side: run_pass(cli, argvs)[1] for side, cli in sides.items()}
+    failed = {  # no check reads the seconds of an Outcome
+        side: sum(
+            (error or op.check(Outcome(rc, out, err, 0.0, error))) is not None
+            for op, (rc, out, err, error) in zip(ops, rows)
+        )
+        for side, rows in got.items()
+    }
+    differ = [
+        " ".join(argv).replace(workdir, "<workdir>")
+        for argv, p, c in zip(argvs, got["parent"], got["change"])
+        if p != c
+    ]
+    print(f"{name}: {len(ops)} operations, failed checks "
+          f"parent {failed['parent']}, change {failed['change']}")
+    print(f"  OUTPUTS DIFFER on {len(differ)} operations, first: " + "; ".join(differ[:3])
+          if differ else "  every (rc, stdout, stderr, error) identical")
+    times: dict[str, list[float]] = {side: [] for side in sides}
+    for r in range(rounds):
+        for side in list(sides) if r % 2 == 0 else reversed(list(sides)):
+            times[side].append(run_pass(sides[side], argvs)[0])
+    if rounds:
+        for side in sides:
+            print(f"  {side}: {_summary(times[side])}")
+        wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
+        print(f"  change faster in {wins} of {rounds} rounds")
+    return int(bool(differ) or failed["parent"] != failed["change"])
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument(
-        "--workload",
-        choices=("enumerate-chordal", "query-medium", "verify-small"),
-        default="enumerate-chordal",
-    )
     args = ap.parse_args(argv)
     if args.rounds < 2:
         ap.error("--rounds must be at least 2 for quartiles")
+    sys.dont_write_bytecode = True
     sys.path.insert(0, os.path.join(os.path.abspath(args.change), "perfbench"))
     import workloads
 
@@ -90,27 +134,15 @@ def main(argv=None) -> int:
         "parent": load_cli(args.parent, "mpdagid_parent"),
         "change": load_cli(args.change, "mpdagid_change"),
     }
-    times: dict[str, list[float]] = {side: [] for side in sides}
-    identical = True
+    print(f"seed {SEED}, {args.rounds} alternated rounds per workload in one process")
+    status = 0
     with tempfile.TemporaryDirectory() as tmp:
-        argvs = [op.argv for op in workloads.WORKLOADS[args.workload](SEED, tmp)]
-        for r in range(args.rounds):
-            order = list(sides) if r % 2 == 0 else list(reversed(sides))
-            got = {}
-            for side in order:
-                seconds, got[side] = run_pass(sides[side], argvs)
-                times[side].append(seconds)
-            identical &= got["parent"] == got["change"]
-    parent, change = times["parent"], times["change"]
-    wins = sum(c < p for p, c in zip(parent, change))
-    print(f"{args.workload}, {len(argvs)} operations per pass, "
-          f"{args.rounds} alternated rounds in one process")
-    print(f"  parent: {_summary(parent)}")
-    print(f"  change: {_summary(change)}")
-    print(f"  change faster in {wins} of {args.rounds} rounds")
-    print("  every (rc, stdout, stderr) identical" if identical
-          else "  OUTPUTS DIFFER between the two sides")
-    return 0 if identical else 1
+        for name, build in workloads.WORKLOADS.items():
+            workdir = os.path.join(tmp, name)
+            os.mkdir(workdir)
+            status |= compare(name, sides, build(SEED, workdir), args.rounds, workdir)
+    print("different outputs" if status else "same outputs")
+    return status
 
 
 if __name__ == "__main__":
