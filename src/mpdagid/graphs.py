@@ -17,6 +17,8 @@ from heapq import heappop, heappush
 from typing import AbstractSet, Hashable, Iterable, Literal, Mapping, Optional, Sequence, TypeVar
 
 NODE_NAME = re.compile(r"[A-Za-z0-9_.]+\Z")
+# Any run of valid characters: joined names match it when each one is valid.
+_NAME_CHARS = re.compile(r"[A-Za-z0-9_.]*")
 
 ClassTag = Literal["pdag", "dag", "cpdag", "mpdag"]
 
@@ -115,13 +117,23 @@ class Pdag:
         undirected: Iterable[tuple[str, str]] = (),
         class_tag: ClassTag = "pdag",
     ):
-        # adj doubles as the node set (in order) and the duplicate test.
-        adj: dict[str, set[str]] = {}
-        for n in nodes:
-            _check_name(n)
-            if n in adj:
-                raise GraphError(f"duplicate node: {n}")
-            adj[n] = {n}
+        # adj doubles as the node set (in order) and the duplicate test.  The
+        # joined names match only when every name is a str of valid
+        # characters, so the per-name loop, which raises the first fault in
+        # node order, runs only when that fails, a name is empty or repeats.
+        nodes = list(nodes)
+        try:
+            valid = _NAME_CHARS.fullmatch("".join(nodes)) is not None
+        except TypeError:  # a name that is not a str
+            valid = False
+        adj: dict[str, set[str]] = {n: {n} for n in nodes} if valid else {}
+        if len(adj) < len(nodes) or "" in adj:
+            adj = {}
+            for n in nodes:
+                _check_name(n)
+                if n in adj:
+                    raise GraphError(f"duplicate node: {n}")
+                adj[n] = {n}
         parents: dict[str, set[str]] = {n: set() for n in adj}
         children: dict[str, set[str]] = {n: set() for n in adj}
         und: dict[str, set[str]] = {n: set() for n in adj}
@@ -477,16 +489,20 @@ def parse_graph(text: str) -> Pdag:
 
     One pass only tokenises: it collects the names and the two edge lists,
     and the checking constructor then checks the names, self-loops,
-    duplicate edges and cycles.  A malformed line, or a refusal by the
-    constructor, sends the text to :func:`_first_bad_line`, so the first
-    bad line is reported; a directed cycle, which no one line shows, keeps
-    the constructor's error.
+    duplicate edges and cycles.  Lines are cut at ``#`` only when the text
+    holds one: without a ``#``, no line has a comment to cut.  A malformed
+    line, or a refusal by the constructor, sends the text to
+    :func:`_first_bad_line`, so the first bad line is reported; a directed
+    cycle, which no one line shows, keeps the constructor's error.
     """
     names: list[str] = []
     directed: list[tuple[str, str]] = []
     undirected: list[tuple[str, str]] = []
-    for raw in text.splitlines():
-        tokens = raw.split("#", 1)[0].split()
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    for raw in lines:
+        tokens = raw.split()
         if len(tokens) == 3:
             edge = tokens[0], tokens[2]
             if tokens[1] == "->":

@@ -65,12 +65,15 @@ def _which_rule(
 
     Reads only ``pa/ch/und[a]``, ``pa[b]``, adjacency and ``pa[d]`` for
     ``d`` in ``und[a]``; ``close`` relies on this to re-evaluate only the
-    edges an orientation can affect.
+    edges an orientation can affect.  Rules 2-4 each need a parent of
+    ``b``, so without one the answer after rule 1 is ``None``.
     """
     # rule 1: c -> a, c != b, c and b nonadjacent
     if not pa[a] <= adj[b]:
         return 1
     pa_b = pa[b]
+    if not pa_b:
+        return None
     # rule 2: a -> c -> b
     if not pa_b.isdisjoint(ch[a]):
         return 2
@@ -101,7 +104,9 @@ def _sink_order(
     string hashing.  A removal only shrinks the child counts and
     neighbour sets of the removed node's parents and undirected
     neighbours, so a node that failed the test is tested again only after
-    one of those changes.  The sets are read, not changed.
+    one of those changes.  A childless node with no live undirected
+    neighbour has no ``w`` to test, so it is removed without building its
+    neighbour set.  The sets are read, not changed.
     """
     live = dict(und)  # undirected neighbours still live; replaced, not mutated
     n_children = {n: len(s) for n, s in ch.items()}
@@ -112,12 +117,18 @@ def _sink_order(
         for i, v in enumerate(alive):
             if v in stuck or n_children[v]:
                 continue
+            live_v = live[v]
+            if not live_v:
+                break
             # A removed node was a sink, so pa[v] holds live nodes only;
             # adj is static, so nb <= adj[w] tests adjacency among live nodes.
-            nb = pa[v] | live[v]
-            if all(nb <= adj[w] for w in live[v]):
+            nb = pa[v] | live_v
+            for w in live_v:
+                if not nb <= adj[w]:
+                    stuck.add(v)
+                    break
+            else:
                 break
-            stuck.add(v)
         else:
             return None
         del alive[i]

@@ -76,6 +76,11 @@ def test_directed_cycle_rejected():
     "args, error, message",
     [
         ((["A", "B-$"],), GraphError, "invalid node name: 'B-\\$'"),
+        # An empty name adds nothing to the joined names; the others break them.
+        ((["A", ""],), GraphError, "invalid node name: ''"),
+        ((["É"],), GraphError, "invalid node name: 'É'"),
+        ((["A B"],), GraphError, "invalid node name: 'A B'"),
+        ((["A\nB"],), GraphError, r"invalid node name: 'A\\nB'"),
         ((["A", "B", "A"],), GraphError, "duplicate node: A"),
         ((["A", "B"], [("A", "C")]), UnknownNodeError, "unknown node: C"),
         ((["A", "B"], [("B", "B")]), GraphError, "self-loop at B"),
@@ -95,6 +100,9 @@ def test_constructor_rejects_a_bad_graph(args, error, message):
     [
         ((["A", 1, "A"], [("A", "Z"), ("B", "B")], (), "tree"), GraphError, "invalid node name: 1"),
         ((["A", "B", "A"], [("A", "Z"), ("B", "B")], (), "tree"), GraphError, "duplicate node: A"),
+        # A repeat before a bad name is reported as the repeat.
+        ((["A", "A", "B-$", "B"], [("A", "Z"), ("B", "B")], (), "tree"),
+         GraphError, "duplicate node: A"),
         ((["A", "B"], [("A", "Z"), ("B", "B"), ("A", "B")], [("B", "A")], "tree"),
          UnknownNodeError, "unknown node: Z"),
         ((["A", "B"], [("B", "B"), ("A", "B")], [("B", "A")], "tree"), GraphError, "self-loop at B"),
@@ -107,7 +115,10 @@ def test_constructor_rejects_a_bad_graph(args, error, message):
         ((["A", "B", "C"], [("A", "B")], [("B", "C")], "cpdag"),
          GraphError, "cpdag tag rejected: an orientation rule still fires"),
     ],
-    ids=["name", "duplicate", "endpoint", "self-loop", "pair", "tag", "cycle", "cpdag"],
+    ids=[
+        "name", "duplicate", "duplicate-then-name", "endpoint", "self-loop", "pair", "tag",
+        "cycle", "cpdag",
+    ],
 )
 def test_constructor_checks_in_a_fixed_order(args, error, message):
     # Each row also holds the fault of every row below it, so its own

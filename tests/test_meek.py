@@ -136,6 +136,25 @@ def test_rule_4_orients_toward_the_chain_end():
     assert ("A", "B") in closed.directed
 
 
+@pytest.mark.parametrize(
+    "text, a, b, rule",
+    [
+        ("C -> A\nA -- B", "A", "B", 1),  # pa[B] is empty
+        ("C -> A\nA -- B", "B", "A", None),
+        ("A -- B", "A", "B", None),
+        ("A -> C\nC -> B\nA -- B", "A", "B", 2),
+        ("A -- B\nA -- C\nA -- D\nC -> B\nD -> B", "A", "B", 3),
+        ("A -- B\nA -- C\nA -- D\nC -> D\nD -> B", "A", "B", 4),
+        ("A -- B\nA -- C\nA -- D\nC -> D\nD -> B", "A", "C", None),  # pa[C] is empty
+    ],
+    ids=["rule1-orphan-head", "none-reverse", "none-lone-edge", "rule2", "rule3", "rule4",
+         "none-orphan-head"],
+)
+def test_which_rule_names_the_lowest_rule(text, a, b, rule):
+    g = parse_graph(text)
+    assert meek._which_rule(g._parents, g._children, g._und, g._adj, a, b) == rule
+
+
 def test_is_mpdag_goldens(mpdag4, twotreat7):
     assert is_mpdag(mpdag4)
     assert is_mpdag(twotreat7)

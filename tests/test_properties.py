@@ -522,6 +522,21 @@ def test_parse_graph_matches_the_two_pass_reference(text):
     _assert_reads_as_the_reference(text)
 
 
+def test_edge_list_texts_are_drawn_with_and_without_a_comment():
+    # parse_graph cuts comments only from a text that holds a "#", so the
+    # reference property above must meet both kinds of text.
+    seen = {True: 0, False: 0}
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(edge_list_texts())
+    def draw(text):
+        seen["#" in text] += 1
+
+    draw()
+    assert seen[True] > 100 and seen[False] > 50, seen
+
+
 def test_parse_graph_matches_the_two_pass_reference_on_rendered_graphs(sweep):
     graphs = [g for g, _ in sweep]
     graphs += oracles.random_mpdags(seed=97, count=40, n_nodes=(6, 7, 8))
