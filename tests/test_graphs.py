@@ -76,17 +76,17 @@ def test_directed_cycle_rejected():
     "args, error, message",
     [
         ((["A", "B-$"],), GraphError, "invalid node name: 'B-\\$'"),
-        # An empty name adds nothing to the joined names; the others break them.
-        ((["A", ""],), GraphError, "invalid node name: ''"),
-        ((["É"],), GraphError, "invalid node name: 'É'"),
-        ((["A B"],), GraphError, "invalid node name: 'A B'"),
-        ((["A\nB"],), GraphError, r"invalid node name: 'A\\nB'"),
         ((["A", "B", "A"],), GraphError, "duplicate node: A"),
         ((["A", "B"], [("A", "C")]), UnknownNodeError, "unknown node: C"),
         ((["A", "B"], [("B", "B")]), GraphError, "self-loop at B"),
         ((["A", "B"], [("A", "B"), ("B", "A")]), GraphError, "more than one edge between B and A"),
         ((["A", "B"], [("A", "B")], [("B", "A")]), GraphError, "more than one edge between B and A"),
         ((["A", "B"], (), (), "tree"), GraphError, "unknown class tag: 'tree'"),
+        # An empty name adds nothing to the joined names; the others break them.
+        ((["A", ""],), GraphError, "invalid node name: ''"),
+        ((["É"],), GraphError, "invalid node name: 'É'"),
+        ((["A B"],), GraphError, "invalid node name: 'A B'"),
+        ((["A\nB"],), GraphError, r"invalid node name: 'A\\nB'"),
     ],
 )
 def test_constructor_rejects_a_bad_graph(args, error, message):
