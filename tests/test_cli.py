@@ -577,6 +577,30 @@ def test_verify_fails_on_a_cross_dag_deviation(files, capsys, monkeypatch):
     assert captured.err == "verification failed: deviation exceeds 1e-9\n"
 
 
+@pytest.mark.parametrize(
+    "deviation, printed",
+    [(5e-13, "0.000e+00"), (1e-12, "1.000e-12"), (5e-10, "5.000e-10")],
+    ids=["below-1e-12", "at-1e-12", "below-1e-9"],
+)
+def test_verify_prints_deviations_below_1e_12_as_zero(files, capsys, monkeypatch, deviation, printed):
+    """Both deviation lines print a value below 1e-12 as zero and any
+    other value in its digits; neither value fails the 1e-9 test."""
+    from mpdagid import oracle
+
+    agreement = oracle.cross_dag_agreement
+
+    def deviating(*args, **kwargs):
+        report = agreement(*args, **kwargs)
+        return oracle.AgreementReport(report.n_dags, report.n_models, deviation, deviation)
+
+    monkeypatch.setattr(oracle, "cross_dag_agreement", deviating)
+    code = main(["verify", "-g", files["mpdag4.g"], "-X", "X", "-Y", "Y1,Y2", "--models", "4"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert f"max cross-dag deviation: {printed}\n" in captured.out
+    assert f"max formula deviation: {printed}\n" in captured.out
+
+
 def test_verify_fails_when_witness_models_disagree(files, capsys, monkeypatch):
     from mpdagid import oracle
 
