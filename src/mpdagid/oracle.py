@@ -17,15 +17,21 @@ its operands and their order.
 Models are batched without changing a number.  A model may be a batch
 of models over one DAG: its CPTs, and every table derived from it, carry
 a leading model axis, and row i is bit for bit the table of model i
-alone; a single model runs the same code without that axis.  Within a
-model, one Dirichlet call draws each run of nodes of one cardinality
-(the same generator stream), the CPTs of one cardinality are checked at
+alone; a single model runs the same code without that axis.  One
+``standard_exponential`` call draws each run of nodes of one cardinality
+for every model of a batch, the CPTs of one cardinality are checked at
 once (still naming the first failing node), and the axis bookkeeping of
 refits and broadcast factors is cached per node tuple and family.
+
+``cross_dag_agreement`` draws all models of a query from one generator,
+batch after batch, and refits each family of the class once per batch
+of joints: a refit CPT depends only on the joints and the family, so
+every DAG with that family shares it, bit for bit.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -207,26 +213,37 @@ class InterventionalTable:
 
 
 def random_model(
-    dag: Pdag, cardinalities: Mapping[str, int], seed: Union[int, Sequence[int]]
+    dag: Pdag,
+    cardinalities: Mapping[str, int],
+    seed: Union[int, np.random.Generator],
+    batch: Optional[int] = None,
 ) -> DiscreteModel:
     """CPT entries drawn column-wise from a symmetric Dirichlet(1).
 
-    The generator is ``numpy.random.Generator(PCG64(seed))``, pinned so
-    golden numbers stay stable across platforms.  Each run of consecutive
-    nodes of one cardinality is drawn by one ``standard_exponential`` call
-    and sliced per node; the generator draws the rows of a call in order,
-    so this is the stream of one call per node.  Each row is summed left
-    to right and multiplied by the reciprocal of its sum, which is how
-    numpy's ``dirichlet`` draws Dirichlet(1): the draws are bit-identical
-    to one ``dirichlet(np.ones(card), n_columns)`` call per node.  A
-    sequence of seeds gives a batch, one generator per seed: row i is the
-    model of ``seed[i]``.
+    An int ``seed`` draws from ``numpy.random.Generator(PCG64(seed))``,
+    pinned so golden numbers stay stable across platforms; a ``Generator``
+    is drawn from where its stream stands, so calls on one generator draw
+    one model after another.  Each run of consecutive nodes of one
+    cardinality is drawn by one ``standard_exponential`` call and sliced
+    per node; the generator draws the rows of a call in order, so this is
+    the stream of one call per node.  Each row is summed left to right and
+    multiplied by the reciprocal of its sum, which is how numpy's
+    ``dirichlet`` draws Dirichlet(1): the draws are bit-identical to one
+    ``dirichlet(np.ones(card), n_columns)`` call per node.  With ``batch``
+    set, each run's call draws that run of every model, model after model,
+    and the model axis leads; when all nodes share one cardinality (one
+    run), row i is the model the i-th of ``batch`` calls without
+    ``batch`` on the same generator would draw.
     """
-    batched = isinstance(seed, Sequence)
-    if batched and not seed:
+    if batch is not None and batch < 1:
         raise GraphError("a batch holds at least one model")
-    rngs = [np.random.Generator(np.random.PCG64(s)) for s in (seed if batched else [seed])]
-    lead = (len(rngs),) if batched else ()
+    if isinstance(seed, np.random.Generator):
+        rng = seed
+    elif isinstance(seed, (int, np.integer)):
+        rng = np.random.Generator(np.random.PCG64(seed))
+    else:
+        raise TypeError("seed must be an int or a numpy.random.Generator")
+    lead = () if batch is None else (batch,)
     shapes = {
         v: (cardinalities[v], *(cardinalities[p] for p in sorted(dag.parents_of(v))))
         for v in dag.nodes
@@ -234,9 +251,7 @@ def random_model(
     cpts: dict[str, np.ndarray] = {}
     for card, run in itertools.groupby(dag.nodes, key=lambda v: shapes[v][0]):
         n_cols = {v: math.prod(shapes[v][1:]) for v in run}
-        size = (sum(n_cols.values()), card)
-        draws = [rng.standard_exponential(size) for rng in rngs]
-        draw = np.stack(draws) if batched else draws[0]
+        draw = rng.standard_exponential((*lead, sum(n_cols.values()), card))
         total = draw[..., 0].copy()
         for i in range(1, card):
             total += draw[..., i]
@@ -246,7 +261,7 @@ def random_model(
             cpt = draw[..., row : row + n, :].swapaxes(-1, -2).reshape(*lead, *shapes[v])
             cpts[v] = np.ascontiguousarray(cpt)
             row += n
-    return DiscreteModel(dag, dict(cardinalities), cpts, batch=len(rngs) if batched else None)
+    return DiscreteModel(dag, dict(cardinalities), cpts, batch=batch)
 
 
 def _check_cap(cards: Mapping[str, int], nodes: Sequence[str]) -> None:
@@ -284,26 +299,45 @@ def joint_table(m: DiscreteModel) -> np.ndarray:
 
 
 def model_from_joint(
-    joint: np.ndarray, nodes: Sequence[str], cards: Mapping[str, int], dag: Pdag
+    joint: np.ndarray,
+    nodes: Sequence[str],
+    cards: Mapping[str, int],
+    dag: Pdag,
+    fits: Optional[dict[tuple[str, ...], np.ndarray]] = None,
 ) -> DiscreteModel:
     """Refactor a joint according to another DAG over the same nodes.
 
     A joint with a leading model axis gives a batch of that many models.
     Conditionals at zero-probability parent configurations are filled
-    uniformly; they carry no mass.
+    uniformly; they carry no mass.  ``fits``, when given, holds CPTs
+    already refit from this same ``joint``, keyed by family
+    ``(v, *sorted(parents))``: a family found there is not refit again,
+    and each family refit here is added, so the DAGs of a class refit a
+    family they share once.  A dict serves one joint only.
     """
     nodes = tuple(nodes)
     lead = joint.ndim - len(nodes)
+    fits = {} if fits is None else fits
     cpts: dict[str, np.ndarray] = {}
     for v in dag.nodes:
-        drop, perm = _family_layout(nodes, (v, *sorted(dag.parents_of(v))), lead)
-        marg = joint.sum(axis=drop).transpose(perm)
-        den = marg.sum(axis=lead, keepdims=True)
-        if den.all():
-            cpts[v] = marg / den
-        else:
-            cpts[v] = np.divide(marg, den, out=np.full_like(marg, 1.0 / cards[v]), where=den > 0)
+        family = (v, *sorted(dag.parents_of(v)))
+        if family not in fits:
+            fits[family] = _refit_family(joint, nodes, family, cards[v], lead)
+        cpts[v] = fits[family]
     return DiscreteModel(dag, dict(cards), cpts, batch=joint.shape[0] if lead else None)
+
+
+def _refit_family(
+    joint: np.ndarray, nodes: tuple[str, ...], family: tuple[str, ...], card: int, lead: int
+) -> np.ndarray:
+    """The CPT of ``family`` (node first, then its sorted parents) in a
+    joint with ``lead`` model axes, uniform where the parents have no mass."""
+    drop, perm = _family_layout(nodes, family, lead)
+    marg = joint.sum(axis=drop).transpose(perm)
+    den = marg.sum(axis=lead, keepdims=True)
+    if den.all():
+        return marg / den
+    return np.divide(marg, den, out=np.full_like(marg, 1.0 / card), where=den > 0)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -507,33 +541,38 @@ def cross_dag_agreement(
     """Check that every represented DAG assigns the same interventional law
     and that the formula reproduces it.
 
-    Random model k (seed ``seed + k``) is drawn on ``dags[k % len(dags)]``;
-    its joint is refactored along every other DAG in the class, and the
-    truncated factorization is compared across DAGs and against the
-    formula, over all intervention configurations at once.  The models of
-    one base DAG are drawn as one batch and each DAG refits all joints at
-    once, in passes of at most ``CONFIG_CAP`` stacked joint cells.
+    Random model k is drawn on ``dags[k % len(dags)]``; its joint is
+    refactored along every other DAG in the class, and the truncated
+    factorization is compared across DAGs and against the formula, over
+    all intervention configurations at once.  The models are taken in
+    passes of at most ``CONFIG_CAP`` stacked joint cells.  All come from
+    the one generator ``Generator(PCG64(seed))``: in each pass, the models
+    of each base DAG, in base order, as one batch.  Each DAG refits all
+    joints of the pass at once, and the DAGs share the CPT of each family
+    they have in common, refit once per pass.
     """
     g = require_mpdag(g)
     xs, ys = g.require(X), g.require(Y)
     if dags is None:
         dags = enumerate_dags(g)
     cards = {n: card for n in g.nodes}
+    rng = np.random.Generator(np.random.PCG64(seed))
     max_tv = max_formula = 0.0
     step = max(1, CONFIG_CAP // card ** len(g.nodes))
     for start in range(0, n_models, step):
         ks = range(start, min(start + step, n_models))
-        seeds = {b: [seed + k for k in ks if k % len(dags) == b] for b in range(len(dags))}
-        models = {b: random_model(dags[b], cards, s) for b, s in seeds.items() if s}
+        counts = collections.Counter(k % len(dags) for k in ks)  # models per base DAG
+        models = {b: random_model(dags[b], cards, rng, batch=counts[b]) for b in sorted(counts)}
         joints = np.concatenate([joint_table(m) for m in models.values()])
         bounds = itertools.accumulate((m.batch for m in models.values()), initial=0)
         rows = dict(zip(models, itertools.pairwise(bounds)))
+        fits: dict[tuple[str, ...], np.ndarray] = {}  # family -> CPT refit from ``joints``
         tables = []
         for b, d in enumerate(dags):
             if len(models) == 1 and b in models:
                 table = gformula_table(models[b], xs, ys)
             else:
-                table = gformula_table(model_from_joint(joints, g.nodes, cards, d), xs, ys)
+                table = gformula_table(model_from_joint(joints, g.nodes, cards, d, fits), xs, ys)
                 if b in models:
                     # A base model keeps its drawn CPTs, not their refit.
                     table.table[slice(*rows[b])] = gformula_table(models[b], xs, ys).table

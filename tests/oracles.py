@@ -960,19 +960,25 @@ def reference_gformula_table(m, X, Y) -> np.ndarray:
     return np.transpose(table, [kept.index(n) for n in target])
 
 
-def reference_random_model(dag: Pdag, cardinalities, seed: int) -> dict:
+def reference_random_model(dag: Pdag, cardinalities, seed, batch=None) -> dict:
     """The CPTs of ``random_model``, drawn with one ``dirichlet`` call per
-    node."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    cpts = {}
-    for v in dag.nodes:
-        pa = sorted(dag.parents_of(v))
-        n_cols = math.prod(cardinalities[p] for p in pa) if pa else 1
-        draw = rng.dirichlet(np.ones(cardinalities[v]), size=n_cols)
-        cpts[v] = np.ascontiguousarray(
-            draw.T.reshape((cardinalities[v],) + tuple(cardinalities[p] for p in pa))
-        )
-    return cpts
+    node and model: for each run of nodes of one cardinality, model after
+    model, node after node.  ``seed`` is an int or a ``Generator``."""
+    rng = seed
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.Generator(np.random.PCG64(seed))
+    models = 1 if batch is None else batch
+    tables = {v: [] for v in dag.nodes}
+    for _, run in itertools.groupby(dag.nodes, key=lambda v: cardinalities[v]):
+        run = list(run)
+        for _ in range(models):
+            for v in run:
+                pa = sorted(dag.parents_of(v))
+                n_cols = math.prod(cardinalities[p] for p in pa) if pa else 1
+                draw = rng.dirichlet(np.ones(cardinalities[v]), size=n_cols)
+                shape = (cardinalities[v],) + tuple(cardinalities[p] for p in pa)
+                tables[v].append(np.ascontiguousarray(draw.T.reshape(shape)))
+    return {v: t[0] if batch is None else np.stack(t) for v, t in tables.items()}
 
 
 def reference_model_from_joint(joint, nodes, cards, dag: Pdag) -> dict:
@@ -1018,33 +1024,44 @@ def reference_id_formula_table(f, m) -> np.ndarray:
 
 
 def reference_cross_dag_agreement(g, X, Y, formula, *, n_models=20, seed=0, card=2, dags=None):
-    """``cross_dag_agreement`` one model at a time, as it was computed
-    before models were batched: model k is drawn on ``dags[k % len(dags)]``
-    with seed ``seed + k``, refitted along every other DAG, and compared.
-    The first error raised is that of the first failing model."""
+    """``cross_dag_agreement`` one model at a time: model k is drawn on
+    ``dags[k % len(dags)]``, refitted along every other DAG on its own, and
+    compared.  Every model comes from the one generator
+    ``Generator(PCG64(seed))``, in the order the batched code draws them:
+    in passes of at most ``CONFIG_CAP`` stacked joint cells and, within a
+    pass, base DAG by base DAG.  Every node has cardinality ``card``, so
+    each model is one ``standard_exponential`` call of the stream a
+    batched draw makes.  The first error raised is that of the first
+    failing model in draw order."""
     from mpdagid import oracle  # here, so importing this module leaves the oracle unloaded
 
     g = require_mpdag(g)
     xs, ys = g.require(X), g.require(Y)
     if dags is None:
         dags = oracle.enumerate_dags(g)
-    cards = {n: card for n in g.nodes}
+    nodes = g.nodes
+    cards = {n: card for n in nodes}
+    rng = np.random.Generator(np.random.PCG64(seed))
+    step = max(1, oracle.CONFIG_CAP // card ** len(nodes))
     max_tv = 0.0
     max_formula = 0.0
-    for k in range(n_models):
-        base = dags[k % len(dags)]
-        model = oracle.random_model(base, cards, seed=seed + k)
-        joint = oracle.joint_table(model)
-        reference = None
-        for d in dags:
-            refit = model if d is base else oracle.model_from_joint(joint, g.nodes, cards, d)
-            table = oracle.gformula_table(refit, xs, ys)
-            if reference is None:
-                reference = table
-            else:
-                max_tv = max(max_tv, reference.max_tv(table))
-        formula_table = oracle.id_formula_table(formula, model)
-        max_formula = max(max_formula, reference.max_tv(formula_table))
+    for start in range(0, n_models, step):
+        for b, base in enumerate(dags):
+            for k in range(start, min(start + step, n_models)):
+                if k % len(dags) != b:
+                    continue
+                model = oracle.random_model(base, cards, rng)
+                joint = oracle.joint_table(model)
+                reference = None
+                for d in dags:
+                    refit = model if d is base else oracle.model_from_joint(joint, nodes, cards, d)
+                    table = oracle.gformula_table(refit, xs, ys)
+                    if reference is None:
+                        reference = table
+                    else:
+                        max_tv = max(max_tv, reference.max_tv(table))
+                formula_table = oracle.id_formula_table(formula, model)
+                max_formula = max(max_formula, reference.max_tv(formula_table))
     return oracle.AgreementReport(len(dags), n_models, max_tv, max_formula)
 
 

@@ -512,8 +512,9 @@ def _assert_same_cpts(got, want):
 
 
 def test_draws_and_refits_equal_per_node_reference(sweep):
-    """``random_model``'s batched draws and ``model_from_joint``'s cached
-    layouts give the CPTs of the per-node code bit for bit, under four
+    """``random_model``'s draws, single and batched, and
+    ``model_from_joint``'s cached layouts give the CPTs of the per-node
+    code bit for bit, under four
     cardinality patterns, on the sweep and on 6-8-node MPDAGs, also on a
     joint where some parent configurations have no mass."""
     graphs = list(sweep)
@@ -528,6 +529,8 @@ def test_draws_and_refits_equal_per_node_reference(sweep):
             base = dags[gi % len(dags)]
             m = random_model(base, cards, seed=gi)
             _assert_same_cpts(m.cpts, oracles.reference_random_model(base, cards, seed=gi))
+            batch = random_model(base, cards, gi, batch=3)
+            _assert_same_cpts(batch.cpts, oracles.reference_random_model(base, cards, gi, batch=3))
             # No mass where the first node takes its first value.
             starved = joint_table(m).copy()
             starved[0] = 0.0
@@ -610,16 +613,26 @@ def test_batched_tables_equal_per_model_rows(sweep, larger):
     """Each row of a batched ``random_model``, ``joint_table``,
     ``model_from_joint``, ``gformula_table`` and ``id_formula_table`` is
     the single model's table, bit for bit, also for refits of a stack of
-    joints in which one model has no mass at some parent configurations."""
-    rows = 0
+    joints in which one model has no mass at some parent configurations.
+    With one cardinality for all nodes, the single models are drawn one
+    after another from the batch's generator; otherwise they are the
+    batch's rows."""
+    rows = one_run = 0
     for gi, (g, dags) in enumerate([*sweep[::3], *larger]):
         pattern = CARD_PATTERNS[gi % len(CARD_PATTERNS)]
         cards = {v: pattern[i % len(pattern)] for i, v in enumerate(g.nodes)}
         base = dags[gi % len(dags)]
-        seeds = [gi, 1000 + gi, 2000 + gi]
-        batch = random_model(base, cards, seeds)
-        singles = [random_model(base, cards, s) for s in seeds]
-        assert batch.batch == len(seeds) and all(m.batch is None for m in singles)
+        batch = random_model(base, cards, gi, batch=3)
+        if len(set(cards.values())) == 1:
+            rng = np.random.Generator(np.random.PCG64(gi))
+            singles = [random_model(base, cards, rng) for _ in range(3)]
+            one_run += 1
+        else:
+            singles = [
+                DiscreteModel(base, cards, {v: t[i] for v, t in batch.cpts.items()})
+                for i in range(3)
+            ]
+        assert batch.batch == 3 and all(m.batch is None for m in singles)
         joints = joint_table(batch).copy()
         joints[1, 0] = 0.0  # no mass where model 1's first node takes its first value
         single_joints = [joint_table(m) for m in singles]
@@ -645,7 +658,46 @@ def test_batched_tables_equal_per_model_rows(sweep, larger):
                     want = gformula_table(single, xs, ys).table
                     assert np.array_equal(gformula_table(refit, xs, ys).table[i], want)
                 rows += 1
-    assert rows > 500
+    assert rows > 500 and one_run > 10
+
+
+def test_shared_refits_equal_per_dag_refits(sweep, larger):
+    """Refits of one stack of joints that share each family's CPT across
+    the DAGs of the class, through one ``fits`` dict, equal the per-DAG
+    refits bit for bit, also where one model has no mass at some parent
+    configurations."""
+    shared = 0
+    for gi, (g, dags) in enumerate([*sweep, *larger]):
+        pattern = CARD_PATTERNS[gi % len(CARD_PATTERNS)]
+        cards = {v: pattern[i % len(pattern)] for i, v in enumerate(g.nodes)}
+        joints = joint_table(random_model(dags[gi % len(dags)], cards, gi, batch=3)).copy()
+        joints[1, 0] = 0.0  # no mass where model 1's first node takes its first value
+        fits: dict = {}
+        for d in dags:
+            got = model_from_joint(joints, g.nodes, cards, d, fits)
+            _assert_same_cpts(got.cpts, model_from_joint(joints, g.nodes, cards, d).cpts)
+        shared += len(dags) * len(g.nodes) - len(fits)
+    assert shared > 1000  # family refits the dict saved
+
+
+def test_agreement_refits_each_family_once_per_pass(oracle_calls, monkeypatch):
+    """On X -> every node of K_6 (720 DAGs of 7 nodes) with 20 models, the
+    one pass refits 720 DAGs but each of their 193 distinct families once,
+    not the 5,040 families of the DAGs one by one."""
+    clique = [f"K{i}" for i in range(6)]
+    edges = [f"{a} -- {b}" for a, b in itertools.combinations(clique, 2)]
+    g = parse_graph("\n".join([f"X -> {v}" for v in clique] + edges))
+    refits = collections.Counter()
+    refit_family = oracle._refit_family
+
+    def counted(joint, nodes, family, card, lead):
+        refits[family] += 1
+        return refit_family(joint, nodes, family, card, lead)
+
+    monkeypatch.setattr(oracle, "_refit_family", counted)
+    report = cross_dag_agreement(g, {"X"}, {"K0"}, identify(g, {"X"}, {"K0"}).formula, n_models=20)
+    assert report.n_dags == 720 and oracle_calls["model_from_joint"] == 720
+    assert len(refits) == sum(refits.values()) == 193
 
 
 def test_batched_model_checks():
@@ -661,20 +713,14 @@ def test_batched_model_checks():
     with pytest.raises(GraphError, match="at least one model"):
         DiscreteModel(g, cards, {v: t[:0] for v, t in stacked.items()}, batch=0)
     with pytest.raises(GraphError, match="at least one model"):
-        random_model(g, cards, [])
+        random_model(g, cards, 0, batch=0)
+    with pytest.raises(TypeError, match="an int or a numpy.random.Generator"):
+        random_model(g, cards, [0, 1])
     bad = {v: t.copy() for v, t in stacked.items()}
     bad["B"][1, 0, 0] = 0.5  # model 1 fails at B
     bad["A"][2, 0] = 0.7  # model 2 fails at A
     with pytest.raises(GraphError, match="^cpt columns at B must be distributions$"):
         DiscreteModel(g, cards, bad, batch=3)
-
-
-class _SeededPCG64(np.random.PCG64):
-    """A PCG64 that remembers its seed."""
-
-    def __init__(self, seed=None):
-        super().__init__(seed)
-        self.seed = seed
 
 
 def _no_mass_off_zero(draw):
@@ -698,23 +744,28 @@ def _not_a_distribution(draw):
     ids=["chain", "covar5", "mpdag4"],
 )
 def test_batched_agreement_raises_the_reference_error(monkeypatch, corrupt, error, text, X, Y):
-    """A failure forced into model 7 alone (no mass off each node's first
-    value, so a conditional of the formula is undefined, or a CPT column
-    with a negative entry) raises in the batched agreement the class and
-    message the per-model loop raises."""
+    """A failure forced into the eighth model drawn alone (no mass off
+    each node's first value, so a conditional of the formula is undefined,
+    or a CPT column with a negative entry) raises in the batched agreement
+    the class and message the per-model loop raises.  The model is picked
+    by its row in the generator's stream, which the batched draws and the
+    per-model draws share."""
     g = parse_graph(text)
     xs, ys = set(X.split(",")), set(Y.split(","))
     f = identify(g, xs, ys).formula
-    seed, k = 40, 7
+    seed, row = 40, 7
 
     class Corrupting(np.random.Generator):
+        drawn = 0  # models drawn from this generator so far
+
         def standard_exponential(self, size=None):
             draw = super().standard_exponential(size)
-            if self.bit_generator.seed == seed + k:
-                corrupt(draw)
+            models = draw.reshape(-1, *draw.shape[-2:])  # a view, one block per model
+            if self.drawn <= row < self.drawn + len(models):
+                corrupt(models[row - self.drawn])
+            self.drawn += len(models)
             return draw
 
-    monkeypatch.setattr(np.random, "PCG64", _SeededPCG64)
     monkeypatch.setattr(np.random, "Generator", Corrupting)
     with pytest.raises(error) as want:
         oracles.reference_cross_dag_agreement(g, xs, ys, f, seed=seed)
