@@ -582,7 +582,9 @@ def test_verify_fails_on_a_cross_dag_deviation(files, capsys, monkeypatch):
     [(5e-13, "0.000e+00"), (1e-12, "1.000e-12"), (5e-10, "5.000e-10")],
     ids=["below-1e-12", "at-1e-12", "below-1e-9"],
 )
-def test_verify_prints_deviations_below_1e_12_as_zero(files, capsys, monkeypatch, deviation, printed):
+def test_verify_prints_deviations_below_1e_12_as_zero(
+    files, capsys, monkeypatch, deviation, printed
+):
     """Both deviation lines print a value below 1e-12 as zero and any
     other value in its digits; neither value fails the 1e-9 test."""
     from mpdagid import oracle

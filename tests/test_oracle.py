@@ -514,9 +514,9 @@ def _assert_same_cpts(got, want):
 def test_draws_and_refits_equal_per_node_reference(sweep):
     """``random_model``'s draws, single and batched, and
     ``model_from_joint``'s cached layouts give the CPTs of the per-node
-    code bit for bit, under four
-    cardinality patterns, on the sweep and on 6-8-node MPDAGs, also on a
-    joint where some parent configurations have no mass."""
+    code bit for bit, under four cardinality patterns, on the sweep and on
+    6-8-node MPDAGs, also on a joint where some parent configurations
+    have no mass."""
     graphs = list(sweep)
     graphs += [
         (g, enumerate_dags(g))
