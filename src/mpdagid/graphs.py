@@ -3,7 +3,7 @@
 A :class:`Pdag` holds directed and undirected edges with at most one edge
 per node pair and no directed cycles.  Graph values are immutable after
 construction, so they hash, compare, and can be shared across threads:
-a read writes only the private hash and rank memos, equal for any reader.
+a read writes only the private hash memo, equal for any reader.
 :func:`parse_graph` tokenises edge-list text and builds through the
 checking constructor, which checks each name and edge once; only text it
 refuses is scanned again, line by line, for the line to report.
@@ -85,9 +85,7 @@ class Pdag:
     checks through :meth:`_trusted`, the one unchecked constructor, their
     maker vouching for the tag: closures, enumeration leaves, graphs
     ``meek.require_mpdag`` has just checked, the DAG
-    ``meek.consistent_extension`` reads off a rank, and induced subgraphs.
-    A tagged graph may carry in the private ``_rank`` a memo of one DAG it
-    represents, an untagged one never does; ``meek`` makes and reads it.
+    ``meek.consistent_extension`` finds, and induced subgraphs.
 
     The private ``_adj`` is a plain dict from each node to its closed
     neighbourhood ``N(n) | {n}``.  Orientation keeps the skeleton, so the
@@ -105,7 +103,6 @@ class Pdag:
         "_parents",
         "_children",
         "_und",
-        "_rank",
         "_adj",
         "_hash",
     )
@@ -160,14 +157,16 @@ class Pdag:
         if class_tag not in ("pdag", "dag", "cpdag", "mpdag"):
             raise GraphError(f"unknown class tag: {class_tag!r}")
         edges = frozenset(d_edges), frozenset(u_edges)
-        self._lay_out(tuple(adj), edges, parents, children, und, class_tag, None, adj)
+        self._lay_out(tuple(adj), edges, parents, children, und, class_tag, adj)
 
-        # A tagged graph keeps the removal order of its check as its rank.
+        # A tagged graph must represent a DAG.  A removal order exists only
+        # for an acyclic graph, so the cycle test runs only without one.
         from . import meek
 
+        order = None
         if class_tag != "pdag":
-            self._rank = meek._removal_order(self.nodes, parents, children, und, self._adj)
-        if self._rank is None and d_edges:
+            order = meek._removal_order(self.nodes, parents, children, und, adj)
+        if order is None and d_edges:
             if len(topological_order(self.nodes, parents, children)) < len(self.nodes):
                 raise GraphError("graph contains a directed cycle")
         if class_tag == "dag" and u_edges:
@@ -177,13 +176,13 @@ class Pdag:
                 raise GraphError(
                     f"{class_tag} tag rejected: an orientation rule still fires"
                 )
-            if self._rank is None:
+            if order is None:
                 raise GraphError(
                     f"{class_tag} tag rejected: the graph represents no DAG "
                     "(no consistent extension exists)"
                 )
 
-    def _lay_out(self, nodes, edges, parents, children, und, class_tag, rank, adj) -> None:
+    def _lay_out(self, nodes, edges, parents, children, und, class_tag, adj) -> None:
         """Set every field; the one place that lays out a graph.  Every
         caller hands over the ``(directed, undirected)`` edge frozensets and
         the neighbourhood map.  ``edges`` stays one argument: unpacking
@@ -195,7 +194,6 @@ class Pdag:
         self._children = children
         self._und = und
         self.class_tag = class_tag
-        self._rank = rank
         self._adj = adj
         self._hash = None
 
@@ -208,7 +206,6 @@ class Pdag:
         und: dict[str, set[str]],
         class_tag: ClassTag,
         edges: Optional[tuple[frozenset, frozenset]] = None,
-        rank: Optional[dict[str, int]] = None,
         adj: Optional[dict[str, set[str]]] = None,
     ) -> "Pdag":
         """A graph that adopts the caller's parent, child and undirected
@@ -217,9 +214,9 @@ class Pdag:
         The caller vouches for everything ``class_tag`` asserts and hands
         the sets over: they must not change afterwards.  ``edges``, the
         ``(directed, undirected)`` frozensets, is derived from the sets
-        when not given; ``rank`` becomes the graph's ``_rank``; ``adj``,
-        the neighbourhood map of a graph with the same skeleton, becomes
-        its ``_adj`` (built from the sets when not given).
+        when not given; ``adj``, the neighbourhood map of a graph with the
+        same skeleton, becomes its ``_adj`` (built from the sets when not
+        given).
         """
         g = object.__new__(cls)
         if edges is None:
@@ -229,7 +226,7 @@ class Pdag:
             )
         if adj is None:
             adj = {n: parents[n] | children[n] | und[n] | {n} for n in nodes}
-        g._lay_out(nodes, edges, parents, children, und, class_tag, rank, adj)
+        g._lay_out(nodes, edges, parents, children, und, class_tag, adj)
         return g
 
     @staticmethod
@@ -261,17 +258,11 @@ class Pdag:
     def und_neighbors(self, node: str) -> frozenset[str]:
         return frozenset(self._und[node])
 
-    def neighbors(self, node: str) -> frozenset[str]:
-        return frozenset(self._parents[node] | self._children[node] | self._und[node])
-
     def adjacent(self, a: str, b: str) -> bool:
         return b in self._parents[a] or b in self._children[a] or b in self._und[a]
 
     def has_directed(self, tail: str, head: str) -> bool:
         return (tail, head) in self.directed
-
-    def has_undirected(self, a: str, b: str) -> bool:
-        return (min(a, b), max(a, b)) in self.undirected
 
     def __eq__(self, other) -> bool:
         # Value equality: node set and edge sets; presentation order and

@@ -18,18 +18,16 @@ orientation, re-evaluates only the edges whose rule inputs it changed
 knowledge").
 
 A tagged graph (``dag``, ``cpdag`` or ``mpdag``) represents at least one
-DAG; ``_rank`` is a memo of one; an untagged graph never carries one.
-The rank of a DAG D is the private ``Pdag._rank``: each node's position
-in a sinks-first removal order of D, so D points every edge from the
-higher rank to the lower.  ``graphs`` only stores it; this module makes
-and reads it.  The checking constructor, :func:`require_mpdag` and the
-full check of :func:`close` keep the order their :func:`_removal_order`
-pass finds, and :func:`consistent_extension` reads D off it, filling a
-missing one.  The rules are complete under background knowledge (Meek
-1995), so a checked MPDAG orients each undirected edge both ways among
-the DAGs it represents, and closing it with one pair on one of them
-gives an MPDAG: no rule demands the reverse of an orientation, and no
-removal-order pass is needed, so :func:`close` runs neither check.
+DAG.  A :func:`_removal_order` pass decides whether a graph does: the
+checking constructor, :func:`require_mpdag` and the full check of
+:func:`close` run it, and :func:`consistent_extension` runs it again to
+find one such DAG, which points every undirected edge from the node
+removed later to the one removed earlier.  The rules are complete under
+background knowledge (Meek 1995), so a checked MPDAG orients each
+undirected edge both ways among the DAGs it represents, and closing it
+with one pair on one of them gives an MPDAG: no rule demands the
+reverse of an orientation, and no removal-order pass is needed, so
+:func:`close` runs neither check.
 :func:`enumerate_dags` walks such one-pair closes down to a closure with
 one undirected edge, and orients that edge both ways without a close: by
 the same completeness each orientation is a DAG of the class, and no
@@ -144,10 +142,10 @@ def _sink_order(
 
 def _removal_order(
     nodes: Sequence[str], pa: NodeSets, ch: NodeSets, und: NodeSets, adj: NodeSets
-) -> Optional[dict[str, int]]:
-    """Each node's position in a sinks-first removal order of one DAG that
-    the graph represents, or ``None`` when it represents none (a directed
-    cycle, or no consistent extension).
+) -> Optional[list[str]]:
+    """The nodes in a sinks-first removal order of one DAG that the graph
+    represents, or ``None`` when it represents none (a directed cycle, or
+    no consistent extension).
 
     With undirected edges this is Dor-Tarsi sink elimination; without
     them a reversed topological order removes sinks first, and its keyed
@@ -155,25 +153,21 @@ def _removal_order(
     picks between the two passes.
     """
     if any(und.values()):
-        order = _sink_order(nodes, pa, ch, und, adj)
-    else:
-        order = topological_order(nodes, pa, ch)[::-1]
-        if len(order) < len(nodes):
-            order = None
-    return None if order is None else {v: i for i, v in enumerate(order)}
+        return _sink_order(nodes, pa, ch, und, adj)
+    order = topological_order(nodes, pa, ch)[::-1]
+    return order if len(order) == len(nodes) else None
 
 
 def consistent_extension(g: Pdag) -> Pdag:
-    """The DAG that the MPDAG ``g``, tagged other than ``pdag``, carries,
-    tagged ``dag`` and sharing ``g``'s rank and neighbourhood map.  A
-    missing rank is found by one removal-order pass and kept on ``g``."""
-    pa, ch, und, rank = g._parents, g._children, g._und, g._rank
-    if rank is None:
-        rank = g._rank = _removal_order(g.nodes, pa, ch, und, g._adj)
+    """One DAG that the MPDAG ``g``, tagged other than ``pdag``,
+    represents, tagged ``dag`` and sharing ``g``'s neighbourhood map.  One
+    removal-order pass over ``g``'s sets finds it; ``g`` is not changed."""
+    pa, ch, und = g._parents, g._children, g._und
+    rank = {v: i for i, v in enumerate(_removal_order(g.nodes, pa, ch, und, g._adj))}
     parents = {v: pa[v] | {w for w in und[v] if rank[w] > rank[v]} for v in g.nodes}
     children = {v: ch[v] | {w for w in und[v] if rank[w] < rank[v]} for v in g.nodes}
     no_und = dict.fromkeys(g.nodes, frozenset())
-    return Pdag._trusted(g.nodes, parents, children, no_und, "dag", None, rank, g._adj)
+    return Pdag._trusted(g.nodes, parents, children, no_und, "dag", None, g._adj)
 
 
 def is_mpdag(g: Pdag) -> bool:
@@ -197,11 +191,10 @@ def require_mpdag(g: Pdag) -> Pdag:
         return g
     if not is_mpdag(g):
         raise GraphError("graph is not maximally oriented; close it first")
-    rank = _removal_order(g.nodes, g._parents, g._children, g._und, g._adj)
-    if rank is None:
+    if _removal_order(g.nodes, g._parents, g._children, g._und, g._adj) is None:
         raise GraphError("closure represents no DAG (no consistent extension exists)")
     edges = (g.directed, g.undirected)
-    return Pdag._trusted(g.nodes, g._parents, g._children, g._und, "mpdag", edges, rank, g._adj)
+    return Pdag._trusted(g.nodes, g._parents, g._children, g._und, "mpdag", edges, g._adj)
 
 
 def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
@@ -213,13 +206,11 @@ def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
     contains every directed edge of the input, has ``g``'s skeleton and
     shares ``g``'s neighbourhood map.  An untagged ``g``, the way every
     input enters, and knowledge that orients two or more edges are
-    checked in full, and the result keeps the rank that check finds.  A
-    tagged ``g`` with knowledge that orients at most one edge runs no
-    check, neither for reverse demands nor for an extension (the module
-    docstring says why); its result keeps ``g``'s rank when nothing was
-    oriented and carries none otherwise.  That trusted path, each branch
-    step of :func:`enumerate_dags`, relies on the tag vouching for a
-    checked MPDAG.  The knowledge checks still run on it, in the same
+    checked in full.  A tagged ``g`` with knowledge that orients at most
+    one edge runs no check, neither for reverse demands nor for an
+    extension (the module docstring says why).  That trusted path, each
+    branch step of :func:`enumerate_dags`, relies on the tag vouching for
+    a checked MPDAG.  The knowledge checks still run on it, in the same
     order with the same messages; they read ``g._adj`` for the node and
     adjacency tests, so ``g``'s neighbourhood map must be exact.  Each
     step applies the least (rule index, then edge) application; the
@@ -322,27 +313,23 @@ def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
         suspects += [(head, v) for v in ch[head] if (head, v) in oriented]
         _check_no_reverse_demand(pa, ch, und, adj, sorted(suspects, key=oriented.__getitem__))
 
-    if trusted:
-        rank = None if oriented else g._rank
-    else:
-        # The removal-order pass also gets stuck on a directed cycle, so it
-        # decides alone; the cycle test only picks the message.
-        rank = _removal_order(nodes, pa, ch, und, adj)
-        if rank is None:
-            if len(topological_order(nodes, pa, ch)) < len(nodes):
-                raise InconsistentKnowledgeError(
-                    "closure creates a directed cycle; knowledge is inconsistent"
-                )
+    # The removal-order pass also gets stuck on a directed cycle, so it
+    # decides alone; the cycle test only picks the message.
+    if not trusted and _removal_order(nodes, pa, ch, und, adj) is None:
+        if len(topological_order(nodes, pa, ch)) < len(nodes):
             raise InconsistentKnowledgeError(
-                "closure represents no DAG (no consistent extension exists)"
+                "closure creates a directed cycle; knowledge is inconsistent"
             )
+        raise InconsistentKnowledgeError(
+            "closure represents no DAG (no consistent extension exists)"
+        )
     # Reached the rule fixpoint, acyclic and extendable: an MPDAG (Meek
     # 1995).  An untagged input still gets the boundary rule check.
     edges = (
         g.directed.union(oriented),
         g.undirected.difference([(t, h) if t < h else (h, t) for t, h in oriented]),
     )
-    closed = Pdag._trusted(nodes, pa, ch, und, "mpdag", edges, rank, adj)
+    closed = Pdag._trusted(nodes, pa, ch, und, "mpdag", edges, adj)
     if g.class_tag == "pdag" and not is_mpdag(closed):
         raise GraphError("closure is not maximally oriented")
     return closed
@@ -389,8 +376,7 @@ def _depth_first(h: Pdag) -> Iterator[Pdag]:
     edge ``(a, b)`` is not branched: its two leaves, ``a -> b`` first, are
     laid out without a close (the module docstring says why too).  A leaf
     is laid out once, tagged ``dag``, unchecked; it shares the root's
-    neighbourhood map, and one that orients an edge carries no rank, as a
-    branch close leaves it.  A branch is closed only when popped, so a
+    neighbourhood map.  A branch is closed only when popped, so a
     caller that stops early closes no branch it did not reach.
     """
     order = sorted(h.undirected)
@@ -416,12 +402,10 @@ def _depth_first(h: Pdag) -> Iterator[Pdag]:
                 pa[head] = pa[head] | {tail}
                 ch[tail] = ch[tail] | {head}
                 edges = (g.directed | {(tail, head)}, frozenset())
-                yield Pdag._trusted(g.nodes, pa, ch, no_und, "dag", edges, None, g._adj)
+                yield Pdag._trusted(g.nodes, pa, ch, no_und, "dag", edges, g._adj)
         else:
             edges = (g.directed, und)
-            yield Pdag._trusted(
-                g.nodes, g._parents, g._children, g._und, "dag", edges, g._rank, g._adj
-            )
+            yield Pdag._trusted(g.nodes, g._parents, g._children, g._und, "dag", edges, g._adj)
 
 
 def parse_background_knowledge(text: str) -> BackgroundKnowledge:

@@ -483,12 +483,13 @@ def nonid_witness(
     and different interventional means.
 
     The amenability witness q = <X, V1, ..., Y> is realized as
-    X -> V1 -> ... -> Y in the DAG that the closure of ``g`` under that
-    orientation carries, and as X <- V1 -> ... -> Y in the one the other
-    closure carries (:class:`GraphError` when either closure fails).  Each
-    path edge has coefficient 0.5 and every other edge zero, so both
-    models share the same covariance while E[Y | do(x)] differs by the
-    product of the path coefficients (returned as ``delta``).
+    X -> V1 -> ... -> Y in the DAG ``meek.consistent_extension`` finds for
+    the closure of ``g`` under that orientation, and as X <- V1 -> ... -> Y
+    in the one it finds for the other closure (:class:`GraphError` when
+    either closure fails).  Each path edge has coefficient 0.5 and every
+    other edge zero, so both models share the same covariance while
+    E[Y | do(x)] differs by the product of the path coefficients (returned
+    as ``delta``).
     """
     g = require_mpdag(g)
     xs = g.require(X)

@@ -7,7 +7,7 @@ path exists, the forbidden set) are answered by the one search behind
 The separation questions (d-separation, and the blocked non-causal
 paths of the adjustment criterion) are answered by one Bayes-ball
 reachability (Shachter 1998, "Bayes-Ball: the rational pastime") over
-the DAG that the checked MPDAG carries (``meek.consistent_extension``),
+one DAG the checked MPDAG represents (``meek.consistent_extension``),
 since Markov equivalent DAGs share their d-separations.
 """
 

@@ -44,7 +44,7 @@ from mpdagid import (
     UnknownNodeError,
     close,
 )
-from mpdagid.meek import consistent_extension, require_mpdag
+from mpdagid.meek import require_mpdag
 
 
 # --------------------------------------------------------------------------
@@ -77,7 +77,7 @@ def witness_exists(g: Pdag, X, Y) -> bool:
             for path in simple_paths(g, x, y):
                 if any(n in xs for n in path[1:]):
                     continue
-                if not g.has_undirected(path[0], path[1]):
+                if path[1] not in g.und_neighbors(path[0]):
                     continue
                 if possibly_causal(g, path):
                     return True
@@ -107,7 +107,8 @@ def possible_descendants(g: Pdag, xs) -> frozenset:
 def _steps(g: Pdag, path):
     """Neighbours of the path's end that extend it to a possibly causal
     simple path, in sorted order."""
-    for w in sorted(g.neighbors(path[-1])):
+    u = path[-1]
+    for w in sorted(g.parents_of(u) | g.children_of(u) | g.und_neighbors(u)):
         if w not in path and possibly_causal(g, (*path, w)):
             yield w
 
@@ -225,7 +226,7 @@ def _interior_status(g: Pdag, a: str, b: str, c: str):
         return "collider"
     if g.has_directed(b, a) or g.has_directed(b, c):
         return "noncollider"
-    if g.has_undirected(a, b) and g.has_undirected(b, c) and not g.adjacent(a, c):
+    if b in g.und_neighbors(a) and c in g.und_neighbors(b) and not g.adjacent(a, c):
         return "noncollider"
     return None
 
@@ -256,7 +257,7 @@ def _connecting_path_search(g: Pdag, xs, ys, zs, *, proper: bool, require_noncau
 
     def walk(path: list):
         u = path[-1]
-        for w in sorted(g.neighbors(u)):
+        for w in sorted(g.parents_of(u) | g.children_of(u) | g.und_neighbors(u)):
             if w in path or w in xs:
                 continue
             if len(path) >= 2 and not ok_interior(path[-2], u, w):
@@ -412,18 +413,6 @@ def unshielded_colliders(g: Pdag) -> frozenset:
     return frozenset(out)
 
 
-def carried_dag(h: Pdag) -> Pdag:
-    """The DAG that the rank of the tagged ``h`` stands for, read through
-    ``consistent_extension``, which fills a missing one: each skeleton
-    edge points from the higher rank to the lower.  A strict order leaves
-    no directed cycle; whether the DAG keeps the directed edges and the
-    unshielded colliders of ``h`` is for the caller to check."""
-    consistent_extension(h)
-    rank = h._rank
-    edges = [(a, b) if rank[a] > rank[b] else (b, a) for a, b in h.directed | h.undirected]
-    return Pdag(h.nodes, edges, class_tag="dag")
-
-
 def reference_sink_order(nodes, pa, ch, und):
     """Dor-Tarsi sink elimination over parent, child and undirected-
     neighbour maps by rescanning: after each removal, remove the first
@@ -449,22 +438,30 @@ def reference_sink_order(nodes, pa, ch, und):
     return order
 
 
+def represents(g: Pdag, edges) -> bool:
+    """True when the directed ``edges`` are a DAG with the skeleton and
+    unshielded colliders of ``g`` that keeps all of g's directed edges."""
+    edges = frozenset(edges)
+    skeleton = {frozenset(e) for e in g.directed | g.undirected}
+    if not g.directed <= edges or {frozenset(e) for e in edges} != skeleton:
+        return False
+    try:
+        cand = Pdag(g.nodes, directed=edges, class_tag="dag")
+    except ValueError:
+        return False
+    return unshielded_colliders(cand) == unshielded_colliders(g)
+
+
 def all_represented_dags(g: Pdag) -> set[frozenset]:
-    """Directed-edge sets of every DAG with the skeleton and unshielded
-    colliders of ``g`` that keeps all of g's directed edges."""
+    """Directed-edge sets of every DAG that ``g`` represents, by
+    :func:`represents` over every orientation of its undirected edges."""
     und = sorted(g.undirected)
-    base = set(g.directed)
-    target_colliders = unshielded_colliders(g)
     out = set()
     for bits in itertools.product((0, 1), repeat=len(und)):
-        edges = set(base)
+        edges = set(g.directed)
         for (a, b), bit in zip(und, bits):
             edges.add((a, b) if bit == 0 else (b, a))
-        try:
-            cand = Pdag(g.nodes, directed=edges, class_tag="dag")
-        except ValueError:
-            continue
-        if unshielded_colliders(cand) == target_colliders:
+        if represents(g, edges):
             out.add(frozenset(edges))
     return out
 
@@ -473,7 +470,7 @@ def reference_depth_first(h: Pdag):
     """The DAGs represented by the closed ``h``, depth first: branch
     ``a -> b`` before ``b -> a`` on the least undirected edge and close
     the parent rebuilt untagged, so every branch close runs the full
-    check and no carried DAG is consulted."""
+    check."""
     stack = [(h, None)]
     while stack:
         g, pair = stack.pop()
@@ -484,9 +481,7 @@ def reference_depth_first(h: Pdag):
                 continue
         if not g.undirected:
             edges = (g.directed, g.undirected)
-            yield Pdag._trusted(
-                g.nodes, g._parents, g._children, g._und, "dag", edges, g._rank, g._adj
-            )
+            yield Pdag._trusted(g.nodes, g._parents, g._children, g._und, "dag", edges, g._adj)
             continue
         a, b = min(g.undirected)
         stack.append((g, (b, a)))
@@ -1099,7 +1094,7 @@ def reference_wright_cov(m):
 
         def walk(path: list[str]) -> None:
             u = path[-1]
-            for w in sorted(m.dag.neighbors(u)):
+            for w in sorted(m.dag.parents_of(u) | m.dag.children_of(u) | m.dag.und_neighbors(u)):
                 if w in path:
                     continue
                 if len(path) >= 2:

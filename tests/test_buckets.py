@@ -72,7 +72,7 @@ def test_pco_ordering_property():
             for a in parts[i]:
                 for b in parts[j]:
                     assert not g.has_directed(b, a)
-                    assert not g.has_undirected(a, b)
+                    assert b not in g.und_neighbors(a)
 
 
 def _cpdag(dag):

@@ -58,7 +58,7 @@ def test_cyclic_knowledge_rejected():
 
 
 def _checked_mpdag() -> Pdag:
-    """A - B - C with C -> D, checked by the constructor: it carries a rank."""
+    """A - B - C with C -> D, checked by the constructor."""
     return Pdag("ABCD", [("C", "D")], [("A", "B"), ("B", "C")], "mpdag")
 
 
@@ -106,7 +106,6 @@ def test_knowledge_repeating_an_arrow_of_a_checked_mpdag_changes_nothing():
     h = close(g, [("C", "D")])
     assert h == g
     assert h.class_tag == "mpdag"
-    assert h._rank is g._rank is not None
     assert h._adj is g._adj
 
 
@@ -249,8 +248,7 @@ def test_untagged_close_runs_sink_elimination_once(monkeypatch):
             assert calls == {"_sink_order": 1, "is_mpdag": 1}, g.to_edgelist()
             checked += 1
     assert checked > 50
-    # An untagged graph carries no rank, so the boundary check runs sink
-    # elimination on it.
+    # The boundary check of an untagged graph runs sink elimination on it.
     calls.clear()
     path = Pdag(["A", "B", "C"], (), [("A", "B"), ("B", "C")])
     assert meek.require_mpdag(path).class_tag == "mpdag"
@@ -336,10 +334,11 @@ def _directable_cycles(g, longest=5):
     out = []
 
     def extend(path):
-        for w in sorted(g.neighbors(path[-1])):
+        u = path[-1]
+        for w in sorted(g.parents_of(u) | g.children_of(u) | g.und_neighbors(u)):
             if w == path[0] and len(path) >= 3:
                 steps = list(zip(path, path[1:] + [path[0]]))
-                todo = [(a, b) for a, b in steps if g.has_undirected(a, b)]
+                todo = [(a, b) for a, b in steps if b in g.und_neighbors(a)]
                 if todo and not any(g.has_directed(b, a) for a, b in steps):
                     out.append(todo)
             elif w > path[0] and w not in path and len(path) < longest:
@@ -378,17 +377,14 @@ def _mixed_knowledge(rng, g):
 
 
 def _assert_carries_an_extension(h):
-    dag = oracles.carried_dag(h)
-    assert h.directed <= dag.directed, h.to_edgelist()
-    assert oracles.unshielded_colliders(dag) == oracles.unshielded_colliders(h), h.to_edgelist()
+    assert oracles.represents(h, meek.consistent_extension(h).directed), h.to_edgelist()
 
 
 def test_close_with_a_carried_dag_matches_full_rescan(sweep):
-    # Every graph of the enumeration walk represents a DAG: the roots keep
-    # the rank their check found, the branches find one through
-    # consistent_extension.  Closing any of them with knowledge must give
-    # the reference's closure or its exact message, and a closure's rank
-    # must stand for a DAG it represents.
+    # Every graph of the enumeration walk represents a DAG, which
+    # consistent_extension finds.  Closing any of them with knowledge must
+    # give the reference's closure or its exact message, and
+    # consistent_extension must find a DAG that the closure represents.
     rng = random.Random(17)
     closed = 0
     messages = collections.Counter()
@@ -464,13 +460,14 @@ def test_sink_order_matches_rescanning_reference(sweep):
     assert outcomes["stuck"] > 100 and outcomes["order"] > 1000
 
 
-def test_carried_rank_does_not_depend_on_string_hashing():
-    # Closing untagged graphs takes the full check, whose removal order
-    # becomes the rank; it must read the same under any hash seed.
+def test_consistent_extension_does_not_depend_on_string_hashing():
+    # The removal order picks which represented DAG consistent_extension
+    # finds; it must pick the same one under any hash seed.
     script = """
 import oracles
+from mpdagid.meek import consistent_extension
 for h in oracles.random_mpdags(seed=5, count=40, n_nodes=(7, 8)):
-    print(sorted(h._rank, key=h._rank.get))
+    print(consistent_extension(h).to_edgelist())
 """
     tests_dir = os.path.dirname(os.path.abspath(__file__))
     runs = []

@@ -104,9 +104,9 @@ def test_enumerate_canonical_order(cpdag4):
 
 def _roots_with_knowledge(sweep):
     """The sweep graphs and random 6-8-node MPDAGs, each also closed under
-    1-2 drawn orientations of its undirected edges, which keeps a rank
-    only when two were oriented; then each of them rebuilt by the public
-    constructor, which carries the rank its own check found."""
+    1-2 drawn orientations of its undirected edges, which runs the full
+    check only when two were oriented; then each of them rebuilt by the
+    public constructor."""
     rng = random.Random(173)
     roots = [g for g, _ in sweep]
     for g in oracles.random_mpdags(seed=173, count=60, n_nodes=(6, 7, 8), p_edge=0.6):
@@ -125,8 +125,8 @@ def _roots_with_knowledge(sweep):
 def test_depth_first_matches_the_reference_walk(sweep):
     # Closing each branch of a checked MPDAG without a removal-order pass
     # changes which check close runs, never what it returns: the same DAGs
-    # in the same order as closing every branch in full, from roots with
-    # and without a rank.
+    # in the same order as closing every branch in full, from roots closed
+    # with knowledge and the same roots rebuilt by the checking constructor.
     roots = _roots_with_knowledge(sweep)
     for g in roots:
         got = list(_depth_first(g))
@@ -136,9 +136,6 @@ def test_depth_first_matches_the_reference_walk(sweep):
         ], g.to_edgelist()
         assert all(d.class_tag == "dag" for d in got)
     print(len(roots))
-    closed, rebuilt = roots[: len(roots) // 2], roots[len(roots) // 2 :]
-    assert all(g._rank is not None for g in rebuilt)
-    assert any(g._rank is None for g in closed)
 
 
 def test_most_branch_closes_skip_the_full_check(monkeypatch):

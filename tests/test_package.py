@@ -53,6 +53,8 @@ RETIRED = [
     ("Pdag", "validate_as"),
     ("Pdag", "undirected_subgraph"),
     ("Pdag", "_retag"),
+    ("Pdag", "neighbors"),
+    ("Pdag", "has_undirected"),
     ("Dataset", "to_csv"),
     ("GaussianModel", "coefficient_matrix"),
     ("InterventionalTable", "slice_x"),

@@ -1,5 +1,5 @@
-import collections
 import contextlib
+import copy
 import itertools
 import random
 import signal
@@ -17,9 +17,11 @@ from mpdagid import (
     exists_possibly_causal,
     find_adjustment_set,
     forbidden_set,
+    nonid_witness,
     parse_graph,
     unblocked_proper_noncausal_path,
 )
+from mpdagid.meek import consistent_extension
 
 import oracles
 from conftest import query_pairs
@@ -59,7 +61,7 @@ def test_witness_matches_brute_force_random(sweep):
                 assert all(g.adjacent(u, v) for u, v in zip(w, w[1:]))
                 assert oracles.possibly_causal(g, w) and w[-1] in ys
                 assert [n for n in w if n in xs] == [w[0]]
-                assert g.has_undirected(w[0], w[1])
+                assert w[1] in g.und_neighbors(w[0])
 
 
 def test_forbidden_set_and_possibly_causal_match_reference(sweep):
@@ -168,7 +170,8 @@ def test_factorize_and_identify_on_400_nodes_finish_within_5_seconds(tmp_path, c
 def _chordal_mpdag(rng, n):
     """A random chordal graph closed with the knowledge N0 -> v."""
     g = oracles.random_chordal(rng, n)
-    return close(g, [("N0", min(g.neighbors("N0")))])
+    nbrs = g.parents_of("N0") | g.children_of("N0") | g.und_neighbors("N0")
+    return close(g, [("N0", min(nbrs))])
 
 
 def test_witness_requires_nonempty_disjoint(pair):
@@ -304,28 +307,40 @@ def test_condition_3_matches_path_walk(sweep):
     assert checked > 5_000 and 0 < blocked < checked
 
 
-def test_separation_queries_run_no_removal_order_pass(sweep, monkeypatch):
-    # A checked graph carries its represented DAG, so neither query runs
-    # Dor-Tarsi or Kahn to find one again.
-    calls = collections.Counter()
+def test_separation_queries_run_one_removal_order_pass_and_write_nothing(sweep, monkeypatch):
+    # A graph keeps no DAG it represents: each separation query finds one by
+    # one Dor-Tarsi or Kahn pass, and no read writes to its input graph.
+    passes = []
+    removal_order = meek._removal_order
 
-    def counted(name, f):
-        def wrapped(*args):
-            calls[name] += 1
-            return f(*args)
+    def counted(*args):
+        passes.append(args)
+        return removal_order(*args)
 
-        return wrapped
+    def passes_run(query, *args):
+        passes.clear()
+        query(*args)
+        return len(passes)
 
-    monkeypatch.setattr(meek, "_sink_order", counted("_sink_order", meek._sink_order))
-    monkeypatch.setattr(meek, "_removal_order", counted("_removal_order", meek._removal_order))
-    queries = 0
+    monkeypatch.setattr(meek, "_removal_order", counted)
+    queries = witnesses = 0
     for g, _ in sweep:
+        slots = {name: getattr(g, name) for name in Pdag.__slots__}
+        contents = copy.deepcopy(slots)
+        consistent_extension(g)
         for xs, ys in query_pairs(g.nodes):
-            d_separated(g, xs, ys, set())
+            assert passes_run(d_separated, g, xs, ys, set()) == 1
             if amenability_witness(g, xs, ys) is None:
-                unblocked_proper_noncausal_path(g, xs, ys, set())
+                assert passes_run(unblocked_proper_noncausal_path, g, xs, ys, set()) == 1
                 queries += 1
-    assert not calls and queries > 1000
+            else:
+                with contextlib.suppress(GraphError):
+                    nonid_witness(g, xs, ys)
+                    witnesses += 1
+        assert all(getattr(g, name) is value for name, value in slots.items())
+        assert {name: getattr(g, name) for name in Pdag.__slots__} == contents
+    print(queries, witnesses)
+    assert queries > 1000 and witnesses > 1000
 
 
 def test_find_adjustment_set_matches_subset_search(sweep):

@@ -3,7 +3,6 @@
 import itertools
 from unittest import mock
 
-import networkx as nx
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -143,22 +142,20 @@ def _assert_passes_the_public_checks(h):
     assert close(h) == h
 
 
-def _assert_rank_stands_for_a_represented_dag(h):
-    dag = oracles.carried_dag(h)
-    assert set(h._rank) == set(h.nodes)
-    assert len(set(h._rank.values())) == len(h.nodes)  # strict
-    assert {frozenset(e) for e in dag.directed} == {
-        frozenset(e) for e in h.directed | h.undirected
-    }
-    assert h.directed <= dag.directed
-    assert nx.is_directed_acyclic_graph(oracles.to_networkx(dag))
-    assert oracles.unshielded_colliders(dag) == oracles.unshielded_colliders(h)
+def _assert_extension_is_a_represented_dag(h):
+    """``consistent_extension`` of the tagged ``h`` is a DAG that ``h``
+    represents, tagged ``dag``, on ``h``'s nodes in order and sharing its
+    neighbourhood map; returns it."""
+    d = consistent_extension(h)
+    assert d.class_tag == "dag" and d.nodes == h.nodes and d._adj is h._adj
+    assert not d.undirected and oracles.represents(h, d.directed)
+    return d
 
 
 def _assert_untagged_closure(g, h):
     assert g.class_tag == "pdag" and h._adj is g._adj
     _assert_passes_the_public_checks(h)
-    _assert_rank_stands_for_a_represented_dag(h)
+    _assert_extension_is_a_represented_dag(h)
 
 
 @settings(
@@ -234,14 +231,14 @@ def test_pco_buckets_partition_d_and_order_every_edge(g, data):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(mpdags())
-def test_carried_rank_stands_for_a_represented_dag(g):
-    # close(g) and both branch closures on every undirected edge of it:
-    # the branches keep no rank, so consistent_extension finds one.
+def test_consistent_extension_is_a_represented_dag(g):
+    # close(g) and both branch closures on every undirected edge of it,
+    # which close builds without a removal-order pass.
     closures = [g]
     for a, b in sorted(g.undirected):
         closures += [close(g, (pair,)) for pair in ((a, b), (b, a))]
     for h in closures:
-        _assert_rank_stands_for_a_represented_dag(h)
+        _assert_extension_is_a_represented_dag(h)
 
 
 @settings(
@@ -277,14 +274,9 @@ def _checked_versions(g):
 
 
 def _assert_carries_its_extension(h):
-    """``h`` carries a rank that stands for a DAG it represents, and
-    ``consistent_extension`` returns that DAG, tagged ``dag``, sharing the
-    rank and the neighbourhood map."""
-    _assert_rank_stands_for_a_represented_dag(h)
-    d = consistent_extension(h)
-    assert d == oracles.carried_dag(h) and d.nodes == h.nodes
-    assert d.class_tag == "dag" and d._rank is h._rank and d._adj is h._adj
-    _assert_rank_stands_for_a_represented_dag(d)
+    """``consistent_extension`` finds a DAG that ``h`` represents, and
+    finds that DAG itself again from it."""
+    _assert_extension_is_a_represented_dag(_assert_extension_is_a_represented_dag(h))
 
 
 @settings(
@@ -305,35 +297,28 @@ def test_every_checked_graph_carries_a_represented_dag_on_the_sweep(sweep):
     for g, _ in sweep:
         for h in _checked_versions(g):
             _assert_carries_its_extension(h)
-            assert consistent_extension(h).directed in oracles.all_represented_dags(h)
             checked += 1
     assert checked > 1500
 
 
-def _assert_branch_closes_match_rankless(h):
+def _assert_branch_closes_match_untagged(h):
     """For each orientation of each undirected edge of the MPDAG ``h``,
     ``close(h, (pair,))`` equals the closure of ``h`` rebuilt untagged,
-    which runs the full check, and keeps no rank.  No untagged graph met
-    carries a rank.  Returns how many branch closes there were and how
-    many removal-order passes they ran."""
-    rankless = Pdag(h.nodes, h.directed, h.undirected)
-    met = [h, rankless, require_mpdag(rankless), consistent_extension(h)]
-    met += [h.induced_subgraph(h.nodes[1:]), *itertools.islice(_depth_first(h), 4)]
+    which runs the full check, and represents the DAG that
+    ``consistent_extension`` finds for it.  Returns how many branch closes
+    there were and how many removal-order passes they ran."""
+    untagged = Pdag(h.nodes, h.directed, h.undirected)
     closes = ran = 0
     for a, b in sorted(h.undirected):
         for pair in ((a, b), (b, a)):
             with mock.patch.object(meek, "_removal_order", wraps=meek._removal_order) as spy:
                 branch = close(h, (pair,))
-            expected = close(rankless, (pair,))
+            expected = close(untagged, (pair,))
             assert (branch.directed, branch.undirected) == (expected.directed, expected.undirected)
             assert branch.class_tag == expected.class_tag == "mpdag"
-            assert branch._rank is None and expected._rank is not None
-            _assert_rank_stands_for_a_represented_dag(branch)
-            met += [branch, expected]
+            _assert_extension_is_a_represented_dag(branch)
             closes += 1
             ran += spy.call_count
-    for g in met:
-        assert g.class_tag != "pdag" or g._rank is None, g.to_edgelist()
     return closes, ran
 
 
@@ -346,11 +331,11 @@ def _assert_branch_closes_match_rankless(h):
 )
 @given(mpdags())
 def test_branch_closes_match_the_rankless_closure(g):
-    assert _assert_branch_closes_match_rankless(g)[1] == 0
+    assert _assert_branch_closes_match_untagged(g)[1] == 0
 
 
 def test_branch_closes_match_the_rankless_closure_on_the_sweep(sweep):
-    counts = [_assert_branch_closes_match_rankless(g) for g, _ in sweep]
+    counts = [_assert_branch_closes_match_untagged(g) for g, _ in sweep]
     closes, ran = map(sum, zip(*counts))
     print(closes, ran)
     assert closes > 600 and ran == 0
@@ -396,9 +381,7 @@ def _derived_by_orientation(g):
     untagged = Pdag(g.nodes, g.directed, g.undirected)
     pairs = [(untagged, close(untagged)), (untagged, require_mpdag(untagged))]
     edges = (g.directed, g.undirected)
-    retagged = Pdag._trusted(
-        g.nodes, g._parents, g._children, g._und, "cpdag", edges, g._rank, g._adj
-    )
+    retagged = Pdag._trusted(g.nodes, g._parents, g._children, g._und, "cpdag", edges, g._adj)
     pairs += [(g, close(g)), (g, retagged)]
     for a, b in sorted(g.undirected):
         for pair in ((a, b), (b, a)):
@@ -507,7 +490,7 @@ def _assert_reads_as_the_reference(text):
     g = parse_graph(text)
     assert {field: getattr(g, field) for field in want} == want
     assert list(g._adj) == list(g._parents) == list(g.nodes)
-    assert g.class_tag == "pdag" and g._rank is None
+    assert g.class_tag == "pdag"
 
 
 @settings(
@@ -556,8 +539,9 @@ def rendered_graphs(draw):
     """A PDAG over drawn names, with arrows that follow a drawn order; in
     about half the draws it has no undirected edge, and a node with no
     drawn edge stays isolated.  When drawn and the PDAG closes, it is
-    replaced by the DAG its closure carries, laid out unchecked with the
-    closure's neighbourhood map, as enumeration leaves are."""
+    replaced by the DAG ``consistent_extension`` finds for its closure,
+    laid out unchecked with the closure's neighbourhood map, as
+    enumeration leaves are."""
     name = st.one_of(st.sampled_from(_PREFIX_NAMES), st.text("Aa1._0", min_size=1, max_size=3))
     names = draw(st.lists(name, min_size=1, max_size=8, unique=True))
     order = draw(st.permutations(names))

@@ -1,6 +1,7 @@
 """The in-process A/B harness ``tools/ab.py`` on stub sides: identical
 sides read identical, and a side whose output differs or that raises is
-named and sets the exit status to 1.  No timing round runs."""
+named and sets the exit status to 1.  No timing round runs; the rule that
+settles a timing is checked on fixed samples."""
 
 import importlib.util
 import os
@@ -77,3 +78,21 @@ def test_a_side_that_raises_is_recorded_not_fatal(capsys):
         "stub: 3 operations, failed checks parent 2, change 1\n"
         "  OUTPUTS DIFFER on 1 operations, first: a <workdir>/a.g\n"
     )
+
+
+# Parent quartiles 10.35 and 11.45 (a spread of 1.1), median 10.9.
+PARENT = [10.0, 10.2, 10.4, 10.6, 10.8, 11.0, 11.2, 11.4, 11.6, 11.8]
+
+
+def test_verdict_needs_nine_tenths_of_the_rounds_and_medians_apart():
+    faster = [p - 2 for p in PARENT]
+    assert ab.verdict(PARENT, faster) == "resolved: change faster"
+    assert ab.verdict(PARENT, [p + 2 for p in PARENT]) == "resolved: change slower"
+    assert ab.verdict(PARENT, [20.0] + faster[1:]) == "resolved: change faster"  # 9 of 10
+    assert ab.verdict(PARENT, [20.0, 20.0] + faster[2:]) == "unresolved"  # 8 of 10
+    assert ab.verdict(PARENT, [9.0, 9.0] + [p + 2 for p in PARENT[2:]]) == "unresolved"
+    # Every round won, but the medians lie within the parent's spread.
+    assert ab.verdict(PARENT, [p - 1 for p in PARENT]) == "unresolved"
+    # Ties count for neither side.
+    assert ab.verdict(PARENT, [PARENT[0]] + faster[1:]) == "resolved: change faster"
+    assert ab.verdict(PARENT, PARENT[:2] + faster[2:]) == "unresolved"

@@ -22,9 +22,10 @@ rounds and change first in odd-numbered ones.
 
 Prints, per workload, the operation count, the failed checks on each
 side, whether every outcome was identical (naming up to three argvs that
-differ), each side's median and quartiles in ms per pass and the rounds
-the change won.  Exits 1 when an outcome or a failed-check count
-differs.  Timings are raw wall-clock seconds of this process, not scaled.
+differ), each side's median and quartiles in ms per pass, the rounds
+the change won and whether that settles a direction (see ``verdict``).
+Exits 1 when an outcome or a failed-check count differs.  Timings are
+raw wall-clock seconds of this process, not scaled.
 """
 
 from __future__ import annotations
@@ -81,6 +82,22 @@ def _summary(samples: list[float]) -> str:
     return f"median {q2:.1f} ms (quartiles {q1:.1f}-{q3:.1f})"
 
 
+def verdict(parent: list[float], change: list[float]) -> str:
+    """``resolved: change faster``, ``resolved: change slower`` or
+    ``unresolved`` for the per-pass times of alternated rounds, paired by
+    round.  A side is faster only when it wins at least 9 of every 10
+    rounds, ties counting for neither, and the two medians differ by more
+    than the distance between the parent's quartiles."""
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    if abs(statistics.median(change) - statistics.median(parent)) > q3 - q1:
+        # At least 9 of every 10 rounds, in integers.
+        if 10 * sum(c < p for p, c in zip(parent, change)) >= 9 * len(parent):
+            return "resolved: change faster"
+        if 10 * sum(c > p for p, c in zip(parent, change)) >= 9 * len(parent):
+            return "resolved: change slower"
+    return "unresolved"
+
+
 def compare(name: str, sides: dict, ops: list, rounds: int, workdir: str) -> int:
     """Check ``ops`` once on the ``parent`` and ``change`` sides, time
     ``rounds`` alternated passes and print the summary of workload
@@ -114,6 +131,7 @@ def compare(name: str, sides: dict, ops: list, rounds: int, workdir: str) -> int
             print(f"  {side}: {_summary(times[side])}")
         wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
         print(f"  change faster in {wins} of {rounds} rounds")
+        print(f"  {verdict(times['parent'], times['change'])}")
     return int(bool(differ) or failed["parent"] != failed["change"])
 
 
