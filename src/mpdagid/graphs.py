@@ -3,7 +3,7 @@
 A :class:`Pdag` holds directed and undirected edges with at most one edge
 per node pair and no directed cycles.  Graph values are immutable after
 construction, so they hash, compare, and can be shared across threads:
-a read writes only the private hash memo, equal for any reader.
+no read writes to a graph.
 :func:`parse_graph` tokenises edge-list text and builds through the
 checking constructor, which checks each name and edge once; only text it
 refuses is scanned again, line by line, for the line to report.
@@ -20,7 +20,7 @@ NODE_NAME = re.compile(r"[A-Za-z0-9_.]+\Z")
 # Any run of valid characters: joined names match it when each one is valid.
 _NAME_CHARS = re.compile(r"[A-Za-z0-9_.]*")
 
-ClassTag = Literal["pdag", "dag", "cpdag", "mpdag"]
+ClassTag = Literal["pdag", "dag", "mpdag"]
 
 # A state of the possibly causal search: (previous node, current node).
 _State = tuple[Optional[str], str]
@@ -74,12 +74,12 @@ class Pdag:
     undirected:
         Iterable of unordered pairs (any endpoint order).
     class_tag:
-        Validity assertion.  ``"pdag"`` only requires acyclicity,
-        ``"dag"`` additionally forbids undirected edges, and
-        ``"cpdag"``/``"mpdag"`` additionally require closure under the
-        orientation rules (none of the four forbidden induced subgraphs
-        occurs) and a consistent extension (the graph represents at least
-        one DAG).  This constructor checks the tag in full, eagerly.
+        Validity assertion, checked eagerly: ``"pdag"`` only requires
+        acyclicity and ``"dag"`` also forbids undirected edges.  These are
+        the tags a graph's edges decide alone.  The ``"mpdag"`` tag
+        (closed under the orientation rules, representing at least one
+        DAG) is given by ``meek.require_mpdag``, which checks it, and by
+        ``meek.close``.
 
     Graphs the package derives from graphs it already holds skip the
     checks through :meth:`_trusted`, the one unchecked constructor, their
@@ -104,7 +104,6 @@ class Pdag:
         "_children",
         "_und",
         "_adj",
-        "_hash",
     )
 
     def __init__(
@@ -112,7 +111,7 @@ class Pdag:
         nodes: Iterable[str],
         directed: Iterable[tuple[str, str]] = (),
         undirected: Iterable[tuple[str, str]] = (),
-        class_tag: ClassTag = "pdag",
+        class_tag: Literal["pdag", "dag"] = "pdag",
     ):
         # adj doubles as the node set (in order) and the duplicate test.  The
         # joined names match only when every name is a str of valid
@@ -154,33 +153,14 @@ class Pdag:
                     und[a].add(b)
                     und[b].add(a)
 
-        if class_tag not in ("pdag", "dag", "cpdag", "mpdag"):
+        if class_tag not in ("pdag", "dag"):
             raise GraphError(f"unknown class tag: {class_tag!r}")
-        edges = frozenset(d_edges), frozenset(u_edges)
-        self._lay_out(tuple(adj), edges, parents, children, und, class_tag, adj)
-
-        # A tagged graph must represent a DAG.  A removal order exists only
-        # for an acyclic graph, so the cycle test runs only without one.
-        from . import meek
-
-        order = None
-        if class_tag != "pdag":
-            order = meek._removal_order(self.nodes, parents, children, und, adj)
-        if order is None and d_edges:
-            if len(topological_order(self.nodes, parents, children)) < len(self.nodes):
-                raise GraphError("graph contains a directed cycle")
+        if d_edges and len(topological_order(nodes, parents, children)) < len(nodes):
+            raise GraphError("graph contains a directed cycle")
         if class_tag == "dag" and u_edges:
             raise GraphError("dag tag forbids undirected edges")
-        if class_tag in ("cpdag", "mpdag"):
-            if not meek.is_mpdag(self):
-                raise GraphError(
-                    f"{class_tag} tag rejected: an orientation rule still fires"
-                )
-            if order is None:
-                raise GraphError(
-                    f"{class_tag} tag rejected: the graph represents no DAG "
-                    "(no consistent extension exists)"
-                )
+        edges = frozenset(d_edges), frozenset(u_edges)
+        self._lay_out(tuple(adj), edges, parents, children, und, class_tag, adj)
 
     def _lay_out(self, nodes, edges, parents, children, und, class_tag, adj) -> None:
         """Set every field; the one place that lays out a graph.  Every
@@ -195,7 +175,6 @@ class Pdag:
         self._und = und
         self.class_tag = class_tag
         self._adj = adj
-        self._hash = None
 
     @classmethod
     def _trusted(
@@ -276,10 +255,8 @@ class Pdag:
         )
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((frozenset(self.nodes), self.directed, self.undirected))
-        return h
+        # Each edge frozenset caches its own hash.
+        return hash((frozenset(self.nodes), self.directed, self.undirected))
 
     def __repr__(self) -> str:
         return (

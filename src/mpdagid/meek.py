@@ -17,10 +17,10 @@ orientation, re-evaluates only the edges whose rule inputs it changed
 (Meek 1995, "Causal inference and causal explanation with background
 knowledge").
 
-A tagged graph (``dag``, ``cpdag`` or ``mpdag``) represents at least one
-DAG.  A :func:`_removal_order` pass decides whether a graph does: the
-checking constructor, :func:`require_mpdag` and the full check of
-:func:`close` run it, and :func:`consistent_extension` runs it again to
+A graph tagged ``dag`` or ``mpdag`` represents at least one DAG.  A
+:func:`_removal_order` pass decides whether a graph does:
+:func:`require_mpdag`, the one check that tags a graph ``mpdag``, and the
+full check of :func:`close` run it; :func:`consistent_extension` runs it to
 find one such DAG, which points every undirected edge from the node
 removed later to the one removed earlier.  The rules are complete under
 background knowledge (Meek 1995), so a checked MPDAG orients each
@@ -273,8 +273,8 @@ def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
     # ``_which_rule`` reads, the verdict for a -> b can then change only when
     # a is t, h or in und[h] (rule 4 reads pa[d] for d in und[a]), or when b
     # is h, which again puts a in und[h]; ``around`` holds those tails.
-    # A graph tagged dag, cpdag or mpdag was checked closed when it was
-    # built, so only the rules near the knowledge can fire.
+    # A graph tagged dag or mpdag was checked closed when it was built, so
+    # only the rules near the knowledge can fire.
     if g.class_tag == "pdag":
         around = nodes
     else:

@@ -434,10 +434,7 @@ class GaussianModel:
         """The DAG's nodes in a topological order: of the nodes whose parents
         are all placed, the one earliest in ``dag.nodes`` is placed next."""
         dag = self.dag
-        order = topological_order(dag.nodes, dag._parents, dag._children)
-        if len(order) < len(dag.nodes):
-            raise GraphError("cyclic model")
-        return order
+        return topological_order(dag.nodes, dag._parents, dag._children)
 
 
 def wright_cov(m: GaussianModel) -> tuple[tuple[str, ...], np.ndarray]:

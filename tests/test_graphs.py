@@ -10,8 +10,14 @@ from mpdagid import (
     parse_graph,
 )
 from mpdagid.graphs import topological_order
+from mpdagid.meek import require_mpdag
 
 import oracles
+
+CYCLE = [("A", "B"), ("B", "C"), ("C", "A")]
+# Chordless 4-cycles: no rule fires, and no orientation is a DAG of the class.
+SQUARE = [("D", "E"), ("E", "F"), ("F", "G"), ("D", "G")]
+SQUARE_ABCD = [("A", "B"), ("B", "C"), ("C", "D"), ("A", "D")]
 
 
 def test_topological_order_places_the_earliest_ready_item():
@@ -108,23 +114,30 @@ def test_constructor_rejects_a_bad_graph(args, error, message):
         ((["A", "B"], [("B", "B"), ("A", "B")], [("B", "A")], "tree"), GraphError, "self-loop at B"),
         ((["A", "B"], [("A", "B")], [("B", "A")], "tree"),
          GraphError, "more than one edge between B and A"),
-        ((["A", "B", "C"], [("A", "B"), ("B", "C"), ("C", "A")], (), "tree"),
-         GraphError, "unknown class tag: 'tree'"),
-        ((["A", "B", "C"], [("A", "B"), ("B", "C"), ("C", "A")], (), "cpdag"),
+        ((["A", "B", "C"], CYCLE, (), "tree"), GraphError, "unknown class tag: 'tree'"),
+        ((["A", "B", "C"], CYCLE, (), "cpdag"), GraphError, "unknown class tag: 'cpdag'"),
+        ((["A", "B", "C"], CYCLE, (), "mpdag"), GraphError, "unknown class tag: 'mpdag'"),
+        ((["A", "B", "C", "D"], CYCLE, [("C", "D")], "dag"),
          GraphError, "graph contains a directed cycle"),
-        ((["A", "B", "C"], [("A", "B")], [("B", "C")], "cpdag"),
-         GraphError, "cpdag tag rejected: an orientation rule still fires"),
+        ((["A", "B", "C"], [("A", "B")], [("B", "C")], "dag"),
+         GraphError, "dag tag forbids undirected edges"),
+        (("ABCDEFG", [("A", "B")], [("B", "C"), *SQUARE], "pdag"),
+         GraphError, "graph is not maximally oriented; close it first"),
+        (("DEFG", (), SQUARE, "pdag"),
+         GraphError, "closure represents no DAG (no consistent extension exists)"),
     ],
     ids=[
         "name", "duplicate", "duplicate-then-name", "endpoint", "self-loop", "pair", "tag",
-        "cycle", "cpdag",
+        "cpdag", "mpdag", "cycle", "dag", "rule", "extension",
     ],
 )
 def test_constructor_checks_in_a_fixed_order(args, error, message):
     # Each row also holds the fault of every row below it, so its own
-    # fault must be the one found first.
+    # fault must be the one found first.  The constructor checks the tags
+    # a graph's edges decide alone; require_mpdag, the one check that tags
+    # a graph mpdag, then checks the rules and the extension.
     with pytest.raises(error) as err:
-        Pdag(*args)
+        require_mpdag(Pdag(*args))
     assert type(err.value) is error and str(err.value) == message
 
 
@@ -134,20 +147,22 @@ def test_dag_tag_forbids_undirected():
 
 
 def test_mpdag_tag_rejects_open_rule():
-    with pytest.raises(GraphError):
-        Pdag(["A", "B", "C"], directed=[("A", "B")], undirected=[("B", "C")],
-             class_tag="mpdag")
+    g = Pdag(["A", "B", "C"], directed=[("A", "B")], undirected=[("B", "C")])
+    with pytest.raises(GraphError, match="not maximally oriented"):
+        require_mpdag(g)
 
 
 @pytest.mark.parametrize("tag", ["cpdag", "mpdag"])
 def test_tag_rejects_a_graph_representing_no_dag(tag):
     # The chordless 4-cycle fires no orientation rule, yet every
-    # orientation adds a directed cycle or a new collider.
-    cycle = [("A", "B"), ("B", "C"), ("C", "D"), ("A", "D")]
-    with pytest.raises(GraphError, match=f"{tag} tag rejected: .*no consistent extension"):
-        Pdag("ABCD", undirected=cycle, class_tag=tag)
-    # Untagged, the queries refuse it too.
-    g = Pdag("ABCD", undirected=cycle)
+    # orientation adds a directed cycle or a new collider.  The
+    # constructor refuses a tag that needs the rules to check; the
+    # untagged graph is refused by require_mpdag and by the queries.
+    with pytest.raises(GraphError, match=f"unknown class tag: '{tag}'"):
+        Pdag("ABCD", undirected=SQUARE_ABCD, class_tag=tag)
+    g = Pdag("ABCD", undirected=SQUARE_ABCD)
+    with pytest.raises(GraphError, match="no consistent extension"):
+        require_mpdag(g)
     with pytest.raises(GraphError, match="no consistent extension"):
         identify(g, {"A"}, {"C"})
     with pytest.raises(GraphError, match="no consistent extension"):

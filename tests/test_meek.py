@@ -58,8 +58,8 @@ def test_cyclic_knowledge_rejected():
 
 
 def _checked_mpdag() -> Pdag:
-    """A - B - C with C -> D, checked by the constructor."""
-    return Pdag("ABCD", [("C", "D")], [("A", "B"), ("B", "C")], "mpdag")
+    """A - B - C with C -> D, checked by ``require_mpdag``."""
+    return meek.require_mpdag(Pdag("ABCD", [("C", "D")], [("A", "B"), ("B", "C")]))
 
 
 @pytest.mark.parametrize(

@@ -35,7 +35,7 @@ from mpdagid import (
 import oracles
 from conftest import COVAR5_TEXT, MPDAG4_TEXT, query_pairs
 from mpdagid import cli, graphs, meek, oracle
-from mpdagid.meek import _depth_first
+from mpdagid.meek import _depth_first, require_mpdag
 
 
 # -- enumeration ------------------------------------------------------------
@@ -105,8 +105,8 @@ def test_enumerate_canonical_order(cpdag4):
 def _roots_with_knowledge(sweep):
     """The sweep graphs and random 6-8-node MPDAGs, each also closed under
     1-2 drawn orientations of its undirected edges, which runs the full
-    check only when two were oriented; then each of them rebuilt by the
-    public constructor."""
+    check only when two were oriented; then each of them rebuilt untagged
+    and checked by ``require_mpdag``."""
     rng = random.Random(173)
     roots = [g for g, _ in sweep]
     for g in oracles.random_mpdags(seed=173, count=60, n_nodes=(6, 7, 8), p_edge=0.6):
@@ -119,14 +119,14 @@ def _roots_with_knowledge(sweep):
                 roots.append(close(g, bk))
             except InconsistentKnowledgeError:
                 pass
-    return roots + [Pdag(g.nodes, g.directed, g.undirected, "mpdag") for g in roots]
+    return roots + [require_mpdag(Pdag(g.nodes, g.directed, g.undirected)) for g in roots]
 
 
 def test_depth_first_matches_the_reference_walk(sweep):
     # Closing each branch of a checked MPDAG without a removal-order pass
     # changes which check close runs, never what it returns: the same DAGs
     # in the same order as closing every branch in full, from roots closed
-    # with knowledge and the same roots rebuilt by the checking constructor.
+    # with knowledge and the same roots rebuilt and checked by require_mpdag.
     roots = _roots_with_knowledge(sweep)
     for g in roots:
         got = list(_depth_first(g))

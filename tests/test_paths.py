@@ -21,7 +21,7 @@ from mpdagid import (
     parse_graph,
     unblocked_proper_noncausal_path,
 )
-from mpdagid.meek import consistent_extension
+from mpdagid.meek import consistent_extension, require_mpdag
 
 import oracles
 from conftest import query_pairs
@@ -241,12 +241,12 @@ def test_d_separation_sound_for_every_represented_dag():
 
 def test_separation_refuses_a_graph_representing_no_dag():
     # The 4-cycle fires no orientation rule but has no consistent
-    # extension: the mpdag tag is refused at construction, and the
-    # queries refuse the untagged graph, not crash.
+    # extension: require_mpdag refuses it the mpdag tag, and the queries
+    # refuse it, not crash.
     cycle = [("A", "B"), ("B", "C"), ("C", "D"), ("A", "D")]
-    with pytest.raises(GraphError, match="no consistent extension"):
-        Pdag("ABCD", undirected=cycle, class_tag="mpdag")
     g = Pdag("ABCD", undirected=cycle)
+    with pytest.raises(GraphError, match="no consistent extension"):
+        require_mpdag(g)
     with pytest.raises(GraphError, match="no consistent extension"):
         d_separated(g, {"A"}, {"C"}, {"B", "D"})
     with pytest.raises(GraphError):
@@ -309,7 +309,8 @@ def test_condition_3_matches_path_walk(sweep):
 
 def test_separation_queries_run_one_removal_order_pass_and_write_nothing(sweep, monkeypatch):
     # A graph keeps no DAG it represents: each separation query finds one by
-    # one Dor-Tarsi or Kahn pass, and no read writes to its input graph.
+    # one Dor-Tarsi or Kahn pass, and no read, hashing and equality
+    # included, writes to its input graph.
     passes = []
     removal_order = meek._removal_order
 
@@ -337,6 +338,8 @@ def test_separation_queries_run_one_removal_order_pass_and_write_nothing(sweep, 
                 with contextlib.suppress(GraphError):
                     nonid_witness(g, xs, ys)
                     witnesses += 1
+        h = Pdag(g.nodes, g.directed, g.undirected)
+        assert hash(g) == hash(h) and g == h
         assert all(getattr(g, name) is value for name, value in slots.items())
         assert {name: getattr(g, name) for name in Pdag.__slots__} == contents
     print(queries, witnesses)

@@ -132,7 +132,7 @@ def untagged_closures(draw):
 
 
 def _assert_passes_the_public_checks(h):
-    public = Pdag(h.nodes, h.directed, h.undirected, "mpdag")
+    public = require_mpdag(Pdag(h.nodes, h.directed, h.undirected))
     assert h == public and h.nodes == public.nodes and h.class_tag == "mpdag"
     for n in h.nodes:
         assert h.parents_of(n) == public.parents_of(n)
@@ -262,13 +262,14 @@ def test_depth_first_matches_the_full_check_walk(g):
 
 
 def _checked_versions(g):
-    """The MPDAG ``g`` rebuilt by the public constructor under the
-    ``cpdag`` and ``mpdag`` tags, ``require_mpdag`` of ``g`` and of ``g``
-    rebuilt untagged, and the first leaves of its enumeration rebuilt
-    under the ``dag`` tag: every way a graph gets checked."""
+    """The MPDAG ``g`` rebuilt untagged, in its own node order and as
+    ``parse_graph`` reads its edge list, each checked by ``require_mpdag``;
+    the closure of the first under ``close``'s full check; ``require_mpdag``
+    of ``g``; and the first leaves of its enumeration rebuilt under the
+    ``dag`` tag: every way a graph gets checked."""
     untagged = Pdag(g.nodes, g.directed, g.undirected)
-    checked = [Pdag(g.nodes, g.directed, g.undirected, tag) for tag in ("cpdag", "mpdag")]
-    checked += [require_mpdag(untagged), require_mpdag(g)]
+    checked = [require_mpdag(untagged), require_mpdag(parse_graph(g.to_edgelist()))]
+    checked += [close(untagged), require_mpdag(g)]
     checked += [Pdag(d.nodes, d.directed, (), "dag") for d in itertools.islice(_depth_first(g), 4)]
     return checked
 
@@ -381,7 +382,7 @@ def _derived_by_orientation(g):
     untagged = Pdag(g.nodes, g.directed, g.undirected)
     pairs = [(untagged, close(untagged)), (untagged, require_mpdag(untagged))]
     edges = (g.directed, g.undirected)
-    retagged = Pdag._trusted(g.nodes, g._parents, g._children, g._und, "cpdag", edges, g._adj)
+    retagged = Pdag._trusted(g.nodes, g._parents, g._children, g._und, "mpdag", edges, g._adj)
     pairs += [(g, close(g)), (g, retagged)]
     for a, b in sorted(g.undirected):
         for pair in ((a, b), (b, a)):

@@ -12,7 +12,9 @@ calls, the ``meek._which_rule`` evaluations and the graphs laid out
 through ``Pdag._trusted``, each split into the inputs' own closures and
 the walk of enumeration (its branch closes and leaves); the DAGs; and
 the function calls a cProfile of ``enumerate_dags`` plus ``to_edgelist``
-records.  Every count is deterministic; none is a time.
+records.  The split counts are the ``pstats`` call counts of two
+cProfile runs, one per phase, so no function is replaced.  Every count
+is deterministic; none is a time.
 """
 
 from __future__ import annotations
@@ -26,55 +28,39 @@ import tempfile
 
 # Runs in the checkout's own interpreter process: argv is [checkout].
 _CHILD = r"""
-import cProfile, collections, json, os, pstats, sys
+import cProfile, json, os, pstats, sys
 checkout = sys.argv[1]
-sys.path.insert(0, os.path.join(checkout, "src"))
-from mpdagid import Pdag, meek, oracle, parse_graph
+package = os.path.join(checkout, "src", "mpdagid")
+sys.path.insert(0, os.path.dirname(package))
+from mpdagid import meek, oracle, parse_graph
 with open(os.path.join(checkout, "perfbench", "golden", "enumerate-chordal.json")) as f:
     texts = [c["text"] for c in json.load(f)["ops"] if c["admitted"]]
-counts = collections.Counter()
-phase = "inputs"
-
-def counted(name, f):
-    def wrapped(*args, **kwargs):
-        counts[(name, phase)] += 1
-        return f(*args, **kwargs)
-    return wrapped
-
-removal_order, close = meek._removal_order, meek.close
-reverse_demand, which_rule = meek._check_no_reverse_demand, meek._which_rule
-trusted = Pdag.__dict__["_trusted"]
-meek._removal_order = counted("removal passes", removal_order)
-meek._check_no_reverse_demand = counted("reverse-demand checks", reverse_demand)
-meek._which_rule = counted("rule evaluations", which_rule)
-Pdag._trusted = classmethod(counted("trusted layouts", trusted.__func__))
-meek.close = counted("closes", close)
-# The walk calls close by name in the module that defines it.
-walker = sys.modules[oracle.enumerate_dags.__module__]
-walker.close = meek.close
-roots = []
+COUNTED = {
+    "close": "closes",
+    "_removal_order": "removal passes",
+    "_check_no_reverse_demand": "reverse-demand checks",
+    "_which_rule": "rule evaluations",
+    "_trusted": "trusted layouts",
+}
+phases = {"inputs": cProfile.Profile(), "branches": cProfile.Profile()}
+roots, dags = [], 0
 for text in texts:
-    phase = "inputs"
-    roots.append(meek.close(parse_graph(text)))
-    phase = "branches"
-    dags = oracle.enumerate_dags(roots[-1])
-    counts[("dags", "")] += len(dags)
-meek._removal_order, meek.close, walker.close = removal_order, close, close
-meek._check_no_reverse_demand, meek._which_rule = reverse_demand, which_rule
-Pdag._trusted = trusted
+    roots.append(phases["inputs"].runcall(lambda: meek.close(parse_graph(text))))
+    dags += len(phases["branches"].runcall(oracle.enumerate_dags, roots[-1]))
 
 def walk():
     for g in roots:
         for d in oracle.enumerate_dags(g):
             d.to_edgelist()
 
-# Fresh roots, so that no rank a counted pass memoised is reused.
-roots = [meek.close(parse_graph(text)) for text in texts]
 profile = cProfile.Profile()
 profile.runcall(walk)
-report = {" ".join(filter(None, k)): v for k, v in sorted(counts.items())}
-report["graphs"] = len(texts)
-report["profiled calls"] = pstats.Stats(profile).total_calls
+report = {"graphs": len(texts), "dags": dags, "profiled calls": pstats.Stats(profile).total_calls}
+for phase, phase_profile in phases.items():
+    for (filename, _, name), (_, calls, *_) in pstats.Stats(phase_profile).stats.items():
+        if name in COUNTED and filename.startswith(package):
+            row = f"{COUNTED[name]} {phase}"
+            report[row] = report.get(row, 0) + calls
 json.dump(report, sys.stdout)
 """
 

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import argparse
 import os
-import statistics
 import subprocess
 import sys
 import tempfile
 import time
+
+from ab import _summary
 
 BARE_PROCESS_S = 0.040  # perfbench/speed.py's reference for a fresh process
 
@@ -69,11 +70,6 @@ def imported(argv: list[str], checkout: str | None) -> set[str]:
         for line in done.stderr.splitlines()
         if line.startswith("import time:")
     }
-
-
-def _summary(samples: list[float]) -> str:
-    q1, q2, q3 = statistics.quantiles([s * 1000 for s in samples], n=4)
-    return f"median {q2:.1f} ms (quartiles {q1:.1f}-{q3:.1f})"
 
 
 def main() -> int:
