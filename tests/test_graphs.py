@@ -15,9 +15,8 @@ from mpdagid.meek import require_mpdag
 import oracles
 
 CYCLE = [("A", "B"), ("B", "C"), ("C", "A")]
-# Chordless 4-cycles: no rule fires, and no orientation is a DAG of the class.
+# A chordless 4-cycle: no rule fires, and no orientation is a DAG of the class.
 SQUARE = [("D", "E"), ("E", "F"), ("F", "G"), ("D", "G")]
-SQUARE_ABCD = [("A", "B"), ("B", "C"), ("C", "D"), ("A", "D")]
 
 
 def test_topological_order_places_the_earliest_ready_item():
@@ -158,9 +157,10 @@ def test_tag_rejects_a_graph_representing_no_dag(tag):
     # orientation adds a directed cycle or a new collider.  The
     # constructor refuses a tag that needs the rules to check; the
     # untagged graph is refused by require_mpdag and by the queries.
+    cycle = [("A", "B"), ("B", "C"), ("C", "D"), ("A", "D")]
     with pytest.raises(GraphError, match=f"unknown class tag: '{tag}'"):
-        Pdag("ABCD", undirected=SQUARE_ABCD, class_tag=tag)
-    g = Pdag("ABCD", undirected=SQUARE_ABCD)
+        Pdag("ABCD", undirected=cycle, class_tag=tag)
+    g = Pdag("ABCD", undirected=cycle)
     with pytest.raises(GraphError, match="no consistent extension"):
         require_mpdag(g)
     with pytest.raises(GraphError, match="no consistent extension"):
