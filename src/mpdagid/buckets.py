@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graphs import GraphError, Pdag, topological_order
+from .graphs import GraphError, Pdag, reach, topological_order
 from .meek import require_mpdag
 
 Bucket = frozenset[str]
@@ -35,7 +35,7 @@ def pco(g: Pdag, D: Iterable[str]) -> Buckets:
     comps: list[Bucket] = []
     for n in g.nodes:
         if n not in comp_of:
-            comp = g._directed_reach((n,), g._und)
+            comp = reach((n,), g._und)
             comps.append(comp)
             comp_of.update(dict.fromkeys(comp, comp))
     comps.sort(key=min, reverse=True)

@@ -84,15 +84,14 @@ class Pdag:
     Graphs the package derives from graphs it already holds skip the
     checks through :meth:`_trusted`, the one unchecked constructor, their
     maker vouching for the tag: closures, enumeration leaves, graphs
-    ``meek.require_mpdag`` has just checked, the DAG
-    ``meek.consistent_extension`` finds, and induced subgraphs.
+    ``meek.require_mpdag`` has just checked and the DAG
+    ``meek.consistent_extension`` finds.
 
     The private ``_adj`` is a plain dict from each node to its closed
-    neighbourhood ``N(n) | {n}``.  Orientation keeps the skeleton, so the
-    graphs derived by orientation (closures, enumeration branches and
-    leaves, checked graphs) share the map of the graph they came from.
-    This constructor builds one as it checks the edges (its duplicate test
-    reads it); :meth:`induced_subgraph` has :meth:`_trusted` build one.
+    neighbourhood ``N(n) | {n}``.  Orientation keeps the skeleton, so
+    every graph derived through :meth:`_trusted` shares the map of the
+    graph it came from.  This constructor builds one as it checks the
+    edges (its duplicate test reads it).
     """
 
     __slots__ = (
@@ -184,27 +183,19 @@ class Pdag:
         children: dict[str, set[str]],
         und: dict[str, set[str]],
         class_tag: ClassTag,
-        edges: Optional[tuple[frozenset, frozenset]] = None,
-        adj: Optional[dict[str, set[str]]] = None,
+        edges: tuple[frozenset, frozenset],
+        adj: dict[str, set[str]],
     ) -> "Pdag":
         """A graph that adopts the caller's parent, child and undirected
-        neighbour sets (keyed by every node) and checks nothing.
+        neighbour sets (keyed by every node), its ``(directed,
+        undirected)`` edge frozensets and the neighbourhood map of a graph
+        with the same skeleton, and checks nothing.
 
-        The caller vouches for everything ``class_tag`` asserts and hands
-        the sets over: they must not change afterwards.  ``edges``, the
-        ``(directed, undirected)`` frozensets, is derived from the sets
-        when not given; ``adj``, the neighbourhood map of a graph with the
-        same skeleton, becomes its ``_adj`` (built from the sets when not
-        given).
+        The caller vouches for everything ``class_tag`` asserts and that
+        the fields agree, and hands them over: they must not change
+        afterwards.
         """
         g = object.__new__(cls)
-        if edges is None:
-            edges = (
-                frozenset((p, n) for n, ps in parents.items() for p in ps),
-                frozenset((a, b) for a, bs in und.items() for b in bs if a < b),
-            )
-        if adj is None:
-            adj = {n: parents[n] | children[n] | und[n] | {n} for n in nodes}
         g._lay_out(nodes, edges, parents, children, und, class_tag, adj)
         return g
 
@@ -264,44 +255,15 @@ class Pdag:
             f"undirected={len(self.undirected)}, tag={self.class_tag})"
         )
 
-    # -- transformations -------------------------------------------------
-
-    def induced_subgraph(self, keep: Iterable[str]) -> "Pdag":
-        """Subgraph on ``keep`` with every edge whose endpoints both remain.
-
-        The class tag is downgraded to ``"pdag"``: closure properties are
-        not preserved by taking induced subgraphs.
-        """
-        kept = self.require(keep)
-        nodes = tuple(n for n in self.nodes if n in kept)
-        return Pdag._trusted(
-            nodes,
-            {n: self._parents[n] & kept for n in nodes},
-            {n: self._children[n] & kept for n in nodes},
-            {n: self._und[n] & kept for n in nodes},
-            "pdag",
-        )
-
     # -- ancestral relations ----------------------------------------------
 
     def ancestors(self, xs: Iterable[str]) -> frozenset[str]:
         """Nodes with a causal (fully directed) path into ``xs``, plus ``xs``."""
-        return self._directed_reach(xs, self._parents)
+        return reach(self.require(xs), self._parents)
 
     def descendants(self, xs: Iterable[str]) -> frozenset[str]:
         """Nodes reachable from ``xs`` along causal paths, plus ``xs``."""
-        return self._directed_reach(xs, self._children)
-
-    def _directed_reach(self, xs, step) -> frozenset[str]:
-        frontier = list(self.require(xs))
-        seen = set(frontier)
-        while frontier:
-            n = frontier.pop()
-            for m in step[n]:
-                if m not in seen:
-                    seen.add(m)
-                    frontier.append(m)
-        return frozenset(seen)
+        return reach(self.require(xs), self._children)
 
     def set_parents(self, xs: Iterable[str]) -> frozenset[str]:
         """Union of parents of the members of ``xs``, minus ``xs`` itself."""
@@ -446,6 +408,22 @@ def topological_order(
             if indeg[i] == 0:
                 heappush(ready, i)
     return order
+
+
+def reach(
+    sources: Iterable[T], step: Mapping[T, AbstractSet[T]], avoid: AbstractSet[T] = frozenset()
+) -> frozenset[T]:
+    """``sources`` plus every item reachable from them along ``step``
+    without entering ``avoid``.  Sources are always kept, even those in
+    ``avoid``; nothing is checked against a graph."""
+    seen = set(sources)
+    frontier = list(seen)
+    while frontier:
+        for m in step[frontier.pop()]:
+            if m not in seen and m not in avoid:
+                seen.add(m)
+                frontier.append(m)
+    return frozenset(seen)
 
 
 def parse_graph(text: str) -> Pdag:

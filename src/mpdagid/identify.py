@@ -14,7 +14,7 @@ from typing import Iterable, Literal, Optional
 from . import paths
 from .buckets import pco
 from .formula import Factor, IdFormula, _Frozen, _set
-from .graphs import GraphError, Pdag
+from .graphs import GraphError, Pdag, reach
 from .meek import require_mpdag
 
 
@@ -61,8 +61,9 @@ def _bucket_factors(g: Pdag, buckets) -> tuple[Factor, ...]:
 
 
 def _ancestor_formula(g: Pdag, xs: frozenset[str], ys: frozenset[str]) -> IdFormula:
-    """f(b | pa(b)) over the PCO buckets of the ancestors of Y in G[V - X]."""
-    ancestors = g.induced_subgraph(frozenset(g.nodes) - xs).ancestors(ys)
+    """f(b | pa(b)) over the PCO buckets of the ancestors of Y in G[V - X]:
+    the parent walk back from Y that never enters X, which Y misses."""
+    ancestors = reach(ys, g._parents, xs)
     return IdFormula(
         factors=_bucket_factors(g, pco(g, ancestors)), intervened=xs, response=ys
     )

@@ -167,7 +167,8 @@ def consistent_extension(g: Pdag) -> Pdag:
     parents = {v: pa[v] | {w for w in und[v] if rank[w] > rank[v]} for v in g.nodes}
     children = {v: ch[v] | {w for w in und[v] if rank[w] < rank[v]} for v in g.nodes}
     no_und = dict.fromkeys(g.nodes, frozenset())
-    return Pdag._trusted(g.nodes, parents, children, no_und, "dag", None, g._adj)
+    edges = frozenset((p, v) for v in g.nodes for p in parents[v]), frozenset()
+    return Pdag._trusted(g.nodes, parents, children, no_und, "dag", edges, g._adj)
 
 
 def is_mpdag(g: Pdag) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .graphs import GraphError, Pdag
+from .graphs import GraphError, Pdag, reach
 from .meek import consistent_extension, require_mpdag
 
 Path = tuple[str, ...]
@@ -114,13 +114,7 @@ def _d_connected(pa, ch, xs: frozenset, ys: frozenset, zs: frozenset) -> bool:
     when ``n`` is an ancestor of Z (an open collider).  Each (node,
     direction) state is visited once, so the search is linear.
     """
-    anc_z: set[str] = set()
-    stack = list(zs)
-    while stack:
-        n = stack.pop()
-        if n not in anc_z:
-            anc_z.add(n)
-            stack.extend(pa[n])
+    anc_z = reach(zs, pa)
     seen: set[tuple[str, bool]] = set()
     balls = [(x, True) for x in xs]  # (node, arrived from a child)
     while balls:

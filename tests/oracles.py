@@ -326,6 +326,24 @@ def reference_find_adjustment_set(g: Pdag, X, Y):
 
 
 # --------------------------------------------------------------------------
+# Ancestors in an induced subgraph
+# --------------------------------------------------------------------------
+
+
+def reference_ancestors_outside(g: Pdag, xs, ys) -> frozenset:
+    """An(Y, G[V - X]) the way ``identify`` once took it: build G[V - X]
+    through the public constructor from the edges with both ends kept,
+    then ask it for the ancestors of Y."""
+    kept = [n for n in g.nodes if n not in xs]
+    sub = Pdag(
+        kept,
+        [(a, b) for a, b in g.directed if a not in xs and b not in xs],
+        [(a, b) for a, b in g.undirected if a not in xs and b not in xs],
+    )
+    return sub.ancestors(ys)
+
+
+# --------------------------------------------------------------------------
 # Orders by rescanning what is left
 # --------------------------------------------------------------------------
 

@@ -55,6 +55,8 @@ RETIRED = [
     ("Pdag", "_retag"),
     ("Pdag", "neighbors"),
     ("Pdag", "has_undirected"),
+    ("Pdag", "induced_subgraph"),
+    ("Pdag", "_directed_reach"),
     ("Dataset", "to_csv"),
     ("GaussianModel", "coefficient_matrix"),
     ("InterventionalTable", "slice_x"),
