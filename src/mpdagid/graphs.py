@@ -189,11 +189,9 @@ class Pdag:
         """A graph that adopts the caller's parent, child and undirected
         neighbour sets (keyed by every node), its ``(directed,
         undirected)`` edge frozensets and the neighbourhood map of a graph
-        with the same skeleton, and checks nothing.
-
-        The caller vouches for everything ``class_tag`` asserts and that
-        the fields agree, and hands them over: they must not change
-        afterwards.
+        with the same skeleton, and checks nothing.  The caller vouches for
+        everything ``class_tag`` asserts and that the fields agree, and
+        hands them over: they must not change afterwards.
         """
         g = object.__new__(cls)
         g._lay_out(nodes, edges, parents, children, und, class_tag, adj)

@@ -61,8 +61,7 @@ def _bucket_factors(g: Pdag, buckets) -> tuple[Factor, ...]:
 
 
 def _ancestor_formula(g: Pdag, xs: frozenset[str], ys: frozenset[str]) -> IdFormula:
-    """f(b | pa(b)) over the PCO buckets of the ancestors of Y in G[V - X]:
-    the parent walk back from Y that never enters X, which Y misses."""
+    """f(b | pa(b)) over the PCO buckets of the ancestors of Y in G[V - X]."""
     ancestors = reach(ys, g._parents, xs)
     return IdFormula(
         factors=_bucket_factors(g, pco(g, ancestors)), intervened=xs, response=ys

@@ -386,11 +386,15 @@ def id_formula_table(f: IdFormula, m: DiscreteModel) -> InterventionalTable:
             raise DegenerateConditioningError("conditioning on a zero-probability event")
         prod = prod * conditional
 
-    # Exact in one step: outside X and Y, ``IdFormula``'s checks leave each
-    # axis either integrated over or, for a node off the formula, of size one.
+    pos = {n: lead + i for i, n in enumerate(nodes)}
+    io_axes = tuple(pos[n] for n in f.integrate_over)
+    table = prod.sum(axis=io_axes, keepdims=True) if io_axes else prod
     x_nodes, y_nodes = tuple(sorted(f.intervened)), tuple(sorted(f.response))
-    drop, perm = _family_layout(nodes, x_nodes + y_nodes, lead)
-    return InterventionalTable(x_nodes, y_nodes, prod.sum(axis=drop).transpose(perm))
+    drop_axes, perm = _family_layout(nodes, x_nodes + y_nodes, lead)
+    assert all(table.shape[i] == 1 for i in drop_axes)
+    if drop_axes:
+        table = table.squeeze(axis=drop_axes)
+    return InterventionalTable(x_nodes, y_nodes, table.transpose(perm))
 
 
 # ---------------------------------------------------------------------------

@@ -421,6 +421,21 @@ def test_marginal_formula_evaluation(mpdag4):
     assert np.allclose(got, want)
 
 
+def test_formula_integrates_out_an_intervened_target():
+    """A factor may target an intervened node; the integral then sums that
+    node out and leaves its axis of size one, here holding f(y)."""
+    g = parse_graph("W -> X\nX -> Y\nW -> Y")
+    m = random_model(g, {"W": 2, "X": 3, "Y": 2}, seed=5)
+    f = IdFormula(
+        factors=(Factor({"X"}), Factor({"Y"}, {"X"})), intervened={"X"}, response={"Y"}
+    )
+    assert f.integrate_over == {"X"}
+    got = id_formula_table(f, m).table
+    assert got.shape == (1, 2)
+    assert np.array_equal(got, oracles.reference_id_formula_table(f, m))
+    assert np.allclose(got[0], joint_table(m).sum(axis=(0, 1)))
+
+
 def test_cross_dag_agreement_with_integration(covar5):
     res = identify(covar5, {"X"}, {"Y"})
     rep = cross_dag_agreement(covar5, {"X"}, {"Y"}, res.formula, n_models=8, seed=0)
