@@ -71,7 +71,8 @@ class Factor(_Frozen):
 
 
 class IdFormula(_Frozen):
-    """f(response | do(intervened)) = ∫ Π factors d(integrate_over)."""
+    """f(response | do(intervened)) = ∫ Π factors d(integrate_over), where,
+    as in a truncated factorization, no factor targets an intervened node."""
 
     __slots__ = ("factors", "intervened", "response")
 
@@ -104,14 +105,13 @@ class IdFormula(_Frozen):
             raise FormulaError("response must be covered by the factor targets")
         if self.response & self.intervened:
             raise FormulaError("response and intervened sets overlap")
+        if targets_seen & self.intervened:
+            raise FormulaError("a factor targets an intervened node")
 
     @property
     def integrate_over(self) -> frozenset[str]:
         """Union of factor targets minus the response."""
-        out: set[str] = set()
-        for f in self.factors:
-            out |= f.targets
-        return frozenset(out) - self.response
+        return frozenset().union(*(f.targets for f in self.factors)) - self.response
 
 
 def _tex_name(x: str) -> str:

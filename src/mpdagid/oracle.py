@@ -208,8 +208,7 @@ class InterventionalTable:
             raise ValueError("tables are over different node sets")
         diff = np.abs(self.table - other.table)
         y_axes = tuple(range(diff.ndim - len(self.y_nodes), diff.ndim))
-        tv = 0.5 * diff.sum(axis=y_axes) if y_axes else 0.5 * diff
-        return float(tv.max())
+        return float((0.5 * diff.sum(axis=y_axes)).max())
 
 
 def random_model(
@@ -386,15 +385,11 @@ def id_formula_table(f: IdFormula, m: DiscreteModel) -> InterventionalTable:
             raise DegenerateConditioningError("conditioning on a zero-probability event")
         prod = prod * conditional
 
-    pos = {n: lead + i for i, n in enumerate(nodes)}
-    io_axes = tuple(pos[n] for n in f.integrate_over)
-    table = prod.sum(axis=io_axes, keepdims=True) if io_axes else prod
+    # No factor targets X, so every axis outside X ∪ Y is integrated over
+    # or, off the formula, of size one: one sum gives the table.
     x_nodes, y_nodes = tuple(sorted(f.intervened)), tuple(sorted(f.response))
-    drop_axes, perm = _family_layout(nodes, x_nodes + y_nodes, lead)
-    assert all(table.shape[i] == 1 for i in drop_axes)
-    if drop_axes:
-        table = table.squeeze(axis=drop_axes)
-    return InterventionalTable(x_nodes, y_nodes, table.transpose(perm))
+    drop, perm = _family_layout(nodes, x_nodes + y_nodes, lead)
+    return InterventionalTable(x_nodes, y_nodes, prod.sum(axis=drop).transpose(perm))
 
 
 # ---------------------------------------------------------------------------
@@ -533,30 +528,29 @@ def cross_dag_agreement(
     *,
     n_models: int = 20,
     seed: int = 0,
-    card: int = 2,
-    dags: Optional[list[Pdag]] = None,
 ) -> AgreementReport:
     """Check that every represented DAG assigns the same interventional law
     and that the formula reproduces it.
 
-    Random model k is drawn on ``dags[k % len(dags)]``; its joint is
-    refactored along every other DAG in the class, and the truncated
-    factorization is compared across DAGs and against the formula, over
-    all intervention configurations at once.  The models are taken in
-    passes of at most ``CONFIG_CAP`` stacked joint cells.  All come from
-    the one generator ``Generator(PCG64(seed))``: in each pass, the models
-    of each base DAG, in base order, as one batch.  Each DAG refits all
-    joints of the pass at once, and the DAGs share the CPT of each family
-    they have in common, refit once per pass.
+    Every node is binary.  Random model k is drawn on ``dags[k % len(dags)]``
+    of ``dags = enumerate_dags(g)``; its joint is refactored along every
+    other DAG, and the truncated factorization is compared across DAGs and
+    against the formula, over all intervention configurations at once.
+    The models are taken in passes of at most ``CONFIG_CAP`` stacked joint
+    cells.  All come from the one generator ``Generator(PCG64(seed))``: in
+    each pass, the models of each base DAG, in base order, as one batch.
+    Each DAG refits all joints of the pass at once, and the DAGs share the
+    CPT of each family they have in common, refit once per pass.
     """
+    if n_models < 1:
+        raise GraphError("n_models must be at least 1")
     g = require_mpdag(g)
     xs, ys = g.require(X), g.require(Y)
-    if dags is None:
-        dags = enumerate_dags(g)
-    cards = {n: card for n in g.nodes}
+    dags = enumerate_dags(g)
+    cards = dict.fromkeys(g.nodes, 2)
     rng = np.random.Generator(np.random.PCG64(seed))
     max_tv = max_formula = 0.0
-    step = max(1, CONFIG_CAP // card ** len(g.nodes))
+    step = max(1, CONFIG_CAP // 2 ** len(g.nodes))
     for start in range(0, n_models, step):
         ks = range(start, min(start + step, n_models))
         counts = collections.Counter(k % len(dags) for k in ks)  # models per base DAG

@@ -262,6 +262,8 @@ def test_factor_and_formula_survive_pickle_and_copy():
          "response must be covered by the factor targets"),
         (lambda: IdFormula(factors=(Factor({"A"}),), intervened={"A"}, response={"A"}),
          "response and intervened sets overlap"),
+        (lambda: IdFormula(factors=(Factor({"A", "B"}),), intervened={"A"}, response={"B"}),
+         "a factor targets an intervened node"),
     ],
 )
 def test_formula_error_messages_in_check_order(build, message):

@@ -11,6 +11,7 @@ from mpdagid import (
     DegenerateConditioningError,
     DiscreteModel,
     Factor,
+    FormulaError,
     GaussianModel,
     GraphError,
     IdFormula,
@@ -421,19 +422,11 @@ def test_marginal_formula_evaluation(mpdag4):
     assert np.allclose(got, want)
 
 
-def test_formula_integrates_out_an_intervened_target():
-    """A factor may target an intervened node; the integral then sums that
-    node out and leaves its axis of size one, here holding f(y)."""
-    g = parse_graph("W -> X\nX -> Y\nW -> Y")
-    m = random_model(g, {"W": 2, "X": 3, "Y": 2}, seed=5)
-    f = IdFormula(
-        factors=(Factor({"X"}), Factor({"Y"}, {"X"})), intervened={"X"}, response={"Y"}
-    )
-    assert f.integrate_over == {"X"}
-    got = id_formula_table(f, m).table
-    assert got.shape == (1, 2)
-    assert np.array_equal(got, oracles.reference_id_formula_table(f, m))
-    assert np.allclose(got[0], joint_table(m).sum(axis=(0, 1)))
+def test_formula_refuses_an_intervened_target():
+    """No factor targets an intervened node, as in a truncated
+    factorization, so ``id_formula_table`` never integrates one out."""
+    with pytest.raises(FormulaError, match="a factor targets an intervened node"):
+        IdFormula(factors=(Factor({"X"}), Factor({"Y"}, {"X"})), intervened={"X"}, response={"Y"})
 
 
 def test_cross_dag_agreement_with_integration(covar5):
@@ -584,25 +577,30 @@ def _identifiable(g):
 
 def test_batched_agreement_equals_per_model_reference(sweep, larger):
     """``cross_dag_agreement`` reports exactly what the per-model loop
-    reports, on the sweep and on 6-8-node MPDAGs, with ``card`` 2 and 3
-    and ``n_models`` 20 and below ``len(dags)``: one query per graph, the
-    settings taken in turn."""
-    settings = list(itertools.product((2, 3), (20, "fewer")))
+    reports, on the sweep and on 6-8-node MPDAGs, with ``n_models`` 20 and
+    below ``len(dags)``: one query per graph, the settings taken in turn."""
     checked = fewer = 0
     for gi, (g, dags) in enumerate([*sweep, *larger]):
         queries = _identifiable(g)
         if not queries:
             continue
         xs, ys, f = queries[gi % len(queries)]
-        card, n_models = settings[gi % len(settings)]
-        if n_models == "fewer":
-            n_models = max(1, len(dags) - 1)
-            fewer += n_models < len(dags)
-        kwargs = dict(n_models=n_models, seed=gi, card=card, dags=dags)
-        got = cross_dag_agreement(g, xs, ys, f, **kwargs)
-        assert got == oracles.reference_cross_dag_agreement(g, xs, ys, f, **kwargs), (gi, xs, ys)
+        n_models = 20 if gi % 2 == 0 else max(1, len(dags) - 1)
+        fewer += n_models < len(dags)
+        got = cross_dag_agreement(g, xs, ys, f, n_models=n_models, seed=gi)
+        want = oracles.reference_cross_dag_agreement(
+            g, xs, ys, f, n_models=n_models, seed=gi, dags=dags
+        )
+        assert got == want, (gi, xs, ys)
         checked += 1
     assert checked > 250 and fewer > 25
+
+
+@pytest.mark.parametrize("n_models", [0, -3])
+def test_agreement_refuses_fewer_than_one_model(mpdag4, n_models):
+    f = identify(mpdag4, {"X"}, {"Y1"}).formula
+    with pytest.raises(GraphError, match="n_models must be at least 1"):
+        cross_dag_agreement(mpdag4, {"X"}, {"Y1"}, f, n_models=n_models)
 
 
 def test_batched_agreement_in_passes_equals_reference(sweep, monkeypatch):
@@ -614,9 +612,8 @@ def test_batched_agreement_in_passes_equals_reference(sweep, monkeypatch):
         queries = _identifiable(g)
         if queries and 2 ** len(g.nodes) > 4:  # more than one pass
             xs, ys, f = queries[gi % len(queries)]
-            kwargs = dict(n_models=20, seed=gi, dags=dags)
-            want = oracles.reference_cross_dag_agreement(g, xs, ys, f, **kwargs)
-            assert cross_dag_agreement(g, xs, ys, f, **kwargs) == want
+            want = oracles.reference_cross_dag_agreement(g, xs, ys, f, seed=gi, dags=dags)
+            assert cross_dag_agreement(g, xs, ys, f, seed=gi) == want
             checked += 1
     assert checked > 30
 
@@ -671,6 +668,28 @@ def test_batched_tables_equal_per_model_rows(sweep, larger):
                     assert np.array_equal(gformula_table(refit, xs, ys).table[i], want)
                 rows += 1
     assert rows > 500 and one_run > 10
+
+
+def test_batched_formula_tables_equal_two_step_reference(larger):
+    """On 6-8-node MPDAGs, every identifiable query's ``id_formula_table``
+    of a batch of 3 models equals, row by row and bit for bit, the
+    reference that integrates with every axis kept and then squeezes the
+    rest, evaluated on that row's model alone."""
+    checked = 0
+    for gi, (g, dags) in enumerate(larger):
+        cards = dict.fromkeys(g.nodes, 2)
+        batch = random_model(dags[gi % len(dags)], cards, gi, batch=3)
+        singles = [
+            DiscreteModel(batch.dag, cards, {v: cpt[i] for v, cpt in batch.cpts.items()})
+            for i in range(3)
+        ]
+        for xs, ys, f in _identifiable(g):
+            got = id_formula_table(f, batch).table
+            for i, m in enumerate(singles):
+                want = oracles.reference_id_formula_table(f, m)
+                assert np.array_equal(got[i], want), (gi, xs, ys)
+            checked += 1
+    assert checked > 2000
 
 
 def test_shared_refits_equal_per_dag_refits(sweep, larger):
@@ -990,8 +1009,13 @@ def test_discrete_model_requires_a_dag(pair):
 def test_max_tv_refuses_tables_over_other_nodes(twotreat7):
     m = random_model(twotreat7, {n: 2 for n in twotreat7.nodes}, 1)
     a, b = gformula_table(m, {"X1"}, {"Y"}), gformula_table(m, {"X2"}, {"Y"})
-    with pytest.raises(ValueError, match="different node sets"):
-        a.max_tv(b)
+    no_y = gformula_table(m, {"X1"}, ())
+    for other in (b, no_y):
+        with pytest.raises(ValueError, match="different node sets"):
+            a.max_tv(other)
+    # With no Y axis, each entry is its own total variation, halved.
+    half = dataclasses.replace(no_y, table=no_y.table / 2)
+    assert no_y.max_tv(half) == float((0.5 * np.abs(no_y.table - half.table)).max())
 
 
 def test_gformula_table_refuses_overlapping_sets(twotreat7):

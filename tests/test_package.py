@@ -5,6 +5,7 @@ own modules only relatively, and the two errors ``cli`` catches keep one
 class under each of their names."""
 
 import ast
+import inspect
 import json
 import os
 
@@ -95,6 +96,12 @@ print(len(mpdagid.__all__))
     done = fresh_python("-c", script)
     assert done.returncode == 0, done.stderr
     assert done.stdout == f"{len(mpdagid.__all__)}\n"
+
+
+def test_cross_dag_agreement_takes_only_what_verify_gives_it():
+    # Like RETIRED for names: a retired keyword (card=, dags=) cannot return.
+    params = inspect.signature(oracle.cross_dag_agreement).parameters
+    assert list(params) == ["g", "X", "Y", "formula", "n_models", "seed"]
 
 
 def test_errors_caught_by_the_cli_are_one_class_each():
