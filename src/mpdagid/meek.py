@@ -21,13 +21,13 @@ A graph tagged ``dag`` or ``mpdag`` represents at least one DAG.  A
 :func:`_removal_order` pass decides whether a graph does:
 :func:`require_mpdag`, the one check that tags a graph ``mpdag``, and the
 full check of :func:`close` run it; :func:`consistent_extension` runs it to
-find one such DAG, which points every undirected edge from the node
-removed later to the one removed earlier.  The rules are complete under
-background knowledge (Meek 1995), so a checked MPDAG orients each
-undirected edge both ways among the DAGs it represents, and closing it
-with one pair on one of them gives an MPDAG: no rule demands the
-reverse of an orientation, and no removal-order pass is needed, so
-:func:`close` runs neither check.
+find one such DAG, which points every undirected edge from the node removed
+later to the one removed earlier.  The rules are complete under background
+knowledge (Meek 1995), so a checked MPDAG orients each undirected edge both
+ways among the DAGs it represents, and closing it with one pair on one of
+them gives an MPDAG: no rule demands the reverse of an orientation, and no
+removal-order pass is needed, so :func:`close` runs neither check, nor the
+knowledge checks, which such a pair passes by construction.
 :func:`enumerate_dags` walks such one-pair closes down to a closure with
 one undirected edge, and orients that edge both ways without a close: by
 the same completeness each orientation is a DAG of the class, and no
@@ -206,16 +206,17 @@ def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
     is oriented as ``tail -> head`` before the rules run.  The result
     contains every directed edge of the input, has ``g``'s skeleton and
     shares ``g``'s neighbourhood map.  An untagged ``g``, the way every
-    input enters, and knowledge that orients two or more edges are
-    checked in full.  A tagged ``g`` with knowledge that orients at most
-    one edge runs no check, neither for reverse demands nor for an
-    extension (the module docstring says why).  That trusted path, each
-    branch step of :func:`enumerate_dags`, relies on the tag vouching for
-    a checked MPDAG.  The knowledge checks still run on it, in the same
-    order with the same messages; they read ``g._adj`` for the node and
-    adjacency tests, so ``g``'s neighbourhood map must be exact.  Each
-    step applies the least (rule index, then edge) application; the
-    closure does not depend on the order.
+    input enters, and knowledge that orients two or more edges are checked
+    in full.  A tagged ``g`` with knowledge that orients at most one edge
+    runs no check, neither for reverse demands nor for an extension (the
+    module docstring says why).  That trusted path, each branch step of
+    :func:`enumerate_dags`, relies on the tag vouching for a checked
+    MPDAG.  One pair on one undirected edge of a tagged ``g`` passes every
+    knowledge check by construction, so none runs on it; other knowledge
+    runs them in the same order with the same messages, reading
+    ``g._adj``, which must be exact.  Each step applies the least (rule
+    index, then edge) application; the closure does not depend on the
+    order.
 
     Raises
     ------
@@ -240,46 +241,58 @@ def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
     # Orientations made here, in order; the position picks which demand
     # is reported when several conflict at once.
     oriented: dict[tuple[str, str], int] = {}
-    pairs = sorted(frozenset(bk))
-    for tail, head in pairs:
-        for n in (tail, head):
-            if n not in adj:
-                raise UnknownNodeError(f"unknown node: {n}")
-        if tail != head and (head, tail) in pairs:
-            raise InconsistentKnowledgeError(
-                f"background knowledge orients {tail} and {head} both ways"
-            )
-        if tail == head or head not in adj[tail]:
-            raise InconsistentKnowledgeError(
-                f"background knowledge pair {tail} -> {head} is not an adjacency"
-            )
-        if head in ch[tail]:
-            continue
-        if tail in ch[head]:
-            raise InconsistentKnowledgeError(
-                f"background knowledge {tail} -> {head} opposes existing edge"
-            )
-        und[tail] = und[tail] - {head}
-        und[head] = und[head] - {tail}
-        ch[tail] = ch[tail] | {head}
-        pa[head] = pa[head] | {tail}
-        oriented[(tail, head)] = len(oriented)
-    # A checked MPDAG closed with one pair on one of its edges is an MPDAG,
-    # so no check below can fail on it.
-    trusted = g.class_tag != "pdag" and len(oriented) <= 1
-
-    if not trusted:
-        _check_no_reverse_demand(pa, ch, und, adj, list(oriented))
     # Orienting t -> h changes only pa[h], ch[t], und[t] and und[h].  By what
     # ``_which_rule`` reads, the verdict for a -> b can then change only when
     # a is t, h or in und[h] (rule 4 reads pa[d] for d in und[a]), or when b
     # is h, which again puts a in und[h]; ``around`` holds those tails.
     # A graph tagged dag or mpdag was checked closed when it was built, so
     # only the rules near the knowledge can fire.
-    if g.class_tag == "pdag":
-        around = nodes
+    pairs = tuple(bk)
+    t, h = pairs[0] if len(pairs) == 1 else (None, None)
+    if g.class_tag != "pdag" and h in und.get(t, ()):
+        # One undirected edge of a checked MPDAG, each branch step of
+        # enumerate_dags, passes every knowledge check by construction.
+        und[t] = und[t] - {h}
+        und[h] = und[h] - {t}
+        ch[t] = ch[t] | {h}
+        pa[h] = pa[h] | {t}
+        oriented[(t, h)] = 0
+        around = {t, h, *und[h]}
+        trusted = True
     else:
-        around = {n for t, h in oriented for n in (t, h, *und[h])}
+        pairs = sorted(frozenset(pairs))
+        for tail, head in pairs:
+            for n in (tail, head):
+                if n not in adj:
+                    raise UnknownNodeError(f"unknown node: {n}")
+            if tail != head and (head, tail) in pairs:
+                raise InconsistentKnowledgeError(
+                    f"background knowledge orients {tail} and {head} both ways"
+                )
+            if tail == head or head not in adj[tail]:
+                raise InconsistentKnowledgeError(
+                    f"background knowledge pair {tail} -> {head} is not an adjacency"
+                )
+            if head in ch[tail]:
+                continue
+            if tail in ch[head]:
+                raise InconsistentKnowledgeError(
+                    f"background knowledge {tail} -> {head} opposes existing edge"
+                )
+            und[tail] = und[tail] - {head}
+            und[head] = und[head] - {tail}
+            ch[tail] = ch[tail] | {head}
+            pa[head] = pa[head] | {tail}
+            oriented[(tail, head)] = len(oriented)
+        # A checked MPDAG closed with one pair on one of its edges is an
+        # MPDAG, so no check below can fail on it.
+        trusted = g.class_tag != "pdag" and len(oriented) <= 1
+        if not trusted:
+            _check_no_reverse_demand(pa, ch, und, adj, list(oriented))
+        if g.class_tag == "pdag":
+            around = nodes
+        else:
+            around = {n for t, h in oriented for n in (t, h, *und[h])}
     # (tail, head) -> (lowest rule, tail, head), so the least value is the
     # next application; a verdict of no rule drops the edge, if pending.
     pending: dict[tuple[str, str], tuple[int, str, str]] = {}
@@ -301,7 +314,6 @@ def close(g: Pdag, bk: Iterable[tuple[str, str]] = ()) -> Pdag:
         oriented[(tail, head)] = len(oriented)
         del pending[(tail, head)]
         pending.pop((head, tail), None)
-
         around = und[head] | {tail, head}
         if trusted:
             continue

@@ -1,6 +1,8 @@
 import collections
+import cProfile
 import itertools
 import os
+import pstats
 import random
 import re
 
@@ -88,9 +90,27 @@ def _checked_mpdag() -> Pdag:
             InconsistentKnowledgeError,
             "background knowledge D -> C opposes existing edge",
         ),
+        # One pair given as a tuple, the form of enumerate_dags' branch step.
+        ((("Z", "A"),), UnknownNodeError, "unknown node: Z"),
+        (
+            (("A", "C"),),
+            InconsistentKnowledgeError,
+            "background knowledge pair A -> C is not an adjacency",
+        ),
+        (
+            (("A", "A"),),
+            InconsistentKnowledgeError,
+            "background knowledge pair A -> A is not an adjacency",
+        ),
+        (
+            (("D", "C"),),
+            InconsistentKnowledgeError,
+            "background knowledge D -> C opposes existing edge",
+        ),
     ],
     ids=[
-        "unknown-tail", "unknown-head", "both-ways", "non-adjacent", "self-pair", "against-arrow"
+        "unknown-tail", "unknown-head", "both-ways", "non-adjacent", "self-pair", "against-arrow",
+        "unknown-tail-tuple", "non-adjacent-tuple", "self-pair-tuple", "against-arrow-tuple",
     ],
 )
 def test_knowledge_checks_run_on_a_checked_mpdag(bk, error, message):
@@ -107,6 +127,76 @@ def test_knowledge_repeating_an_arrow_of_a_checked_mpdag_changes_nothing():
     assert h == g
     assert h.class_tag == "mpdag"
     assert h._adj is g._adj
+
+
+def test_one_pair_on_an_untagged_graph_is_checked_in_full():
+    # The chordless 4-cycle fires no rule; A -> B propagates round it.
+    g = parse_graph("A -- B\nB -- C\nC -- D\nD -- A\n")
+    with pytest.raises(InconsistentKnowledgeError) as caught:
+        close(g, (("A", "B"),))
+    assert str(caught.value) == "closure creates a directed cycle; knowledge is inconsistent"
+    rng = random.Random(35)
+    cases = failures = 0
+    for _ in range(200):
+        g = oracles.random_pdag(rng, rng.randint(3, 7), rng.choice((0.4, 0.7)))
+        for a, b in sorted(g.directed | g.undirected):
+            for pair in ((a, b), (b, a)):
+                expected = _outcome(oracles.reference_close, g, (pair,))
+                assert _outcome(close, g, (pair,)) == expected, (g.to_edgelist(), pair)
+                cases += 1
+                failures += isinstance(expected, str)
+    assert 0 < failures < cases
+
+
+def _same_closure(h, ref, g):
+    """``h`` equals ``ref`` in edges and maps, is tagged ``mpdag`` and
+    shares ``g``'s neighbourhood map."""
+    assert (h.directed, h.undirected) == (ref.directed, ref.undirected)
+    assert (h._parents, h._children, h._und) == (ref._parents, ref._children, ref._und)
+    assert h.class_tag == "mpdag"
+    assert h._adj is g._adj
+
+
+def test_knowledge_form_does_not_matter(sweep):
+    # Every form of one pair, and the pair repeated, which takes the
+    # general knowledge checks, give the same closure.
+    forms = (list, frozenset, set, lambda bk: (pair for pair in bk), lambda bk: bk * 2)
+    graphs = [g for g, _ in sweep]
+    graphs += oracles.random_mpdags(seed=35, count=100, n_nodes=(6, 7, 8), p_edge=0.6)
+    cases = 0
+    for g in graphs:
+        for a, b in sorted(g.undirected):
+            for bk in (((a, b),), ((b, a),)):
+                ref = close(g, bk)
+                for form in forms:
+                    _same_closure(close(g, form(bk)), ref, g)
+                cases += 1
+    assert cases > 1000
+
+
+def test_enumeration_closes_each_branch_through_the_module_close(monkeypatch):
+    # perfbench's tracer times the branch closes by rebinding meek.close,
+    # so enumeration must look close up in the module at every branch.
+    g = meek.require_mpdag(parse_graph("A -- B\nA -- C\nA -- D\nB -- C\nC -- D\n"))
+    profile = cProfile.Profile()
+    dags = profile.runcall(meek.enumerate_dags, g)
+    code = meek.close.__code__
+    ((_, profiled, *_),) = [
+        stats for (filename, line, name), stats in pstats.Stats(profile).stats.items()
+        if (filename, line, name) == (code.co_filename, code.co_firstlineno, "close")
+    ]
+    seen = []
+    real = meek.close
+
+    def counted(h, bk=()):
+        seen.append(bk)
+        return real(h, bk)
+
+    monkeypatch.setattr(meek, "close", counted)
+    assert meek.enumerate_dags(g) == dags
+    assert len(dags) >= 3
+    assert len(seen) == profiled > 1
+    assert all(len(bk) == 1 for bk in seen)
 
 
 def test_rule_1_orients_away_from_arrow():

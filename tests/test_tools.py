@@ -1,7 +1,8 @@
 """The in-process A/B harness ``tools/ab.py`` on stub sides: identical
 sides read identical, and a side whose output differs or that raises is
 named and sets the exit status to 1.  No timing round runs; the rule that
-settles a timing is checked on fixed samples."""
+settles a timing is checked on fixed samples.  ``tools/enum_checks.py``
+compares fixed reports, so no checkout is enumerated."""
 
 import importlib.util
 import os
@@ -12,9 +13,17 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads  # noqa: E402
 
-_spec = importlib.util.spec_from_file_location("ab", os.path.join(ROOT, "tools", "ab.py"))
-ab = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(ab)
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "tools", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ab = _load_tool("ab")
+enum_checks = _load_tool("enum_checks")
 
 WORKDIR = "/work"
 
@@ -96,3 +105,33 @@ def test_verdict_needs_nine_tenths_of_the_rounds_and_medians_apart():
     # Ties count for neither side.
     assert ab.verdict(PARENT, [PARENT[0]] + faster[1:]) == "resolved: change faster"
     assert ab.verdict(PARENT, PARENT[:2] + faster[2:]) == "unresolved"
+
+
+# A parent report of tools/enum_checks.py, as its child process prints it.
+REPORT = {
+    "graphs": 220, "closes inputs": 220, "closes branches": 19756,
+    "removal passes inputs": 220, "reverse-demand checks inputs": 220,
+    "rule evaluations inputs": 9840, "rule evaluations branches": 108775,
+    "trusted layouts inputs": 220, "trusted layouts branches": 37054,
+    "dags": 17298, "profiled calls": 961674,
+}
+
+
+def test_enum_checks_ignores_only_the_profiled_calls():
+    assert enum_checks.differing_rows(REPORT, dict(REPORT)) == []
+    assert enum_checks.differing_rows(REPORT, {**REPORT, "profiled calls": 5}) == []
+    changed = {**REPORT, "closes branches": 19757}
+    assert enum_checks.differing_rows(REPORT, changed) == ["closes branches"]
+    # A row one report lacks counts as 0.
+    assert enum_checks.differing_rows(REPORT, {**REPORT, "removal passes branches": 1}) == [
+        "removal passes branches"
+    ]
+
+
+def test_enum_checks_exits_1_when_a_count_differs(monkeypatch, capsys):
+    reports = {"parent": REPORT, "same": dict(REPORT), "changed": {**REPORT, "closes branches": 1}}
+    monkeypatch.setattr(enum_checks, "counts", reports.__getitem__)
+    assert enum_checks.main(["parent", "same"]) == 0
+    assert "counts differ" not in capsys.readouterr().out
+    assert enum_checks.main(["parent", "changed"]) == 1
+    assert capsys.readouterr().out.endswith("\ncounts differ: closes branches\n")

@@ -15,6 +15,10 @@ the function calls a cProfile of ``enumerate_dags`` plus ``to_edgelist``
 records.  The split counts are the ``pstats`` call counts of two
 cProfile runs, one per phase, so no function is replaced.  Every count
 is deterministic; none is a time.
+
+Exits 1, after printing ``counts differ: <rows>``, when any row other
+than ``profiled calls`` differs between the checkouts; that row counts
+Python calls, so any refactor moves it.  Exits 0 otherwise.
 """
 
 from __future__ import annotations
@@ -95,6 +99,15 @@ def counts(checkout: str) -> dict:
     return json.loads(done.stdout)
 
 
+def differing_rows(before: dict, after: dict) -> list[str]:
+    """The rows of ``ROWS``, other than ``profiled calls``, whose counts
+    differ between the two reports."""
+    return [
+        row for row in ROWS
+        if row != "profiled calls" and before.get(row, 0) != after.get(row, 0)
+    ]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent")
@@ -104,6 +117,10 @@ def main(argv=None) -> int:
     print(f"{'':30} {'parent':>10} {'change':>10}")
     for row in ROWS:
         print(f"{row:30} {before.get(row, 0):>10,} {after.get(row, 0):>10,}")
+    differ = differing_rows(before, after)
+    if differ:
+        print(f"counts differ: {', '.join(differ)}")
+        return 1
     return 0
 
 
