@@ -14,7 +14,6 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402
 
 
-
 def _load_tool(name):
     spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "tools", f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
