@@ -2,8 +2,8 @@
 
 Everything here favors being obviously correct over being fast: discrete
 evaluation enumerates the full joint (capped at 2**20 configurations),
-agreement is checked on every DAG that ``meek.enumerate_dags`` lists, and
-linear-Gaussian covariances come from Wright's path rule, accumulated
+agreement is checked over the class that ``meek.enumerate_dags`` lists,
+and linear-Gaussian covariances come from Wright's path rule, accumulated
 node by node over a topological order.
 
 A :class:`DiscreteModel` is immutable (it keeps read-only copies of its
@@ -24,9 +24,10 @@ once (still naming the first failing node), and the axis bookkeeping of
 refits and broadcast factors is cached per node tuple and family.
 
 ``cross_dag_agreement`` draws all models of a query from one generator,
-batch after batch, and refits each family of the class once per batch
-of joints: a refit CPT depends only on the joints and the family, so
-every DAG with that family shares it, bit for bit.
+batch after batch, refits the joints of a batch along one DAG per group
+of DAGs with the same X-families, and refits each family once per batch:
+a refit CPT depends only on the joints and the family, so every DAG with
+that family shares it, bit for bit.
 """
 
 from __future__ import annotations
@@ -533,14 +534,26 @@ def cross_dag_agreement(
     and that the formula reproduces it.
 
     Every node is binary.  Random model k is drawn on ``dags[k % len(dags)]``
-    of ``dags = enumerate_dags(g)``; its joint is refactored along every
-    other DAG, and the truncated factorization is compared across DAGs and
-    against the formula, over all intervention configurations at once.
-    The models are taken in passes of at most ``CONFIG_CAP`` stacked joint
-    cells.  All come from the one generator ``Generator(PCG64(seed))``: in
-    each pass, the models of each base DAG, in base order, as one batch.
-    Each DAG refits all joints of the pass at once, and the DAGs share the
-    CPT of each family they have in common, refit once per pass.
+    of ``dags = enumerate_dags(g)``, its base DAG.  The models are taken in
+    passes of at most ``CONFIG_CAP`` stacked joint cells.  All come from
+    the one generator ``Generator(PCG64(seed))``: in each pass, the models
+    of each base DAG, in base order, as one batch.  The truncated
+    factorization of ``dags[0]`` is the reference; it is compared with the
+    formula's table and with the tables of the other DAGs, over all
+    intervention configurations at once.
+
+    A DAG's truncated factorization of a strictly positive joint depends
+    on the DAG only through its X-families ``(x, pa(x))``, since the DAGs
+    of a class are Markov equivalent (Maathuis, Kalisch & Bühlmann 2009).
+    So the DAGs are grouped by their X-families, and only the first DAG
+    of each group refits the joints of a pass, all at once; the DAGs share
+    the CPT of each family they have in common, refit once per pass.  A
+    base model keeps its drawn CPTs in the table of its base DAG.  A later
+    DAG of a group is skipped, unless it is a base DAG: then its models'
+    own table is compared with the reference's rows of those models, so
+    every drawn model is checked across two DAGs.  A pass whose joints
+    hold a zero cell refits along every DAG, since ``model_from_joint``
+    fills parent configurations without mass uniformly.
     """
     if n_models < 1:
         raise GraphError("n_models must be at least 1")
@@ -548,6 +561,10 @@ def cross_dag_agreement(
     xs, ys = g.require(X), g.require(Y)
     dags = enumerate_dags(g)
     cards = dict.fromkeys(g.nodes, 2)
+    firsts: dict[tuple, int] = {}  # X-families -> the first DAG that has them
+    for b, d in enumerate(dags):
+        firsts.setdefault(tuple((x, frozenset(d._parents[x])) for x in sorted(xs)), b)
+    later = set(range(len(dags))) - set(firsts.values())
     rng = np.random.Generator(np.random.PCG64(seed))
     max_tv = max_formula = 0.0
     step = max(1, CONFIG_CAP // 2 ** len(g.nodes))
@@ -559,8 +576,15 @@ def cross_dag_agreement(
         bounds = itertools.accumulate((m.batch for m in models.values()), initial=0)
         rows = dict(zip(models, itertools.pairwise(bounds)))
         fits: dict[tuple[str, ...], np.ndarray] = {}  # family -> CPT refit from ``joints``
-        tables = []
+        grouped = joints.all()  # the X-family identity needs a strictly positive joint
+        reference = None
         for b, d in enumerate(dags):
+            if grouped and b in later:
+                if b in models:
+                    own = gformula_table(models[b], xs, ys)
+                    ref_rows = replace(reference, table=reference.table[slice(*rows[b])])
+                    max_tv = max(max_tv, ref_rows.max_tv(own))
+                continue
             if len(models) == 1 and b in models:
                 table = gformula_table(models[b], xs, ys)
             else:
@@ -568,9 +592,11 @@ def cross_dag_agreement(
                 if b in models:
                     # A base model keeps its drawn CPTs, not their refit.
                     table.table[slice(*rows[b])] = gformula_table(models[b], xs, ys).table
-            tables.append(table)
+            if reference is None:
+                reference = table
+            else:
+                max_tv = max(max_tv, reference.max_tv(table))
         formulas = [id_formula_table(formula, m) for m in models.values()]
         formula_table = replace(formulas[0], table=np.concatenate([t.table for t in formulas]))
-        max_tv = max([max_tv, *(tables[0].max_tv(t) for t in tables[1:])])
-        max_formula = max(max_formula, tables[0].max_tv(formula_table))
+        max_formula = max(max_formula, reference.max_tv(formula_table))
     return AgreementReport(len(dags), n_models, max_tv, max_formula)

@@ -16,6 +16,7 @@ from mpdagid import (
     GraphError,
     IdFormula,
     InconsistentKnowledgeError,
+    NotTruncatableError,
     amenability_witness,
     close,
     cross_dag_agreement,
@@ -30,6 +31,7 @@ from mpdagid import (
     parse_graph,
     random_model,
     simulate,
+    truncated_factorization,
     wright_cov,
 )
 
@@ -575,9 +577,23 @@ def _identifiable(g):
     ]
 
 
+def _assert_agrees_with_reference(got, want, key):
+    """The DAG and model counts and the formula deviation equal the
+    per-model loop's; the cross-DAG deviation is a maximum over a subset of
+    the loop's comparisons, so it is at most the loop's, by less than
+    1e-12; and ``verify`` prints the same lines for both."""
+    assert (got.n_dags, got.n_models, got.max_formula_tv) == (
+        want.n_dags, want.n_models, want.max_formula_tv
+    ), key
+    assert 0.0 <= want.max_cross_dag_tv - got.max_cross_dag_tv < 1e-12, key
+    for name in ("max_cross_dag_tv", "max_formula_tv"):
+        line = cli._fmt_deviation(getattr(got, name))
+        assert line == cli._fmt_deviation(getattr(want, name)), key
+
+
 def test_batched_agreement_equals_per_model_reference(sweep, larger):
-    """``cross_dag_agreement`` reports exactly what the per-model loop
-    reports, on the sweep and on 6-8-node MPDAGs, with ``n_models`` 20 and
+    """``cross_dag_agreement`` agrees with the per-model loop over every
+    DAG, on the sweep and on 6-8-node MPDAGs, with ``n_models`` 20 and
     below ``len(dags)``: one query per graph, the settings taken in turn."""
     checked = fewer = 0
     for gi, (g, dags) in enumerate([*sweep, *larger]):
@@ -591,7 +607,7 @@ def test_batched_agreement_equals_per_model_reference(sweep, larger):
         want = oracles.reference_cross_dag_agreement(
             g, xs, ys, f, n_models=n_models, seed=gi, dags=dags
         )
-        assert got == want, (gi, xs, ys)
+        _assert_agrees_with_reference(got, want, (gi, xs, ys))
         checked += 1
     assert checked > 250 and fewer > 25
 
@@ -605,7 +621,7 @@ def test_agreement_refuses_fewer_than_one_model(mpdag4, n_models):
 
 def test_batched_agreement_in_passes_equals_reference(sweep, monkeypatch):
     """Under a small cap the models are taken in several passes; the
-    reports still equal the per-model loop's."""
+    reports still agree with the per-model loop's."""
     monkeypatch.setattr(oracle, "CONFIG_CAP", 64)
     checked = 0
     for gi, (g, dags) in enumerate(sweep[::5]):
@@ -613,7 +629,8 @@ def test_batched_agreement_in_passes_equals_reference(sweep, monkeypatch):
         if queries and 2 ** len(g.nodes) > 4:  # more than one pass
             xs, ys, f = queries[gi % len(queries)]
             want = oracles.reference_cross_dag_agreement(g, xs, ys, f, seed=gi, dags=dags)
-            assert cross_dag_agreement(g, xs, ys, f, seed=gi) == want
+            got = cross_dag_agreement(g, xs, ys, f, seed=gi)
+            _assert_agrees_with_reference(got, want, (gi, xs, ys))
             checked += 1
     assert checked > 30
 
@@ -692,6 +709,32 @@ def test_batched_formula_tables_equal_two_step_reference(larger):
     assert checked > 2000
 
 
+def test_truncated_factorization_equals_gformula_on_every_dag(sweep, larger):
+    """The paper's generalized truncated factorization: for every nonempty
+    proper subset X of the nodes, ``truncated_factorization(g, X)``
+    evaluated on a random model of each represented DAG is that model's
+    g-formula f(v' | do(x)) within 1e-12, and it refuses exactly the X for
+    which f(v' | do(x)) is not identifiable."""
+    formulas = refusals = 0
+    for gi, (g, dags) in enumerate([*sweep, *larger]):
+        cards = dict.fromkeys(g.nodes, 2)
+        models = [random_model(d, cards, gi * 1000 + b) for b, d in enumerate(dags)]
+        for r in range(1, len(g.nodes)):
+            for X in itertools.combinations(g.nodes, r):
+                rest = set(g.nodes) - set(X)
+                try:
+                    f = truncated_factorization(g, X)
+                except NotTruncatableError:
+                    assert not identify(g, X, rest).identifiable, (gi, X)
+                    refusals += 1
+                    continue
+                assert identify(g, X, rest).identifiable, (gi, X)
+                for m in models:
+                    assert gformula_table(m, X, rest).max_tv(id_formula_table(f, m)) < 1e-12, (gi, X)
+                formulas += 1
+    assert formulas > 3000 and refusals > 3000
+
+
 def test_shared_refits_equal_per_dag_refits(sweep, larger):
     """Refits of one stack of joints that share each family's CPT across
     the DAGs of the class, through one ``fits`` dict, equal the per-DAG
@@ -711,13 +754,27 @@ def test_shared_refits_equal_per_dag_refits(sweep, larger):
     assert shared > 1000  # family refits the dict saved
 
 
-def test_agreement_refits_each_family_once_per_pass(oracle_calls, monkeypatch):
-    """On X -> every node of K_6 (720 DAGs of 7 nodes) with 20 models, the
-    one pass refits 720 DAGs but each of their 193 distinct families once,
-    not the 5,040 families of the DAGs one by one."""
-    clique = [f"K{i}" for i in range(6)]
+def _x_into_clique(k):
+    """X -> every node of an undirected clique K_k: k! DAGs, and X has no
+    parent in any of them, so all fall into one X-family group."""
+    clique = [f"K{i}" for i in range(k)]
     edges = [f"{a} -- {b}" for a, b in itertools.combinations(clique, 2)]
-    g = parse_graph("\n".join([f"X -> {v}" for v in clique] + edges))
+    return parse_graph("\n".join([f"X -> {v}" for v in clique] + edges))
+
+
+def _clique_holding_x(k):
+    """An undirected clique K_k of X and k - 1 other nodes, plus X -> Y: k!
+    DAGs, in 2^(k-1) X-family groups, one per parent set of X."""
+    clique = ["X", *(f"K{i}" for i in range(1, k))]
+    edges = [f"{a} -- {b}" for a, b in itertools.combinations(clique, 2)]
+    return parse_graph("\n".join([*edges, "X -> Y"]))
+
+
+def _grouped_refits(oracle_calls, monkeypatch, g, y, groups, families):
+    """On a 7-node graph of 720 DAGs with 20 models, the one pass refits
+    the joints along one DAG per X-family group, each distinct family of
+    those DAGs once, and builds one table per group plus one per base DAG
+    from its drawn models."""
     refits = collections.Counter()
     refit_family = oracle._refit_family
 
@@ -726,9 +783,85 @@ def test_agreement_refits_each_family_once_per_pass(oracle_calls, monkeypatch):
         return refit_family(joint, nodes, family, card, lead)
 
     monkeypatch.setattr(oracle, "_refit_family", counted)
-    report = cross_dag_agreement(g, {"X"}, {"K0"}, identify(g, {"X"}, {"K0"}).formula, n_models=20)
-    assert report.n_dags == 720 and oracle_calls["model_from_joint"] == 720
-    assert len(refits) == sum(refits.values()) == 193
+    report = cross_dag_agreement(g, {"X"}, {y}, identify(g, {"X"}, {y}).formula, n_models=20)
+    assert report.n_dags == 720 and oracle_calls["model_from_joint"] == groups
+    assert oracle_calls["gformula_table"] == groups + 20
+    assert len(refits) == sum(refits.values()) == families
+    assert report.max_cross_dag_tv < 1e-12
+
+
+def test_agreement_refits_each_family_once_per_pass(oracle_calls, monkeypatch):
+    """On X -> every node of K_6 all 720 DAGs are one X-family group: one
+    refit of its 7 families, not 720 refits of 193 distinct families."""
+    _grouped_refits(oracle_calls, monkeypatch, _x_into_clique(6), "K0", 1, 7)
+
+
+def test_agreement_refits_once_per_x_family_group(oracle_calls, monkeypatch):
+    """On a K_6 holding X, plus X -> Y, the 720 DAGs form 32 groups, one
+    per parent set of X, which refit 95 distinct families."""
+    _grouped_refits(oracle_calls, monkeypatch, _clique_holding_x(6), "Y", 32, 95)
+
+
+def test_agreement_checks_every_base_model_in_one_group(monkeypatch, tmp_path, capsys):
+    """On X -> K_6 every DAG is in one X-family group, yet each base DAG's
+    drawn models get their own table, once, and are compared with the
+    reference: a table of one later base DAG, put off by 0.01, shows in the
+    report and makes ``verify`` exit 1."""
+    g = _x_into_clique(6)
+    dags = enumerate_dags(g)
+    f = identify(g, {"X"}, {"K0"}).formula
+    gformula = oracle.gformula_table
+    seen = collections.Counter()
+
+    def off(m, X, Y):
+        t = gformula(m, X, Y)
+        seen[m.dag.directed] += 1
+        if m.dag.directed == dags[5].directed:
+            shifted = t.table.copy()
+            shifted[..., 0] += 0.01
+            shifted[..., 1] -= 0.01
+            t = dataclasses.replace(t, table=shifted)
+        return t
+
+    monkeypatch.setattr(oracle, "gformula_table", off)
+    report = cross_dag_agreement(g, {"X"}, {"K0"}, f, n_models=20)
+    assert report.max_cross_dag_tv > 1e-9
+    # DAG 0 is the group's representative: its refit and its drawn models.
+    assert seen == {d.directed: 2 if b == 0 else 1 for b, d in enumerate(dags[:20])}
+    path = tmp_path / "g.txt"
+    path.write_text(g.to_edgelist())
+    assert cli.main(["verify", "-g", str(path), "-X", "X", "-Y", "K0"]) == 1
+    assert "verification failed" in capsys.readouterr().err
+
+
+def test_agreement_refits_every_dag_when_a_joint_has_a_zero_cell(oracle_calls, monkeypatch):
+    """A drawn model with one CPT column (1, 0) gives the stacked joints a
+    zero cell, where the refits fill parent configurations uniformly; that
+    pass refits along every DAG, and the report equals the per-model
+    loop's exactly."""
+    g = _x_into_clique(3)
+    f = identify(g, {"X"}, {"K0"}).formula
+    n = len(enumerate_dags(g))
+    seed, row = 40, 7
+
+    class Corrupting(np.random.Generator):
+        drawn = 0  # models drawn from this generator so far
+
+        def standard_exponential(self, size=None):
+            draw = super().standard_exponential(size)
+            models = draw.reshape(-1, *draw.shape[-2:])  # a view, one block per model
+            if self.drawn <= row < self.drawn + len(models):
+                models[row - self.drawn][-1] = (1.0, 0.0)  # the last node's last column
+            self.drawn += len(models)
+            return draw
+
+    assert cross_dag_agreement(g, {"X"}, {"K0"}, f, seed=seed).n_dags == n == 6
+    assert oracle_calls["model_from_joint"] == 1  # one group
+    oracle_calls["model_from_joint"] = 0
+    monkeypatch.setattr(np.random, "Generator", Corrupting)
+    got = cross_dag_agreement(g, {"X"}, {"K0"}, f, seed=seed)
+    assert oracle_calls["model_from_joint"] == n
+    assert got == oracles.reference_cross_dag_agreement(g, {"X"}, {"K0"}, f, seed=seed)
 
 
 def test_batched_model_checks():

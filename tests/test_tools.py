@@ -2,7 +2,9 @@
 sides read identical, and a side whose output differs or that raises is
 named and sets the exit status to 1.  No timing round runs; the rule that
 settles a timing is checked on fixed samples.  ``tools/enum_checks.py``
-compares fixed reports, so no checkout is enumerated."""
+compares fixed reports, so no checkout is enumerated.  ``tools/large_class.py``
+is checked on its graphs and on fixed run records, so no child process
+starts."""
 
 import importlib.util
 import os
@@ -23,6 +25,7 @@ def _load_tool(name):
 
 ab = _load_tool("ab")
 enum_checks = _load_tool("enum_checks")
+large_class = _load_tool("large_class")
 
 WORKDIR = "/work"
 
@@ -134,3 +137,40 @@ def test_enum_checks_exits_1_when_a_count_differs(monkeypatch, capsys):
     assert "counts differ" not in capsys.readouterr().out
     assert enum_checks.main(["parent", "changed"]) == 1
     assert capsys.readouterr().out.endswith("\ncounts differ: closes branches\n")
+
+
+def test_large_class_graphs_and_groups():
+    """The graphs parse to the classes the docstring names: k! DAGs, one
+    X-family group for X -> K_k and 2^(k-1) for a K_k holding X (checked
+    at k = 4, where the walk is cheap), and each case names a graph."""
+    from mpdagid import enumerate_dags, identify, parse_graph
+
+    for text, k, groups in [
+        (large_class.x_into_clique(4), 4, 1),
+        (large_class.clique_holding_x(4), 4, 8),
+    ]:
+        g = parse_graph(text)
+        dags = enumerate_dags(g)
+        assert len(dags) == 24 and len(g.nodes) == k + 1
+        assert len({d.parents_of("X") for d in dags}) == groups
+    for name, (text, y) in large_class.GRAPHS.items():
+        assert identify(parse_graph(text), {"X"}, {y}).identifiable, name
+    paths = {name: f"/tmp/{name}.g" for name in large_class.GRAPHS}
+    labels = [label for label, _ in large_class.cases(paths)]
+    assert len(labels) == len(set(labels)) == 2 * len(large_class.GRAPHS)
+    assert large_class.cases(paths)[0][1] == [
+        "verify", "-g", "/tmp/x-into-k6.g", "-X", "X", "-Y", "V1"
+    ]
+
+
+def test_large_class_summary_names_medians_peaks_and_differences():
+    runs = {
+        "parent": [(2.0, 100.0, (0, "a")), (4.0, 120.0, (0, "a")), (3.0, 90.0, (0, "a"))],
+        "change": [(0.5, 80.0, (0, "a")), (1.5, 70.0, (0, "a")), (1.0, 85.0, (0, "a"))],
+    }
+    line, same = large_class.summarize(runs)
+    assert same
+    assert line == "parent 3.00 s, 120 MB; change 1.00 s, 85 MB; 3.0x; stdout identical"
+    differ = {**runs, "change": [*runs["change"][:2], (1.0, 85.0, (1, "a"))]}
+    line, same = large_class.summarize(differ)
+    assert not same and line.endswith("OUTPUTS DIFFER")
